@@ -7,6 +7,7 @@ and seed.  Exit codes: 0 success, 1 check failed, 2 unknown or not found,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,8 +15,9 @@ from . import filters, samplers
 from .foleq import foleq_axiom_suite, interpret
 from .nominal import Atom, FinCofinAtomSet, atoms, support
 from .report import AxiomResult, SuiteReport
-from .sequent import (ProverBudget, check_proof, find_countermodel,
-                      format_proof, parse_proof, parse_sequent, prove)
+from .sequent import (COUNTERMODEL_SPACE_LIMIT, ProverBudget, check_proof,
+                      countermodel_space, find_countermodel, format_proof,
+                      parse_proof, parse_sequent, prove)
 from .sigma import amgis_axiom_suite, pow_amgis, sigma_axiom_suite
 from .syntax import (Signature, SyntaxError_, default_signature,
                      parse_formula, parse_signature)
@@ -86,9 +88,22 @@ def cmd_check(args, out) -> int:
     return 0 if ok else 1
 
 
+def _count(n: int) -> str:
+    """n in full, or as mantissa and exponent once it has 30 digits or more."""
+    if n < 10 ** 29:
+        return str(n)
+    x = math.log10(n)
+    return f"{10 ** (x % 1):.2f}e{int(x)}"
+
+
 def cmd_countermodel(args, out) -> int:
     sig = _load_signature(args.sig)
     s = parse_sequent(args.sequent, sig)
+    space = countermodel_space(s, sig, args.max_k)
+    if space > COUNTERMODEL_SPACE_LIMIT:
+        print(f"UNKNOWN search space {_count(space)} exceeds "
+              f"{COUNTERMODEL_SPACE_LIMIT}", file=out)
+        return 2
     found = find_countermodel(s, sig, args.max_k)
     if found is None:
         print("UNKNOWN", file=out)
@@ -207,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sequent")
     p.add_argument("--sig")
     p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--machine", action="store_true")
     p.set_defaults(fn=cmd_prove)
 
     p = sub.add_parser("check", help="validate a proof file")

@@ -435,12 +435,59 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
     return search(sequent(s.left, s.right), budget.max_depth)
 
 
+COUNTERMODEL_SPACE_LIMIT = 10 ** 6
+
+
+def _used_signature(s: Sequent, sig: Signature) -> Signature:
+    """The symbols of sig that occur in s, in signature order."""
+    used: set[str] = set()
+    todo = list(s.left + s.right)
+    while todo:
+        f = todo.pop()
+        if isinstance(f, And):
+            todo += (f.lhs, f.rhs)
+        elif isinstance(f, (Neg, All)):
+            todo.append(f.body)
+        else:
+            if isinstance(f, Pred):
+                used.add(f.name)
+            used.update(t.fn for t in formula_terms(f) if isinstance(t, App))
+    return Signature(tuple(x for x in sig.functions if x[0] in used),
+                     tuple(x for x in sig.predicates if x[0] in used))
+
+
+def countermodel_space(s: Sequent, sig: Signature, max_k: int) -> int:
+    """Number of (model, valuation) pairs find_countermodel may try."""
+    used = _used_signature(s, sig)
+    n_free = len(s.free_atoms())
+    total = 0
+    for k in range(1, max_k + 1):
+        models = 1
+        for _, ar in used.functions:
+            models *= k ** (k ** ar)
+        for _, ar in used.predicates:
+            models *= 2 ** (k ** ar)
+        total += models * k ** n_free
+    return total
+
+
 def find_countermodel(s: Sequent, sig: Signature, max_k: int
                       ) -> tuple[OrdinaryModel, Valuation] | None:
-    """Exhaustive deterministic search for a falsifying model and valuation."""
+    """Exhaustive deterministic search for a falsifying model and valuation.
+
+    Only the symbols that occur in s are enumerated; every other symbol
+    keeps its first table in iter_models order (all 0, all false).  Such a
+    symbol cannot change the verdict, so the result is the first
+    countermodel of an enumeration of the whole signature.
+    """
+    used = _used_signature(s, sig)
     free = tuple(sorted(s.free_atoms(), key=lambda a: a.id))
     for k in range(1, max_k + 1):
-        for model in iter_models(sig, k):
+        funcs = {name: (0,) * k ** ar for name, ar in sig.functions}
+        preds = {name: (False,) * k ** ar for name, ar in sig.predicates}
+        for sub in iter_models(used, k):
+            model = OrdinaryModel(sig, k, {**funcs, **sub.funcs},
+                                  {**preds, **sub.preds})
             for combo in itertools.product(range(k), repeat=len(free)):
                 vs = Valuation(dict(zip(free, combo)), 0)
                 if all(standard_eval(f, model, vs) for f in s.left) and \

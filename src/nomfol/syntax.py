@@ -486,8 +486,16 @@ def build_atom_map(texts: Iterable[str], sig: Signature) -> dict[str, int]:
     return mapping
 
 
+MAX_NESTING = 100
+
+
 class _Parser:
-    """Precedence: ~ > /\\ > \\/ > -> > <-> > forall; forall extends right."""
+    """Precedence: ~ > /\\ > \\/ > -> > <-> > forall; forall extends right.
+
+    Each ``(``, ``~``, ``forall`` and binary connective opens one level of
+    nesting; past MAX_NESTING levels the input is refused, so that neither
+    the parser nor the recursions over the parsed tree run out of stack.
+    """
 
     def __init__(self, text: str, sig: Signature,
                  atom_map: dict[str, int] | None = None):
@@ -496,6 +504,12 @@ class _Parser:
         if atom_map is None:
             atom_map = build_atom_map([text], sig)
         self.atom_ids = dict(atom_map)
+        self.depth = 0
+
+    def _enter(self, pos: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SyntaxError_(f"nesting deeper than {MAX_NESTING} at position {pos}")
 
     def _undeclared(self, name: str) -> bool:
         return self.sig.fun_arity(name) is None and self.sig.pred_arity(name) is None
@@ -523,69 +537,79 @@ class _Parser:
     def _args(self, name: str, arity: int, pos: int) -> tuple[Term, ...]:
         args: list[Term] = []
         if self.lx.peek()[0] == "lpar":
-            self.lx.next()
+            self._enter(self.lx.next()[2])
             if self.lx.peek()[0] != "rpar":
                 args.append(self.term())
                 while self.lx.peek()[0] == "comma":
                     self.lx.next()
                     args.append(self.term())
             self.lx.expect("rpar")
+            self.depth -= 1
         if len(args) != arity:
             raise SyntaxError_(f"{name!r} has arity {arity}, got {len(args)} args at {pos}")
         return tuple(args)
 
     def formula(self) -> Formula:
-        return self.iff_()
-
-    def iff_(self) -> Formula:
         lhs = self.imp_()
         if self.lx.peek()[0] == "iff":
-            self.lx.next()
-            return Iff(lhs, self.iff_())
+            self._enter(self.lx.next()[2])
+            out = Iff(lhs, self.formula())
+            self.depth -= 1
+            return out
         return lhs
 
     def imp_(self) -> Formula:
         lhs = self.or_()
         if self.lx.peek()[0] == "imp":
-            self.lx.next()
-            return Imp(lhs, self.imp_())
+            self._enter(self.lx.next()[2])
+            out = Imp(lhs, self.imp_())
+            self.depth -= 1
+            return out
         return lhs
 
     def or_(self) -> Formula:
+        depth = self.depth
         out = self.and_()
         while self.lx.peek()[0] == "or":
-            self.lx.next()
+            self._enter(self.lx.next()[2])
             out = Or(out, self.and_())
+        self.depth = depth
         return out
 
     def and_(self) -> Formula:
+        depth = self.depth
         out = self.unary()
         while self.lx.peek()[0] == "and":
-            self.lx.next()
+            self._enter(self.lx.next()[2])
             out = And(out, self.unary())
+        self.depth = depth
         return out
 
     def unary(self) -> Formula:
         kind, val, pos = self.lx.peek()
         if kind == "neg":
-            self.lx.next()
-            return Neg(self.unary())
-        if kind == "forall":
-            self.lx.next()
+            self._enter(self.lx.next()[2])
+            out = Neg(self.unary())
+        elif kind == "forall":
+            self._enter(self.lx.next()[2])
             k2, v2, p2 = self.lx.expect("ident")
             if not self._undeclared(v2):
                 raise SyntaxError_(f"binder {v2!r} clashes with a signature symbol at {p2}")
             a = self._atom(v2)
             self.lx.expect("dot")
-            return All(a, self.formula())
-        return self.atomic()
+            out = All(a, self.formula())
+        else:
+            return self.atomic()
+        self.depth -= 1
+        return out
 
     def atomic(self) -> Formula:
         kind, val, pos = self.lx.peek()
         if kind == "lpar":
-            self.lx.next()
+            self._enter(self.lx.next()[2])
             out = self.formula()
             self.lx.expect("rpar")
+            self.depth -= 1
             return out
         if kind == "bottom":
             self.lx.next()

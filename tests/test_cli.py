@@ -1,5 +1,6 @@
 import io
 import os
+import time
 
 from nomfol.cli import run
 
@@ -75,6 +76,36 @@ def test_countermodel_forall():
     assert "domain" in out and "pred P :" in out
 
 
+def test_countermodel_refuses_hopeless_search():
+    # all six default symbols at k <= 3: about 1.3e10 models
+    start = time.perf_counter()
+    code, out = go("countermodel", "P(c), Q(f(a), g(a, a)) |- R", "--max-k", "3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == "UNKNOWN search space 39182114824 exceeds 1000000\n"
+
+
+def test_deep_nesting_is_a_usage_error():
+    deep = {"neg": "~" * 3000 + "P(a)",
+            "parens": "(" * 3000 + "P(a)" + ")" * 3000}
+    for phi in deep.values():
+        for argv in (["prove", "|- " + phi], ["countermodel", "|- " + phi],
+                     ["eval", phi, "--model", MODEL]):
+            code, out = go(*argv, "--sig", SIG)
+            assert code == 64 and out.startswith("error: nesting deeper than"), argv
+
+
+def test_nesting_at_the_limit_is_answered():
+    # 99 levels of ~ or parentheses plus the argument list of P: 100 levels
+    for phi in ["~" * 99 + "P(a)", "(" * 99 + "P(a)" + ")" * 99]:
+        code, out = go("prove", "|- " + phi, "--sig", SIG, "--depth", "3")
+        assert code in (0, 2) and not out.startswith("error:")
+        code, out = go("countermodel", "|- " + phi, "--sig", SIG)
+        assert code == 0 and out.startswith("domain 1")
+        code, out = go("eval", phi, "--sig", SIG, "--model", MODEL)
+        assert code == 0 and out.startswith("deps: [a0]")
+
+
 def test_axioms_suites_small():
     for suite, n in [("sigma-terms", 40), ("sigma-tarski", 40),
                      ("amgis-pow", 15), ("foleq-tarski", 20),
@@ -102,6 +133,8 @@ def test_sketch_golden():
 
 def test_usage_error():
     code, _ = go("bogus")
+    assert code == 64
+    code, _ = go("prove", "|- P(a)", "--sig", SIG, "--machine")
     assert code == 64
     code, _ = go("axioms", "no-such-suite")
     assert code == 64

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,13 +6,14 @@ import pytest
 from nomfol.nominal import atoms
 from nomfol.foleq import sequent_valid
 from nomfol.sequent import (Proof, ProverBudget, check_proof,
-                            default_universe, find_countermodel, format_proof,
+                            countermodel_space, default_universe,
+                            find_countermodel, format_proof,
                             format_sequent, generate_derivable, herbrand_equiv,
                             parse_proof, parse_sequent, prove, sequent)
 from nomfol.syntax import (All, And, Neg, Pred, Signature, Var,
                            default_signature, parse_formula, random_formula)
-from nomfol.tarski import (all_valuations, lift_interpretation,
-                           random_model, standard_eval)
+from nomfol.tarski import (Valuation, all_valuations, iter_models,
+                           lift_interpretation, random_model, standard_eval)
 
 sig = default_signature()
 sigP = Signature((), (("P", 1),))
@@ -128,6 +130,75 @@ def test_countermodel_certificate():
         model, vs = got
         assert all(standard_eval(f, model, vs) for f in s.left)
         assert not any(standard_eval(f, model, vs) for f in s.right)
+
+
+def reference_countermodel(s, sig, max_k):
+    """The full-signature search: every table of every symbol, in order."""
+    free = tuple(sorted(s.free_atoms(), key=lambda a: a.id))
+    for k in range(1, max_k + 1):
+        for model in iter_models(sig, k):
+            for combo in itertools.product(range(k), repeat=len(free)):
+                vs = Valuation(dict(zip(free, combo)), 0)
+                if all(standard_eval(f, model, vs) for f in s.left) and \
+                        not any(standard_eval(f, model, vs) for f in s.right):
+                    return model, vs
+    return None
+
+
+def _answer(found):
+    if found is None:
+        return None
+    model, vs = found
+    return model.format(), sorted(vs.overrides.items()), vs.default
+
+
+def _sub_signature(sig, rng):
+    """A random part of sig, so that generated sequents leave symbols unused."""
+    return Signature(tuple(x for x in sig.functions if rng.random() < 0.6),
+                     tuple(x for x in sig.predicates if rng.random() < 0.6))
+
+
+def _differential(sig, sequents, max_k):
+    found = 0
+    for s in sequents:
+        got = find_countermodel(s, sig, max_k)
+        assert _answer(got) == _answer(reference_countermodel(s, sig, max_k)), s
+        if got is None:
+            continue
+        found += 1
+        model, vs = got
+        assert all(standard_eval(f, model, vs) for f in s.left)
+        assert not any(standard_eval(f, model, vs) for f in s.right)
+    return found
+
+
+def _random_sequents(sig, rng, n):
+    pool = atoms(0, 1)
+    for _ in range(n):
+        gen = _sub_signature(sig, rng)
+        yield sequent([random_formula(gen, rng, pool, 2)
+                       for _ in range(rng.randint(0, 1))],
+                      [random_formula(gen, rng, pool, 2)])
+
+
+def test_countermodel_matches_full_signature_search():
+    small = Signature((("c", 0), ("f", 1)), (("P", 1), ("Q", 2), ("R", 0)))
+    found = _differential(small, _random_sequents(small, random.Random(45), 200), 2)
+    assert 40 < found < 200
+    # the symbol order decides which of several countermodels comes first
+    texts = ["P(a) \\/ R |-", "Q(a, b) \\/ P(b) |-", "c = f(a) \\/ f(c) = a |-"]
+    assert _differential(small, [parse_sequent(t, small) for t in texts], 2) == 3
+    assert _differential(sig, _random_sequents(sig, random.Random(46), 6), 2) > 0
+
+
+def test_countermodel_space():
+    # c/0 and P/1 at k=1,2: (1*2)*1 + (2*4)*2 with one free atom
+    assert countermodel_space(ps("P(c) |- P(a)"), sig, 2) == 2 + 16
+    # no symbols used: one model per k, k^2 valuations
+    assert countermodel_space(ps("|- a = b"), sig, 3) == 1 + 4 + 9
+    # all six default symbols; at k=3: 3^(1+3+9) * 2^(3+9+1) models
+    s = ps("P(c), Q(f(a), g(a, a)) |- R")
+    assert countermodel_space(s, sig, 3) == 2 ** 3 + 2 * 2 ** 14 + 3 * 6 ** 13
 
 
 def test_generate_derivable():

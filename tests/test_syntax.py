@@ -213,3 +213,20 @@ def test_parser_never_hangs_on_noise():
         except SyntaxError_:
             outcomes["err"] += 1
     assert outcomes["err"] > 0  # noise mostly fails, and never crashes
+
+
+def test_nesting_limit():
+    # each (, ~, forall, argument list and binary connective is one level
+    for deep in ["~" * 100 + "R", "(" * 100 + "R" + ")" * 100,
+                 "forall b. " * 100 + "R", " /\\ ".join(["R"] * 101),
+                 " \\/ ".join(["R"] * 101), " -> ".join(["R"] * 101),
+                 "P(" + "f(" * 99 + "a" + ")" * 100]:
+        parse_formula(deep, sig)
+    with pytest.raises(SyntaxError_, match="nesting deeper than 100 at position 100"):
+        parse_formula("~" * 101 + "R", sig)
+    with pytest.raises(SyntaxError_, match="at position 100"):
+        parse_formula("(" * 101 + "R" + ")" * 101, sig)
+    with pytest.raises(SyntaxError_, match="nesting deeper than 100"):
+        parse_formula(" /\\ ".join(["R"] * 102), sig)
+    with pytest.raises(SyntaxError_, match="nesting deeper than 100"):
+        parse_formula("P(" + "f(" * 100 + "a" + ")" * 101, sig)
