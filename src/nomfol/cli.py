@@ -2,7 +2,7 @@
 
 Output is line-oriented; every command is deterministic given its inputs
 and seed.  Exit codes: 0 success, 1 check failed, 2 unknown or not found,
-64 usage error.
+64 usage error or input past a nesting or size limit.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ from .sequent import (COUNTERMODEL_SPACE_LIMIT, ProverBudget, check_proof,
                       countermodel_space, find_countermodel, format_proof,
                       parse_proof, parse_sequent, prove)
 from .sigma import amgis_axiom_suite, pow_amgis, sigma_axiom_suite
-from .syntax import (Signature, SyntaxError_, default_signature,
-                     parse_formula, parse_signature)
+from .syntax import (LimitExceeded, Signature, SyntaxError_,
+                     default_signature, parse_formula, parse_signature)
 from .tarski import lift_interpretation, parse_model
 
 USAGE_ERROR = 64
@@ -80,6 +80,8 @@ def cmd_check(args, out) -> int:
         text = fh.read()
     try:
         proof = parse_proof(text, sig)
+    except LimitExceeded:
+        raise
     except SyntaxError_ as e:
         print(f"PARSE-ERROR {e}", file=out)
         return 1

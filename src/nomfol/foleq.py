@@ -42,9 +42,6 @@ class FoleqAlgebra:
     def join(self, x, y):
         return self.neg(self.meet(self.neg(x), self.neg(y)))
 
-    def freshjoin(self, a: Atom, x):
-        return self.neg(self.freshmeet(a, self.neg(x)))
-
     def leq(self, x, y) -> bool:
         return self.equal(self.meet(x, y), x)
 

@@ -10,56 +10,73 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .nominal import Atom, act, atoms, fresh, swap
-from .syntax import (All, And, App, BOT, Bot, Eq, Formula, Neg, Pred,
-                     Signature, SyntaxError_, Term, Var, all_atoms, alpha_key,
-                     build_atom_map, free_atoms, free_atoms_term,
-                     parse_formula, parse_term, pretty, pretty_term,
-                     random_formula, random_term, subst_formula, subterms)
+from .syntax import (All, And, App, BOT, Bot, Eq, Formula, LimitExceeded,
+                     MAX_NESTING, Neg, Pred, Signature, SyntaxError_, Term,
+                     Var, all_atoms, alpha_key, build_atom_map, free_atoms,
+                     free_atoms_term, parse_formula, parse_term, pretty,
+                     pretty_term, random_formula, random_term, subst_formula,
+                     subterms)
 from .tarski import OrdinaryModel, Valuation, iter_models, standard_eval
 
 
-def _norm(fs) -> tuple[Formula, ...]:
+def _norm(fs) -> tuple[tuple[Formula, ...], tuple[str, ...]]:
+    """One formula per alpha class, in key order, and the keys."""
     seen: dict[str, Formula] = {}
     for f in fs:
         seen.setdefault(alpha_key(f), f)
-    return tuple(seen[k] for k in sorted(seen))
+    keys = tuple(sorted(seen))
+    return tuple(seen[k] for k in keys), keys
 
 
 @dataclass(frozen=True)
 class Sequent:
+    """Build with ``sequent``, which also fills in each side's alpha keys.
+
+    Each side keeps the keys of its formulas in order and as a set, so
+    membership up to alpha and the memo key are lookups, not walks.
+    """
+
     left: tuple[Formula, ...]
     right: tuple[Formula, ...]
+    left_keys: tuple[str, ...] = field(repr=False, compare=False)
+    right_keys: tuple[str, ...] = field(repr=False, compare=False)
+    left_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    right_set: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "left_set", frozenset(self.left_keys))
+        object.__setattr__(self, "right_set", frozenset(self.right_keys))
 
     def key(self) -> tuple:
-        return (tuple(alpha_key(f) for f in self.left),
-                tuple(alpha_key(f) for f in self.right))
+        return (self.left_keys, self.right_keys)
 
     def free_atoms(self) -> frozenset[Atom]:
-        out: frozenset[Atom] = frozenset()
-        for f in self.left + self.right:
-            out |= free_atoms(f)
-        return out
+        return frozenset().union(*map(free_atoms, self.left + self.right))
 
     def __repr__(self):
         return format_sequent(self)
 
 
 def sequent(left, right) -> Sequent:
-    return Sequent(_norm(left), _norm(right))
+    left, left_keys = _norm(left)
+    right, right_keys = _norm(right)
+    return Sequent(left, right, left_keys, right_keys)
 
 
-def _has(fs, phi: Formula) -> bool:
+def _has(keys: frozenset[str], phi: Formula) -> bool:
+    """Whether phi is, up to alpha, on the side with these keys."""
+    return alpha_key(phi) in keys
+
+
+def _without(fs: tuple[Formula, ...], keys: tuple[str, ...],
+             phi: Formula) -> tuple[Formula, ...]:
+    """The side fs, whose alpha keys are keys, less phi up to alpha."""
     k = alpha_key(phi)
-    return any(alpha_key(f) == k for f in fs)
-
-
-def _without(fs, phi: Formula) -> tuple[Formula, ...]:
-    k = alpha_key(phi)
-    return tuple(f for f in fs if alpha_key(f) != k)
+    return tuple(f for f, fk in zip(fs, keys) if fk != k)
 
 
 def format_sequent(s: Sequent) -> str:
@@ -196,10 +213,8 @@ def _safe_abstract(phi: Formula, r: Term, hole: Atom, picks: set[int] | None):
 
 
 def _allR_witness(s: Sequent, principal: All) -> Atom:
-    rest = _without(s.right, principal)
-    blocked = frozenset()
-    for f in s.left + rest:
-        blocked |= free_atoms(f)
+    rest = _without(s.right, s.right_keys, principal)
+    blocked = frozenset().union(*map(free_atoms, s.left + rest))
     a = principal.binder
     if a not in blocked:
         return a
@@ -242,10 +257,10 @@ def _check_node(p: Proof) -> None:
         _fail(p, f"expected {_ARITY[p.rule]} premises, got {len(p.premises)}")
 
     if p.rule == "hyp":
-        if not any(_has(s.right, f) for f in s.left):
+        if s.right_set.isdisjoint(s.left_keys):
             _fail(p, "no shared formula between the two sides")
     elif p.rule == "botL":
-        if not _has(s.left, BOT):
+        if not _has(s.left_set, BOT):
             _fail(p, "bottom is not on the left")
     elif p.rule == "eqR":
         (r,) = p.witnesses
@@ -253,53 +268,54 @@ def _check_node(p: Proof) -> None:
         _expect_premise(p, 0, want)
     elif p.rule == "andL":
         (principal,) = p.witnesses
-        if not isinstance(principal, And) or not _has(s.left, principal):
+        if not isinstance(principal, And) or not _has(s.left_set, principal):
             _fail(p, "principal conjunction is not on the left")
         parts = (principal.lhs, principal.rhs)
         _expect_premise(p, 0,
-                        sequent(_without(s.left, principal) + parts, s.right),
+                        sequent(_without(s.left, s.left_keys, principal) + parts,
+                                s.right),
                         sequent(s.left + parts, s.right))
     elif p.rule == "andR":
         (principal,) = p.witnesses
-        if not isinstance(principal, And) or not _has(s.right, principal):
+        if not isinstance(principal, And) or not _has(s.right_set, principal):
             _fail(p, "principal conjunction is not on the right")
-        rest = _without(s.right, principal)
+        rest = _without(s.right, s.right_keys, principal)
         _expect_premise(p, 0, sequent(s.left, rest + (principal.lhs,)),
                         sequent(s.left, s.right + (principal.lhs,)))
         _expect_premise(p, 1, sequent(s.left, rest + (principal.rhs,)),
                         sequent(s.left, s.right + (principal.rhs,)))
     elif p.rule == "negL":
         (principal,) = p.witnesses
-        if not isinstance(principal, Neg) or not _has(s.left, principal):
+        if not isinstance(principal, Neg) or not _has(s.left_set, principal):
             _fail(p, "principal negation is not on the left")
         _expect_premise(p, 0,
-                        sequent(_without(s.left, principal), s.right + (principal.body,)),
+                        sequent(_without(s.left, s.left_keys, principal),
+                                s.right + (principal.body,)),
                         sequent(s.left, s.right + (principal.body,)))
     elif p.rule == "negR":
         (principal,) = p.witnesses
-        if not isinstance(principal, Neg) or not _has(s.right, principal):
+        if not isinstance(principal, Neg) or not _has(s.right_set, principal):
             _fail(p, "principal negation is not on the right")
         _expect_premise(p, 0,
-                        sequent(s.left + (principal.body,), _without(s.right, principal)),
+                        sequent(s.left + (principal.body,),
+                                _without(s.right, s.right_keys, principal)),
                         sequent(s.left + (principal.body,), s.right))
     elif p.rule == "allL":
         principal, r = p.witnesses
-        if not isinstance(principal, All) or not _has(s.left, principal):
+        if not isinstance(principal, All) or not _has(s.left_set, principal):
             _fail(p, "principal quantifier is not on the left")
         inst = subst_formula(principal.body, principal.binder, r)
         got = p.premises[0].conclusion
         keep = sequent(s.left + (inst,), s.right)
-        drop = sequent(_without(s.left, principal) + (inst,), s.right)
+        drop = sequent(_without(s.left, s.left_keys, principal) + (inst,), s.right)
         if got.key() not in (keep.key(), drop.key()):
             _fail(p, f"premise should instantiate with {pretty_term(r)}")
     elif p.rule == "allR":
         principal, c = p.witnesses
-        if not isinstance(principal, All) or not _has(s.right, principal):
+        if not isinstance(principal, All) or not _has(s.right_set, principal):
             _fail(p, "principal quantifier is not on the right")
-        rest = _without(s.right, principal)
-        blocked = frozenset()
-        for f in s.left + rest:
-            blocked |= free_atoms(f)
+        rest = _without(s.right, s.right_keys, principal)
+        blocked = frozenset().union(*map(free_atoms, s.left + rest))
         if c in blocked:
             _fail(p, f"witness atom {c} is free in the context")
         if c in free_atoms(principal):
@@ -309,16 +325,16 @@ def _check_node(p: Proof) -> None:
                         sequent(s.left, s.right + (body,)))
     elif p.rule == "eqL":
         equation, template, a = p.witnesses
-        if not isinstance(equation, Eq) or not _has(s.left, equation):
+        if not isinstance(equation, Eq) or not _has(s.left_set, equation):
             _fail(p, "equation is not on the left")
         r_new, r_old = equation.lhs, equation.rhs
         inst_old = subst_formula(template, a, r_old)
         inst_new = subst_formula(template, a, r_new)
-        if not _has(s.left, inst_old):
+        if not _has(s.left_set, inst_old):
             _fail(p, "rewritten formula is not on the left")
         got = p.premises[0].conclusion
         keep = sequent(s.left + (inst_new,), s.right)
-        drop = sequent(_without(s.left, inst_old) + (inst_new,), s.right)
+        drop = sequent(_without(s.left, s.left_keys, inst_old) + (inst_new,), s.right)
         if got.key() not in (keep.key(), drop.key()):
             _fail(p, "premise does not match the rewrite")
     for q in p.premises:
@@ -336,9 +352,9 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
     memo_fail: dict[tuple, int] = {}
 
     def closing(sq: Sequent) -> Proof | None:
-        if any(_has(sq.right, f) for f in sq.left):
+        if not sq.right_set.isdisjoint(sq.left_keys):
             return Proof("hyp", sq)
-        if _has(sq.left, BOT):
+        if _has(sq.left_set, BOT):
             return Proof("botL", sq)
         return None
 
@@ -346,30 +362,31 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
         out = []
         for f in sq.left:
             if isinstance(f, And):
-                prem = sequent(_without(sq.left, f) + (f.lhs, f.rhs), sq.right)
+                prem = sequent(_without(sq.left, sq.left_keys, f) + (f.lhs, f.rhs),
+                               sq.right)
                 out.append(("andL", (f,), [prem]))
             elif isinstance(f, Neg):
-                prem = sequent(_without(sq.left, f), sq.right + (f.body,))
+                prem = sequent(_without(sq.left, sq.left_keys, f), sq.right + (f.body,))
                 out.append(("negL", (f,), [prem]))
         for f in sq.right:
             if isinstance(f, Neg):
-                prem = sequent(sq.left + (f.body,), _without(sq.right, f))
+                prem = sequent(sq.left + (f.body,), _without(sq.right, sq.right_keys, f))
                 out.append(("negR", (f,), [prem]))
             elif isinstance(f, All):
                 c = _allR_witness(sq, f)
                 body = act(swap(c, f.binder), f.body)
-                prem = sequent(sq.left, _without(sq.right, f) + (body,))
+                prem = sequent(sq.left, _without(sq.right, sq.right_keys, f) + (body,))
                 out.append(("allR", (f, c), [prem]))
         for f in sq.right:
             if isinstance(f, And):
-                rest = _without(sq.right, f)
+                rest = _without(sq.right, sq.right_keys, f)
                 out.append(("andR", (f,), [sequent(sq.left, rest + (f.lhs,)),
                                            sequent(sq.left, rest + (f.rhs,))]))
         for f in sq.left:
             if isinstance(f, All):
                 for r in universe:
                     inst = subst_formula(f.body, f.binder, r)
-                    if _has(sq.left, inst):
+                    if _has(sq.left_set, inst):
                         continue
                     out.append(("allL", (f, r), [sequent(sq.left + (inst,), sq.right)]))
         mentions_eq = any(isinstance(f, Eq) for f in sq.left) or \
@@ -377,7 +394,7 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
         if mentions_eq:
             for r in universe:
                 refl = Eq(r, r)
-                if _has(sq.left, refl):
+                if _has(sq.left_set, refl):
                     continue
                 out.append(("eqR", (r,), [sequent(sq.left + (refl,), sq.right)]))
             out.extend(_eqL_moves(sq))
@@ -385,15 +402,16 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
 
     def _eqL_moves(sq: Sequent):
         out = []
+        sq_atoms = sq.free_atoms()
         for e in sq.left:
             if not isinstance(e, Eq) or e.lhs == e.rhs:
                 continue
             r_new, r_old = e.lhs, e.rhs
+            blocked = sq_atoms | free_atoms_term(r_old) | free_atoms_term(r_new)
             for target in sq.left:
                 if target is e:
                     continue
-                hole = fresh(sq.free_atoms() | all_atoms(target)
-                             | free_atoms_term(r_old) | free_atoms_term(r_new))
+                hole = fresh(blocked | all_atoms(target))
                 _, total = _safe_abstract(target, r_old, hole, set())
                 if total == 0:
                     continue
@@ -401,9 +419,10 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
                 for picks in pick_sets:
                     template, _ = _safe_abstract(target, r_old, hole, picks)
                     inst_new = subst_formula(template, hole, r_new)
-                    if _has(sq.left, inst_new):
+                    if _has(sq.left_set, inst_new):
                         continue
-                    prem = sequent(_without(sq.left, target) + (inst_new,), sq.right)
+                    prem = sequent(_without(sq.left, sq.left_keys, target)
+                                   + (inst_new,), sq.right)
                     out.append(("eqL", (e, template, hole), [prem]))
         return out
 
@@ -532,16 +551,16 @@ def _forward_step(p: Proof, sig: Signature, rng, pool) -> Proof | None:
             return Proof("andL", conc, (And(f1, f2),), (p,))
         if rule == "negL" and s.right:
             psi = rng.choice(s.right)
-            conc = sequent(s.left + (Neg(psi),), _without(s.right, psi))
+            conc = sequent(s.left + (Neg(psi),), _without(s.right, s.right_keys, psi))
             return Proof("negL", conc, (Neg(psi),), (p,))
         if rule == "negR" and s.left:
             phi = rng.choice(s.left)
-            conc = sequent(_without(s.left, phi), s.right + (Neg(phi),))
+            conc = sequent(_without(s.left, s.left_keys, phi), s.right + (Neg(phi),))
             return Proof("negR", conc, (Neg(phi),), (p,))
         if rule == "andR" and s.right:
             psi1 = rng.choice(s.right)
-            rest = _without(s.right, psi1)
-            if _has(s.left, BOT):
+            rest = _without(s.right, s.right_keys, psi1)
+            if _has(s.left_set, BOT):
                 psi2 = random_formula(sig, rng, pool, 1)
                 second = Proof("botL", sequent(s.left, rest + (psi2,)))
             elif s.left:
@@ -555,10 +574,8 @@ def _forward_step(p: Proof, sig: Signature, rng, pool) -> Proof | None:
             return Proof("andR", conc, (And(psi1, psi2),), (p, second))
         if rule == "allR" and s.right:
             psi = rng.choice(s.right)
-            rest = _without(s.right, psi)
-            blocked = frozenset()
-            for f in s.left + rest:
-                blocked |= free_atoms(f)
+            rest = _without(s.right, s.right_keys, psi)
+            blocked = frozenset().union(*map(free_atoms, s.left + rest))
             options = [a for a in free_atoms(psi) if a not in blocked]
             a = rng.choice(options) if options else fresh(blocked | free_atoms(psi))
             conc = sequent(s.left, rest + (All(a, psi),))
@@ -574,14 +591,14 @@ def _forward_step(p: Proof, sig: Signature, rng, pool) -> Proof | None:
             if total == 0:
                 continue
             principal = All(hole, template)
-            conc = sequent(_without(s.left, xi) + (principal,), s.right)
+            conc = sequent(_without(s.left, s.left_keys, xi) + (principal,), s.right)
             return Proof("allL", conc, (principal, r), (p,))
         if rule == "eqR":
             refl = [f for f in s.left if isinstance(f, Eq) and f.lhs == f.rhs]
             if not refl:
                 continue
             e = rng.choice(refl)
-            conc = sequent(_without(s.left, e), s.right)
+            conc = sequent(_without(s.left, s.left_keys, e), s.right)
             return Proof("eqR", conc, (e.lhs,), (p,))
         if rule == "eqL":
             eqs = [f for f in s.left if isinstance(f, Eq) and f.lhs != f.rhs]
@@ -596,7 +613,7 @@ def _forward_step(p: Proof, sig: Signature, rng, pool) -> Proof | None:
             if total == 0:
                 continue
             inst_old = subst_formula(template, hole, e.rhs)
-            conc = sequent(_without(s.left, xi) + (inst_old,), s.right)
+            conc = sequent(_without(s.left, s.left_keys, xi) + (inst_old,), s.right)
             return Proof("eqL", conc, (e, template, hole), (p,))
     return None
 
@@ -720,7 +737,9 @@ def parse_proof(text: str, sig: Signature) -> Proof:
             raise SyntaxError_(f"bad atom name {name!r} in proof")
         return Atom(int(m.group(1)))
 
-    def node() -> Proof:
+    def node(depth: int) -> Proof:
+        if depth > MAX_NESTING:
+            raise LimitExceeded(f"proof nesting deeper than {MAX_NESTING}")
         take("(")
         rule = take("sym")
         if rule not in _ARITY:
@@ -743,11 +762,11 @@ def parse_proof(text: str, sig: Signature) -> Proof:
                 wits.append(atom_of(raw))
         premises = []
         while peek()[0] == "(":
-            premises.append(node())
+            premises.append(node(depth + 1))
         take(")")
         return Proof(rule, conclusion, tuple(wits), tuple(premises))
 
-    p = node()
+    p = node(1)
     if peek()[0] != "eof":
         raise SyntaxError_("trailing input after proof")
     return p

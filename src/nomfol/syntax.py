@@ -7,7 +7,7 @@ atom so results are reproducible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .nominal import Atom, Perm, act, fresh, swap
@@ -15,6 +15,10 @@ from .nominal import Atom, Perm, act, fresh, swap
 
 class SyntaxError_(ValueError):
     """Lexing, parsing or arity error, with position information."""
+
+
+class LimitExceeded(SyntaxError_):
+    """Input refused because it is nested too deeply or expands too far."""
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,15 @@ def subterms(t: Term) -> Iterator[Term]:
 
 @dataclass(frozen=True)
 class Formula:
-    pass
+    """Base of the formula nodes.
+
+    A node computes its alpha key and its free atoms on first request and
+    keeps them in two fields that take no part in equality or hashing.
+    """
+
+    _key: str | None = field(default=None, init=False, repr=False, compare=False)
+    _free: frozenset[Atom] | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
 
 @dataclass(frozen=True)
@@ -237,7 +249,11 @@ def Iff(a: Formula, b: Formula) -> Formula:
 
 def free_atoms(phi: Formula) -> frozenset[Atom]:
     """Free atoms; equals the nominal support of the alpha-class."""
-    return phi._support_()
+    out = phi._free
+    if out is None:
+        out = phi._support_()
+        object.__setattr__(phi, "_free", out)
+    return out
 
 
 def all_atoms(phi: Formula) -> frozenset[Atom]:
@@ -306,7 +322,20 @@ def alpha_eq(phi: Formula, psi: Formula) -> bool:
 
 
 def alpha_key(phi: Formula) -> str:
-    """A string key equal on exactly the alpha-equivalence class of phi."""
+    """A string key equal on exactly the alpha-equivalence class of phi.
+
+    Bound atoms are written as the depth of their binder and free atoms by
+    index, so the key also fixes the order of formulas in a sequent.  Each
+    node walks its tree once, on the first request.
+    """
+    key = phi._key
+    if key is None:
+        key = _alpha_key_walk(phi)
+        object.__setattr__(phi, "_key", key)
+    return key
+
+
+def _alpha_key_walk(phi: Formula) -> str:
     parts: list[str] = []
 
     def term(t: Term, env: dict[Atom, int]) -> None:
@@ -487,6 +516,7 @@ def build_atom_map(texts: Iterable[str], sig: Signature) -> dict[str, int]:
 
 
 MAX_NESTING = 100
+MAX_FORMULA_NODES = 10_000
 
 
 class _Parser:
@@ -495,6 +525,11 @@ class _Parser:
     Each ``(``, ``~``, ``forall`` and binary connective opens one level of
     nesting; past MAX_NESTING levels the input is refused, so that neither
     the parser nor the recursions over the parsed tree run out of stack.
+    ``<->`` uses each operand twice, so the tree it stands for doubles with
+    each level of nesting.  A formula whose tree, counting a shared part at
+    each of its occurrences, has more than MAX_FORMULA_NODES formula nodes
+    is refused too, since every walk over it (printing, keys, evaluation)
+    visits that many nodes.
     """
 
     def __init__(self, text: str, sig: Signature,
@@ -505,11 +540,35 @@ class _Parser:
             atom_map = build_atom_map([text], sig)
         self.atom_ids = dict(atom_map)
         self.depth = 0
+        self.sizes: dict[int, tuple[Formula, int]] = {}
 
-    def _enter(self, pos: int) -> None:
+    def _enter(self, pos: int) -> int:
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise SyntaxError_(f"nesting deeper than {MAX_NESTING} at position {pos}")
+            raise LimitExceeded(f"nesting deeper than {MAX_NESTING} at position {pos}")
+        return pos
+
+    def _size(self, phi: Formula) -> int:
+        # memoised by identity: hashing or comparing the nodes would walk
+        # the shared parts once per occurrence
+        hit = self.sizes.get(id(phi))
+        if hit is not None:
+            return hit[1]
+        if isinstance(phi, And):
+            n = 1 + self._size(phi.lhs) + self._size(phi.rhs)
+        elif isinstance(phi, (Neg, All)):
+            n = 1 + self._size(phi.body)
+        else:
+            n = 1
+        self.sizes[id(phi)] = (phi, n)
+        return n
+
+    def _sized(self, phi: Formula, pos: int) -> Formula:
+        n = self._size(phi)
+        if n > MAX_FORMULA_NODES:
+            raise LimitExceeded(f"formula expands to {n} nodes, more than "
+                                f"{MAX_FORMULA_NODES}, at position {pos}")
+        return phi
 
     def _undeclared(self, name: str) -> bool:
         return self.sig.fun_arity(name) is None and self.sig.pred_arity(name) is None
@@ -552,8 +611,8 @@ class _Parser:
     def formula(self) -> Formula:
         lhs = self.imp_()
         if self.lx.peek()[0] == "iff":
-            self._enter(self.lx.next()[2])
-            out = Iff(lhs, self.formula())
+            pos = self._enter(self.lx.next()[2])
+            out = self._sized(Iff(lhs, self.formula()), pos)
             self.depth -= 1
             return out
         return lhs
@@ -561,8 +620,8 @@ class _Parser:
     def imp_(self) -> Formula:
         lhs = self.or_()
         if self.lx.peek()[0] == "imp":
-            self._enter(self.lx.next()[2])
-            out = Imp(lhs, self.imp_())
+            pos = self._enter(self.lx.next()[2])
+            out = self._sized(Imp(lhs, self.imp_()), pos)
             self.depth -= 1
             return out
         return lhs
@@ -571,8 +630,8 @@ class _Parser:
         depth = self.depth
         out = self.and_()
         while self.lx.peek()[0] == "or":
-            self._enter(self.lx.next()[2])
-            out = Or(out, self.and_())
+            pos = self._enter(self.lx.next()[2])
+            out = self._sized(Or(out, self.and_()), pos)
         self.depth = depth
         return out
 
@@ -580,8 +639,8 @@ class _Parser:
         depth = self.depth
         out = self.unary()
         while self.lx.peek()[0] == "and":
-            self._enter(self.lx.next()[2])
-            out = And(out, self.unary())
+            pos = self._enter(self.lx.next()[2])
+            out = self._sized(And(out, self.unary()), pos)
         self.depth = depth
         return out
 
@@ -589,7 +648,7 @@ class _Parser:
         kind, val, pos = self.lx.peek()
         if kind == "neg":
             self._enter(self.lx.next()[2])
-            out = Neg(self.unary())
+            out = self._sized(Neg(self.unary()), pos)
         elif kind == "forall":
             self._enter(self.lx.next()[2])
             k2, v2, p2 = self.lx.expect("ident")
@@ -597,7 +656,7 @@ class _Parser:
                 raise SyntaxError_(f"binder {v2!r} clashes with a signature symbol at {p2}")
             a = self._atom(v2)
             self.lx.expect("dot")
-            out = All(a, self.formula())
+            out = self._sized(All(a, self.formula()), pos)
         else:
             return self.atomic()
         self.depth -= 1

@@ -106,6 +106,50 @@ def test_nesting_at_the_limit_is_answered():
         assert code == 0 and out.startswith("deps: [a0]")
 
 
+def test_nested_iff_is_refused():
+    # each <-> level about doubles the formula tree: 25 levels stand for
+    # some 10^8 nodes, refused at the tenth level from the inside
+    phi = "P(a)"
+    for _ in range(25):
+        phi = f"P(a) <-> ({phi})"
+    for argv in (["eval", phi, "--model", MODEL], ["prove", "|- " + phi]):
+        start = time.perf_counter()
+        code, out = go(*argv, "--sig", SIG)
+        assert time.perf_counter() - start < 1.0
+        assert code == 64, argv
+        assert out == ("error: formula expands to 14323 nodes, more than 10000, "
+                       "at position 155\n")
+
+
+def _negation_chain(levels):
+    """A proof file of nested negL/negR nodes ending in hyp; levels is even."""
+    text, phi = '(hyp "P(a0) |- P(a0)")', "P(a0)"
+    for i in range(1, levels):
+        phi = "~" + phi
+        if i % 2:
+            text = f'(negL "{phi}, P(a0) |-" "{phi}" {text})'
+        else:
+            text = f'(negR "P(a0) |- {phi}" "{phi}" {text})'
+    return text
+
+
+def test_deep_proof_file_is_refused(tmp_path):
+    proof_file = tmp_path / "deep.sexp"
+    proof_file.write_text('(negR "|- ~P(a0)" "~P(a0)" ' * 3000
+                          + '(hyp "P(a0) |- P(a0)")' + ")" * 3000)
+    code, out = go("check", str(proof_file), "--sig", SIG)
+    assert code == 64 and out == "error: proof nesting deeper than 100\n"
+
+
+def test_proof_at_the_nesting_limit_is_checked(tmp_path):
+    proof_file = tmp_path / "limit.sexp"
+    proof_file.write_text(_negation_chain(100))
+    assert go("check", str(proof_file), "--sig", SIG) == (0, "OK\n")
+    proof_file.write_text('(hyp "P(a0) |- P(a0)" ' + _negation_chain(100) + ")")
+    code, out = go("check", str(proof_file), "--sig", SIG)
+    assert code == 64 and out == "error: proof nesting deeper than 100\n"
+
+
 def test_axioms_suites_small():
     for suite, n in [("sigma-terms", 40), ("sigma-tarski", 40),
                      ("amgis-pow", 15), ("foleq-tarski", 20),

@@ -3,15 +3,16 @@ import random
 
 import pytest
 
-from nomfol.nominal import atoms
+from nomfol.nominal import act, atoms, fresh, swap
 from nomfol.foleq import sequent_valid
-from nomfol.sequent import (Proof, ProverBudget, check_proof,
+from nomfol.sequent import (Proof, ProverBudget, _has, _without, check_proof,
                             countermodel_space, default_universe,
                             find_countermodel, format_proof,
                             format_sequent, generate_derivable, herbrand_equiv,
                             parse_proof, parse_sequent, prove, sequent)
-from nomfol.syntax import (All, And, Neg, Pred, Signature, Var,
-                           default_signature, parse_formula, random_formula)
+from nomfol.syntax import (All, And, LimitExceeded, Neg, Pred, Signature, Var,
+                           all_atoms, alpha_eq, default_signature,
+                           parse_formula, random_formula)
 from nomfol.tarski import (Valuation, all_valuations, iter_models,
                            lift_interpretation, random_model, standard_eval)
 
@@ -34,6 +35,55 @@ def test_sequent_alpha_sets():
     assert format_sequent(ps("P(a) |-")) == "P(a0) |-"
     with pytest.raises(Exception):
         parse_sequent("P(a)", sig)
+
+
+def _rename_binders(phi, avoid):
+    """An alpha-variant of phi with every binder moved to a fresh atom."""
+    if isinstance(phi, And):
+        return And(_rename_binders(phi.lhs, avoid), _rename_binders(phi.rhs, avoid))
+    if isinstance(phi, Neg):
+        return Neg(_rename_binders(phi.body, avoid))
+    if isinstance(phi, All):
+        c = fresh(avoid | all_atoms(phi))
+        body = act(swap(phi.binder, c), phi.body)
+        return All(c, _rename_binders(body, avoid | {c}))
+    return phi
+
+
+def _same_classes(xs, ys):
+    return all(any(alpha_eq(x, y) for y in ys) for x in xs) and \
+        all(any(alpha_eq(x, y) for x in xs) for y in ys)
+
+
+def test_key_sets_match_alpha_eq_oracle():
+    rng = random.Random(21)
+    pool = atoms(0, 1, 2)
+    forms = [random_formula(sig, rng, pool, rng.randint(0, 3)) for _ in range(60)]
+    forms += [_rename_binders(f, frozenset(pool)) for f in forms]
+    hits = 0
+    for _ in range(300):
+        s = sequent(rng.sample(forms, rng.randint(0, 4)),
+                    rng.sample(forms, rng.randint(0, 3)))
+        for side, keys, key_set in ((s.left, s.left_keys, s.left_set),
+                                    (s.right, s.right_keys, s.right_set)):
+            assert not any(alpha_eq(f, g) for f, g in itertools.combinations(side, 2))
+            for phi in rng.sample(forms, 8) + [_rename_binders(f, frozenset(pool))
+                                               for f in side]:
+                has = any(alpha_eq(f, phi) for f in side)
+                hits += has
+                assert _has(key_set, phi) == has
+                assert _without(side, keys, phi) == \
+                    tuple(f for f in side if not alpha_eq(f, phi))
+        shared = any(alpha_eq(f, g) for f in s.left for g in s.right)
+        assert s.right_set.isdisjoint(s.left_keys) != shared
+        if rng.random() < 0.5:
+            t = sequent([_rename_binders(f, frozenset(pool)) for f in s.left[::-1]],
+                        [_rename_binders(f, frozenset(pool)) for f in s.right])
+        else:
+            t = sequent(rng.sample(forms, len(s.left)), rng.sample(forms, len(s.right)))
+        same = _same_classes(s.left, t.left) and _same_classes(s.right, t.right)
+        assert (s.key() == t.key()) == same
+    assert hits > 300
 
 
 def test_check_proof_examples():
@@ -308,6 +358,33 @@ def test_parse_proof_rejects_garbage():
         parse_proof('(frobnicate "P(a) |- P(a)")', sig)
     with pytest.raises(SyntaxError_):
         parse_proof('(hyp "P(a) |- P(a)"', sig)
+
+
+def _negation_chain(levels):
+    """A checked proof with the given number of nested nodes, levels even.
+
+    ~^(levels - 1) P(a), P(a) |- loses one ~ per negL or negR node, down
+    to a hyp node on P(a) |- P(a).
+    """
+    p_a = pf("P(a)")
+    proof = Proof("hyp", sequent([p_a], [p_a]))
+    phi = p_a
+    for i in range(1, levels):
+        phi = Neg(phi)
+        if i % 2:
+            proof = Proof("negL", sequent([phi, p_a], []), (phi,), (proof,))
+        else:
+            proof = Proof("negR", sequent([p_a], [phi]), (phi,), (proof,))
+    return proof
+
+
+def test_parse_proof_nesting_limit():
+    at_limit = format_proof(_negation_chain(100))
+    assert check_proof(parse_proof(at_limit, sig)) == (True, "ok")
+    # the parser counts nodes, not rules: a hyp with a premise still parses
+    over = '(hyp "P(a) |- P(a)" ' + at_limit + ")"
+    with pytest.raises(LimitExceeded, match="proof nesting deeper than 100"):
+        parse_proof(over, sig)
 
 
 def test_budget_validation():

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nomfol.nominal import Perm, act, atoms
-from nomfol.syntax import (All, And, App, BOT, Eq, Iff, Imp, Neg, Or,
-                           Pred, Signature, SyntaxError_, TOP, Var, all_atoms,
+from nomfol.nominal import Perm, act, atoms, swap
+from nomfol.syntax import (All, And, App, BOT, Eq, Iff, Imp, LimitExceeded,
+                           MAX_FORMULA_NODES, Neg, Or, Pred, Signature,
+                           SyntaxError_, TOP, Var, _alpha_key_walk, all_atoms,
                            alpha_eq, alpha_key, default_signature, free_atoms,
                            free_atoms_term, parse_formula, parse_signature,
                            parse_term, pretty, pretty_term, random_formula,
@@ -230,3 +231,131 @@ def test_nesting_limit():
         parse_formula(" /\\ ".join(["R"] * 102), sig)
     with pytest.raises(SyntaxError_, match="nesting deeper than 100"):
         parse_formula("P(" + "f(" * 100 + "a" + ")" * 101, sig)
+
+
+# the keys fix the order of formulas in a sequent, and so the search order
+# and every printed proof; a new format must show up here first
+PINNED_KEYS = [
+    ("bottom", "F"),
+    ("top", "!(F)"),
+    ("P(a)", "@P(f0,)"),
+    ("Q(f(a), g(b, c))", "@Q(f(f0,),g(f1,c(),),)"),
+    ("a = f(b)", "=f0,f(f1,)"),
+    ("forall a. P(a)", "A(@P(b0,))"),
+    ("forall a. forall b. Q(a, b) /\\ P(a3)", "A(A(&(@Q(b0,b1,))(@P(f3,))))"),
+    ("~(a = b) -> R", "!(&(!(!(!(=f0,f1))))(!(@R())))"),
+    ("forall a. (P(a) <-> P(b))",
+     "A(&(!(&(!(!(@P(b0,))))(!(@P(f1,)))))(!(&(!(!(@P(f1,))))(!(@P(b0,))))))"),
+    ("forall a. (forall a. P(a)) /\\ P(a)", "A(&(A(@P(b1,)))(@P(b0,)))"),
+    ("forall b. b = f(a)", "A(=b0,f(f1,))"),
+    ("forall x. forall y. g(x, f(y)) = g(y, z)", "A(A(=g(b0,f(b1,),),g(b1,f2,)))"),
+]
+
+
+def test_alpha_key_pinned():
+    for text, key in PINNED_KEYS:
+        phi = parse_formula(text, sig)
+        assert _alpha_key_walk(phi) == key, text
+        assert alpha_key(phi) == key, text
+        assert alpha_key(phi) == key, text  # from the cache
+
+
+def _subformulas(phi):
+    yield phi
+    if isinstance(phi, And):
+        yield from _subformulas(phi.lhs)
+        yield from _subformulas(phi.rhs)
+    elif isinstance(phi, (Neg, All)):
+        yield from _subformulas(phi.body)
+
+
+def _free_reference(phi):
+    # recomputed from the leaves, reading no cache
+    if isinstance(phi, (Eq, Pred)) or phi == BOT:
+        return phi._support_()
+    if isinstance(phi, And):
+        return _free_reference(phi.lhs) | _free_reference(phi.rhs)
+    if isinstance(phi, Neg):
+        return _free_reference(phi.body)
+    return _free_reference(phi.body) - {phi.binder}
+
+
+def _cache_corpus(seed):
+    """Random formulas, and nodes built from them by subst_formula and act.
+
+    Every other source formula has its caches filled before the new nodes
+    are built from it, so a cache carried over to a new node would show.
+    """
+    rng = random.Random(seed)
+    pool = atoms(0, 1, 2, 3)
+    out = []
+    for i in range(150):
+        phi = random_formula(sig, rng, pool, rng.randint(0, 4))
+        if i % 2:
+            for f in _subformulas(phi):
+                alpha_key(f), free_atoms(f)
+        q, r = rng.choice(pool), rng.choice(pool)
+        out += [phi, subst_formula(phi, q, random_term(sig, rng, pool, 2)),
+                act(swap(q, r), phi), act(Perm({pool[0]: pool[3], pool[3]: pool[0]}), phi)]
+    return out
+
+
+def test_cached_key_matches_reference_walk():
+    for phi in _cache_corpus(13):
+        subs = list(_subformulas(phi))
+        # ask the children first on half of the trees, the root first on the rest
+        order = subs[::-1] if len(subs) % 2 else subs
+        for f in order:
+            assert alpha_key(f) == _alpha_key_walk(f)
+        for f in subs:
+            assert f._key == _alpha_key_walk(f)
+
+
+def test_cached_free_atoms_match_support():
+    for phi in _cache_corpus(14):
+        subs = list(_subformulas(phi))
+        for f in (subs[::-1] if len(subs) % 2 else subs):
+            assert free_atoms(f) == _free_reference(f) == f._support_()
+        for f in subs:
+            assert f._free == _free_reference(f)
+
+
+def test_caches_take_no_part_in_equality():
+    phi = parse_formula("forall a0. Q(a0, a1) /\\ P(c)", sig)
+    psi = parse_formula("forall a0. Q(a0, a1) /\\ P(c)", sig)
+    alpha_key(phi), free_atoms(phi)
+    assert phi._key is not None and psi._key is None
+    assert phi == psi and hash(phi) == hash(psi)
+    assert repr(phi) == repr(psi)
+    # an alpha-variant shares the key but stays a different tree
+    renamed = parse_formula("forall a5. Q(a5, a1) /\\ P(c)", sig)
+    assert alpha_key(renamed) == alpha_key(phi) and renamed != phi
+
+
+def _iffs(levels):
+    text = "P(a)"
+    for _ in range(levels):
+        text = f"P(a) <-> ({text})"
+    return text
+
+
+def test_formula_size_limit():
+    # each level of <-> about doubles the tree: 9 levels fit, 10 do not
+    parse_formula(_iffs(9), sig)
+    with pytest.raises(LimitExceeded, match=f"formula expands to 14323 nodes, "
+                                            f"more than {MAX_FORMULA_NODES}, "
+                                            f"at position 5"):
+        parse_formula(_iffs(10), sig)
+    with pytest.raises(LimitExceeded, match="at position 155"):
+        parse_formula(_iffs(25), sig)
+    # trees that fit one by one still add up past the limit
+    big = "(" + _iffs(8) + ")"
+    parse_formula(" /\\ ".join([big] * 2), sig)
+    with pytest.raises(LimitExceeded, match="formula expands to"):
+        parse_formula(" /\\ ".join([big] * 4), sig)
+    # 7155 + 1779 + 883 + 99 + 43 + 15 + 1 nodes and six conjunctions: 9981
+    near = " /\\ ".join(f"({_iffs(n)})" for n in (9, 7, 6, 3, 2, 1, 0))
+    parse_formula("~" * 19 + f"({near})", sig)
+    with pytest.raises(LimitExceeded, match="expands to 10001 nodes, more than "
+                                            "10000, at position 0"):
+        parse_formula("~" * 20 + f"({near})", sig)
