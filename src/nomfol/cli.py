@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import filters, samplers
 from .foleq import foleq_axiom_suite, interpret
@@ -117,43 +116,38 @@ def cmd_countermodel(args, out) -> int:
     return 0
 
 
-def _suite_jobs(args) -> list:
+def _suite_reports(args) -> list[SuiteReport]:
     sig = default_signature()
     n, seed = args.n, args.seed
     if args.suite == "sigma-terms":
-        return [lambda: sigma_axiom_suite(samplers.term_carrier(sig),
-                                          samplers.term_sampler(sig), n, seed)]
+        return [sigma_axiom_suite(samplers.term_carrier(sig),
+                                  samplers.term_sampler(sig), n, seed)]
     if args.suite == "sigma-tarski":
         from .tarski import tarski_termlike
-        return [
-            (lambda k=k: sigma_axiom_suite(tarski_termlike(k),
-                                           samplers.tarski_sampler(k), n, seed))
-            for k in (2, 3)
-        ]
+        return [sigma_axiom_suite(tarski_termlike(k), samplers.tarski_sampler(k),
+                                  n, seed)
+                for k in (2, 3)]
     if args.suite == "amgis-pow":
         probes = samplers.probe_terms(sig)[:100]
-        return [lambda: amgis_axiom_suite(pow_amgis(samplers.term_carrier(sig)),
-                                          samplers.charset_sampler(sig), n,
-                                          probes, seed)]
+        return [amgis_axiom_suite(pow_amgis(samplers.term_carrier(sig)),
+                                  samplers.charset_sampler(sig), n, probes, seed)]
     if args.suite == "foleq-tarski":
         from .tarski import tarski_algebra
-        return [
-            (lambda k=k: foleq_axiom_suite(tarski_algebra(k),
-                                           samplers.tarski_foleq_sampler(k), n, seed))
-            for k in (1, 2, 3)
-        ]
+        return [foleq_axiom_suite(tarski_algebra(k),
+                                  samplers.tarski_foleq_sampler(k), n, seed)
+                for k in (1, 2, 3)]
     if args.suite == "eq-laws":
         from .tarski import tarski_algebra
-
-        def eq_only(k):
+        keep = ("eq-refl", "eq-subst", "sub-eq")
+        reports = []
+        for k in (2, 3):
             rep = foleq_axiom_suite(tarski_algebra(k),
                                     samplers.tarski_foleq_sampler(k), n, seed)
-            keep = ("eq-refl", "eq-subst", "sub-eq")
             rep.results = [r for r in rep.results if r.name in keep]
-            return rep
-        return [(lambda k=k: eq_only(k)) for k in (2, 3)]
+            reports.append(rep)
+        return reports
     if args.suite == "precedent":
-        return [lambda: precedent_suite()]
+        return [precedent_suite()]
     raise ValueError(f"unknown suite {args.suite!r}")
 
 
@@ -186,14 +180,8 @@ def precedent_suite(universe: int = 4) -> SuiteReport:
 
 
 def cmd_axioms(args, out) -> int:
-    jobs = _suite_jobs(args)
-    if args.jobs > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(lambda j: j(), jobs))
-    else:
-        reports = [j() for j in jobs]
     code = 0
-    for rep in reports:
+    for rep in _suite_reports(args):
         if _print_report(rep, out) != 0:
             code = 1
     return code
@@ -241,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_axioms)
 
     p = sub.add_parser("sketch", help="bounded filter-ideal point sketch")

@@ -13,11 +13,11 @@ from typing import Callable, Sequence
 
 from .nominal import Atom, act, fresh_distinct, strict_support, swap
 from .sequent import ProverBudget, prove, sequent
-from .syntax import (All, And, BOT, Formula, Neg, Or, Signature, alpha_eq,
-                     alpha_key, free_atoms, pretty, random_formula,
-                     subst_formula)
+from .syntax import (All, And, BOT, Formula, Neg, Or, Signature, alpha_key,
+                     free_atoms, pretty, random_formula, subst_formula)
 
 MAX_DISJUNCTION_WIDTH = 2  # Y-subsets tried when growing an ideal
+MAX_GENERATORS = 16  # filter generators before a sketch stops deciding
 
 
 @dataclass
@@ -114,9 +114,10 @@ def grow_filter(p: PredSet, psi: Formula, b: ProverBudget | None = None) -> Pred
     b = b or p.budget
     sig = p.sig
     gens = p.generators
+    psi_key = alpha_key(psi)
 
     def oracle(xi: Formula) -> bool:
-        if alpha_eq(xi, psi) or p.member(xi):
+        if alpha_key(xi) == psi_key or p.member(xi):
             return True
         return any(_entails(And(g, psi), xi, b, sig) for g in gens)
 
@@ -128,9 +129,10 @@ def grow_ideal(z: PredSet, ys: Sequence[Formula], b: ProverBudget | None = None)
     b = b or z.budget
     sig = z.sig
     ys = tuple(ys)
+    y_keys = {alpha_key(y) for y in ys}
 
     def oracle(xi: Formula) -> bool:
-        if z.member(xi) or any(alpha_eq(xi, y) for y in ys):
+        if z.member(xi) or alpha_key(xi) in y_keys:
             return True
         for gen in z.generators:
             for width in range(1, MAX_DISJUNCTION_WIDTH + 1):
@@ -219,7 +221,7 @@ def enumerate_pairs(sig: Signature, count: int) -> list[tuple[Atom, Formula]]:
 
 
 def point_sketch(seed_formula: Formula, steps: int, b: ProverBudget,
-                 sig: Signature, max_generators: int = 16) -> PointSketch:
+                 sig: Signature) -> PointSketch:
     """Run the first steps of the filter-ideal chain, prover-bounded.
 
     A clash between the tentative filter and the ideal side diverts the
@@ -238,7 +240,7 @@ def point_sketch(seed_formula: Formula, steps: int, b: ProverBudget,
         label = f"STEP {i} PAIR ({a.name}, {pretty(phi)})"
         candidate = All(a, phi)
         queried.append(candidate)
-        if len(flt.generators) >= max_generators:
+        if len(flt.generators) >= MAX_GENERATORS:
             transcript.append(f"{label} SIDE undecided")
             continue
         tentative = grow_filter(flt, candidate, b)

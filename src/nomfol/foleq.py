@@ -154,11 +154,6 @@ def foleq_axiom_suite(alg: FoleqAlgebra, sampler: Sampler, n: int,
     def elems(k):
         return [sampler.element(rng) for _ in range(k)]
 
-    def law(name, check):
-        def case(i):
-            return check()
-        run_law(rep, name, n, case)
-
     def ce(*parts):
         return " ".join(repr(p) for p in parts)
 
@@ -179,7 +174,7 @@ def foleq_axiom_suite(alg: FoleqAlgebra, sampler: Sampler, n: int,
         for ok, tag in checks:
             if not ok:
                 return f"{tag} {ce(x, y, z)}"
-    law("lattice", lattice)
+    run_law(rep, "lattice", n, lattice)
 
     def distrib():
         x, y, z = elems(3)
@@ -187,20 +182,20 @@ def foleq_axiom_suite(alg: FoleqAlgebra, sampler: Sampler, n: int,
             return ce(x, y, z)
         if not eq(alg.meet(x, alg.join(y, z)), alg.join(alg.meet(x, y), alg.meet(x, z))):
             return ce(x, y, z)
-    law("distrib", distrib)
+    run_law(rep, "distrib", n, distrib)
 
     def distrib_fresh():
         x, y = elems(2)
         a = sampler.atom_fresh_for(rng, sup(x))
         if not eq(alg.join(x, alg.freshmeet(a, y)), alg.freshmeet(a, alg.join(x, y))):
             return ce(x, a, y)
-    law("distrib-freshmeet", distrib_fresh)
+    run_law(rep, "distrib-freshmeet", n, distrib_fresh)
 
     def double_neg():
         (x,) = elems(1)
         if not eq(alg.neg(alg.neg(x)), x):
             return ce(x)
-    law("double-negation", double_neg)
+    run_law(rep, "double-negation", n, double_neg)
 
     def complement():
         (x,) = elems(1)
@@ -208,7 +203,7 @@ def foleq_axiom_suite(alg: FoleqAlgebra, sampler: Sampler, n: int,
             return ce(x)
         if not eq(alg.join(x, alg.neg(x)), alg.top):
             return ce(x)
-    law("complement", complement)
+    run_law(rep, "complement", n, complement)
 
     def nu_alpha():
         (x,) = elems(1)
@@ -216,7 +211,7 @@ def foleq_axiom_suite(alg: FoleqAlgebra, sampler: Sampler, n: int,
         b = sampler.atom_fresh_for(rng, sup(x), {a})
         if not eq(alg.freshmeet(b, alg.act(swap(b, a), x)), alg.freshmeet(a, x)):
             return ce(x, a, b)
-    law("nu-alpha", nu_alpha)
+    run_law(rep, "nu-alpha", n, nu_alpha)
 
     def nu_meet():
         x, y = elems(2)
@@ -224,28 +219,28 @@ def foleq_axiom_suite(alg: FoleqAlgebra, sampler: Sampler, n: int,
         if not eq(alg.freshmeet(a, alg.meet(x, y)),
                   alg.meet(alg.freshmeet(a, x), alg.freshmeet(a, y))):
             return ce(a, x, y)
-    law("nu-meet", nu_meet)
+    run_law(rep, "nu-meet", n, nu_meet)
 
     def nu_join():
         x, y = elems(2)
         a = sampler.atom_fresh_for(rng, sup(y))
         if not eq(alg.freshmeet(a, alg.join(x, y)), alg.join(alg.freshmeet(a, x), y)):
             return ce(a, x, y)
-    law("nu-join", nu_join)
+    run_law(rep, "nu-join", n, nu_join)
 
     def nu_leq():
         (x,) = elems(1)
         a = sampler.atom(rng)
         if not alg.leq(alg.freshmeet(a, x), x):
             return ce(a, x)
-    law("nu-leq", nu_leq)
+    run_law(rep, "nu-leq", n, nu_leq)
 
     def nu_fresh():
         (x,) = elems(1)
         a = sampler.atom_fresh_for(rng, sup(x))
         if not eq(alg.freshmeet(a, x), x):
             return ce(a, x)
-    law("nu-#", nu_fresh)
+    run_law(rep, "nu-#", n, nu_fresh)
 
     def sub_meet():
         x, y = elems(2)
@@ -254,7 +249,7 @@ def foleq_axiom_suite(alg: FoleqAlgebra, sampler: Sampler, n: int,
         if not eq(alg.subst(alg.meet(x, y), a, u),
                   alg.meet(alg.subst(x, a, u), alg.subst(y, a, u))):
             return ce(x, y, a, u)
-    law("sub-meet", sub_meet)
+    run_law(rep, "sub-meet", n, sub_meet)
 
     def sub_neg():
         (x,) = elems(1)
@@ -262,7 +257,7 @@ def foleq_axiom_suite(alg: FoleqAlgebra, sampler: Sampler, n: int,
         u = sampler.termlike(rng)
         if not eq(alg.subst(alg.neg(x), a, u), alg.neg(alg.subst(x, a, u))):
             return ce(x, a, u)
-    law("sub-neg", sub_neg)
+    run_law(rep, "sub-neg", n, sub_neg)
 
     def sub_nu():
         (y,) = elems(1)
@@ -272,7 +267,7 @@ def foleq_axiom_suite(alg: FoleqAlgebra, sampler: Sampler, n: int,
         if not eq(alg.subst(alg.freshmeet(b, y), a, u),
                   alg.freshmeet(b, alg.subst(y, a, u))):
             return ce(y, a, u, b)
-    law("sub-freshmeet", sub_nu)
+    run_law(rep, "sub-freshmeet", n, sub_nu)
 
     def sub_eq():
         u1, u2, w = (sampler.termlike(rng) for _ in range(3))
@@ -281,20 +276,20 @@ def foleq_axiom_suite(alg: FoleqAlgebra, sampler: Sampler, n: int,
         rhs = alg.eq(alg.termlike.subst(u1, a, w), alg.termlike.subst(u2, a, w))
         if not eq(lhs, rhs):
             return ce(u1, u2, a, w)
-    law("sub-eq", sub_eq)
+    run_law(rep, "sub-eq", n, sub_eq)
 
     def sub_top():
         a = sampler.atom(rng)
         u = sampler.termlike(rng)
         if not eq(alg.subst(alg.top, a, u), alg.top):
             return ce(a, u)
-    law("sub-top", sub_top)
+    run_law(rep, "sub-top", n, sub_top)
 
     def eq_refl():
         u = sampler.termlike(rng)
         if not eq(alg.eq(u, u), alg.top):
             return ce(u)
-    law("eq-refl", eq_refl)
+    run_law(rep, "eq-refl", n, eq_refl)
 
     def eq_subst():
         u, v = sampler.termlike(rng), sampler.termlike(rng)
@@ -303,6 +298,6 @@ def foleq_axiom_suite(alg: FoleqAlgebra, sampler: Sampler, n: int,
         e = alg.eq(u, v)
         if not eq(alg.meet(e, alg.subst(z, a, u)), alg.meet(e, alg.subst(z, a, v))):
             return ce(u, v, z, a)
-    law("eq-subst", eq_subst)
+    run_law(rep, "eq-subst", n, eq_subst)
 
     return rep

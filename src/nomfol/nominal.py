@@ -25,10 +25,6 @@ class Atom:
         return self.name
 
 
-def atom(i: int) -> Atom:
-    return Atom(i)
-
-
 def atoms(*ids: int) -> tuple[Atom, ...]:
     return tuple(Atom(i) for i in ids)
 
@@ -56,9 +52,6 @@ class Perm:
 
     def domain(self) -> frozenset[Atom]:
         return frozenset(self._map)
-
-    def is_identity(self) -> bool:
-        return not self._map
 
     def graph(self) -> frozenset[tuple[Atom, Atom]]:
         return frozenset(self._map.items())

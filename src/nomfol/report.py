@@ -48,13 +48,13 @@ class SuiteReport:
 def run_law(report: SuiteReport, name: str, n: int, case) -> None:
     """Run one named law on n sampled cases; record the first failure.
 
-    ``case(i)`` returns None on success or a counterexample string.  A
+    ``case()`` returns None on success or a counterexample string.  A
     StopIteration from the sampler marks the law as not exercised.
     """
     result = AxiomResult(name)
     try:
-        for i in range(n):
-            ce = case(i)
+        for _ in range(n):
+            ce = case()
             if ce is not None:
                 result.counterexample = ce
                 break

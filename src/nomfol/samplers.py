@@ -11,7 +11,7 @@ import random
 
 from .nominal import atoms
 from .sigma import Carrier, CharSet, Sampler
-from .syntax import (App, Signature, Term, Var, alpha_eq, free_atoms,
+from .syntax import (App, Signature, Term, Var, alpha_key, free_atoms,
                      free_atoms_term, random_formula, random_term,
                      subst_formula, subst_term)
 from .tarski import random_tablefun
@@ -33,7 +33,7 @@ def formula_carrier(sig: Signature) -> Carrier:
     return Carrier(
         name="formulas",
         subst=subst_formula,
-        equal=alpha_eq,
+        equal=lambda phi, psi: alpha_key(phi) == alpha_key(psi),
         support=free_atoms,
         termlike=term_carrier(sig),
     )

@@ -129,14 +129,15 @@ _ARITY = {"hyp": 0, "botL": 0, "eqR": 1, "andL": 1, "andR": 2,
           "negL": 1, "negR": 1, "allL": 1, "allR": 1, "eqL": 1}
 
 
+MAX_BRANCHING = 64  # moves tried per sequent, in rule order
+
+
 @dataclass(frozen=True)
 class ProverBudget:
     max_depth: int = 8
-    term_universe: tuple[Term, ...] | None = None
-    max_branching: int = 64
 
     def __post_init__(self):
-        if self.max_depth < 0 or self.max_branching < 0:
+        if self.max_depth < 0:
             raise ValueError("budget bounds must be >= 0")
 
 
@@ -347,7 +348,7 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
           sig: Signature | None = None) -> Proof | None:
     """Bounded backward search over the rules; sound by construction."""
     sig = sig or Signature((), ())
-    universe = budget.term_universe or default_universe(s, sig)
+    universe = default_universe(s, sig)
     memo_ok: dict[tuple, Proof] = {}
     memo_fail: dict[tuple, int] = {}
 
@@ -398,7 +399,7 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
                     continue
                 out.append(("eqR", (r,), [sequent(sq.left + (refl,), sq.right)]))
             out.extend(_eqL_moves(sq))
-        return out[: budget.max_branching]
+        return out[:MAX_BRANCHING]
 
     def _eqL_moves(sq: Sequent):
         out = []

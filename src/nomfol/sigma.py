@@ -181,7 +181,7 @@ def sim_subst(alg, x, pairs: Sequence[tuple[Atom, Any]]):
     targets = [a for a, _ in pairs]
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate atom in simultaneous substitution: {targets}")
-    terms = alg.terms if isinstance(alg, Carrier) else alg.termlike
+    terms = alg.terms
     avoid = set(targets) | set(alg.support(x))
     for _, u in pairs:
         avoid |= terms.support(u)
@@ -234,7 +234,7 @@ def sigma_axiom_suite(alg: Carrier, sampler: Sampler, n: int, seed: int = 0) -> 
     sup, tsup = alg.support, terms.support
 
     if alg.is_termlike:
-        def case_a(i):
+        def case_a():
             a = sampler.atom(rng)
             u = sampler.termlike(rng)
             lhs = alg.subst(alg.atm(a), a, u)
@@ -242,7 +242,7 @@ def sigma_axiom_suite(alg: Carrier, sampler: Sampler, n: int, seed: int = 0) -> 
                 return f"a={a} u={u!r} got {lhs!r}"
         run_law(rep, "sigma-a", n, case_a)
 
-    def case_id(i):
+    def case_id():
         x = sampler.element(rng)
         a = sampler.atom(rng)
         lhs = alg.subst(x, a, terms.atm(a))
@@ -250,7 +250,7 @@ def sigma_axiom_suite(alg: Carrier, sampler: Sampler, n: int, seed: int = 0) -> 
             return f"x={x!r} a={a} got {lhs!r}"
     run_law(rep, "sigma-id", n, case_id)
 
-    def case_fresh(i):
+    def case_fresh():
         x = sampler.element(rng)
         u = sampler.termlike(rng)
         a = sampler.atom_fresh_for(rng, sup(x))
@@ -259,7 +259,7 @@ def sigma_axiom_suite(alg: Carrier, sampler: Sampler, n: int, seed: int = 0) -> 
             return f"x={x!r} a={a} u={u!r} got {lhs!r}"
     run_law(rep, "sigma-#", n, case_fresh)
 
-    def case_alpha(i):
+    def case_alpha():
         x = sampler.element(rng)
         u = sampler.termlike(rng)
         a = sampler.atom(rng)
@@ -270,7 +270,7 @@ def sigma_axiom_suite(alg: Carrier, sampler: Sampler, n: int, seed: int = 0) -> 
             return f"x={x!r} a={a} b={b} u={u!r}"
     run_law(rep, "sigma-alpha", n, case_alpha)
 
-    def case_sigma(i):
+    def case_sigma():
         x = sampler.element(rng)
         u = sampler.termlike(rng)
         v = sampler.termlike(rng)
@@ -292,7 +292,7 @@ def amgis_axiom_suite(P: AmgisAlgebra, sampler: Sampler, n: int,
     ts = P.termlike
     eq = P.equal or (lambda x, y: charsets_agree(x, y, probes))
 
-    def case(i):
+    def case():
         p = sampler.element(rng)
         u = sampler.termlike(rng)
         v = sampler.termlike(rng)

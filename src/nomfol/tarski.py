@@ -92,7 +92,7 @@ def tablefun(k: int, deps: Iterable[Atom], fn) -> TableFun:
     if len(deps) > MAX_DEPS:
         raise ValueError(f"dependency width {len(deps)} exceeds limit {MAX_DEPS}")
     table = tuple(fn(m) for m in _rows(k, deps))
-    return _canonical(TableFun(k, deps, table))
+    return tf_canonicalise(TableFun(k, deps, table))
 
 
 def _reads(f: TableFun, i: int) -> bool:
@@ -107,7 +107,8 @@ def _reads(f: TableFun, i: int) -> bool:
     return False
 
 
-def _canonical(f: TableFun) -> TableFun:
+def tf_canonicalise(f: TableFun) -> TableFun:
+    """Prune dependencies the table never reads; idempotent."""
     kept = [i for i in range(len(f.deps)) if _reads(f, i)]
     if len(kept) == len(f.deps):
         return f
@@ -122,15 +123,6 @@ def _canonical(f: TableFun) -> TableFun:
             idx = idx * f.k + v
         idxs.append(idx)
     return TableFun(f.k, deps, tuple(f.table[i] for i in idxs))
-
-
-def tf_canonicalise(f: TableFun) -> TableFun:
-    """Prune dependencies the table never reads; idempotent."""
-    return _canonical(f)
-
-
-def tf_apply(f: TableFun, vs: Valuation):
-    return f(vs)
 
 
 def tf_const(k: int, v) -> TableFun:
@@ -332,7 +324,7 @@ def agreement_check(phi: Formula, model: OrdinaryModel) -> bool:
     """Lifted absolute semantics vs brute-force semantics, at every valuation."""
     from .foleq import interpret
     table = interpret(phi, lift_interpretation(model))
-    return all(tf_apply(table, vs) == standard_eval(phi, model, vs)
+    return all(table(vs) == standard_eval(phi, model, vs)
                for vs in all_valuations(free_atoms(phi), model.k))
 
 
@@ -358,9 +350,9 @@ def random_model(sig: Signature, k: int, rng: random.Random) -> OrdinaryModel:
 
 
 def random_tablefun(k: int, rng: random.Random, pool: tuple[Atom, ...],
-                    outputs: int | None = None, max_deps: int = 3) -> TableFun:
-    """Random canonical TableFun; outputs=None gives truth values."""
-    n = rng.randint(0, min(max_deps, len(pool)))
+                    outputs: int | None = None) -> TableFun:
+    """Random canonical TableFun on at most 3 atoms; outputs=None gives truth values."""
+    n = rng.randint(0, min(3, len(pool)))
     deps = tuple(rng.sample(pool, n))
     space = outputs if outputs is not None else 2
     f = tablefun(k, deps,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nomfol.nominal import atoms
+from nomfol.nominal import act, atoms, swap
 from nomfol.filters import (PredSet, downset, enumerate_pairs,
                             filter_check, forall_membership_check, grow_filter,
                             grow_ideal, point_sketch, points_amgis, prime_check,
@@ -92,6 +92,21 @@ def test_grow_ideal():
     empty = grow_ideal(down, [])
     for phi in small_universe():
         assert empty.member(phi) == down.member(phi)
+
+
+def test_grown_sets_match_their_new_formulas_up_to_renaming():
+    # at depth 0 the prover closes only on a hypothesis, so these answers
+    # come from the sets' own alpha-equivalence test
+    b0 = ProverBudget(max_depth=0)
+    psi = pf("forall x. Q(x, b)")
+    renamed = act(swap(psi.binder, c3), psi)
+    assert psi != renamed and alpha_eq(psi, renamed)
+    grown = grow_filter(upset(pf("P(a)"), b0, sig), psi)
+    assert grown.member(renamed)
+    assert not grown.member(pf("forall x. Q(b, x)"))
+    grown_ideal = grow_ideal(downset(BOT, b0, sig), [psi])
+    assert grown_ideal.member(renamed)
+    assert not grown_ideal.member(pf("forall x. Q(b, x)"))
 
 
 def test_points_amgis_membership():

@@ -11,7 +11,7 @@ from nomfol.tarski import (MAX_DEPS, OrdinaryModel, TableFun, Valuation,
                            agreement_check, all_valuations, iter_models,
                            lift_interpretation, parse_model,
                            random_tablefun, standard_eval, tablefun,
-                           tarski_termlike, tf_apply, tf_atm,
+                           tarski_termlike, tf_atm,
                            tf_canonicalise, tf_const, tf_eq, tf_freshmeet,
                            tf_leq, tf_meet, tf_subst)
 
@@ -30,14 +30,14 @@ def test_standard_eval_examples():
 
 def test_tf_apply():
     proj = tf_atm(2, a)
-    assert tf_apply(proj, Valuation({a: 1})) == 1
-    assert tf_apply(proj, Valuation({b: 1})) == 0
+    assert proj(Valuation({a: 1})) == 1
+    assert proj(Valuation({b: 1})) == 0
     const = tf_const(3, 2)
     for vs in all_valuations((a, b), 3):
-        assert tf_apply(const, vs) == 2
+        assert const(vs) == 2
     eq_ab = tf_eq(tf_atm(2, a), tf_atm(2, b))
-    assert tf_apply(eq_ab, Valuation({a: 0, b: 0})) is True
-    assert tf_apply(eq_ab, Valuation({a: 0, b: 1})) is False
+    assert eq_ab(Valuation({a: 0, b: 0})) is True
+    assert eq_ab(Valuation({a: 0, b: 1})) is False
 
 
 def test_tf_subst_examples():
@@ -56,7 +56,7 @@ def test_tf_canonicalise():
     assert g.table == (False, True)
     assert tf_canonicalise(g) == g
     for vs in all_valuations((a, b), 2):
-        assert tf_apply(f, vs) == tf_apply(g, vs)
+        assert f(vs) == g(vs)
     # a tautological comparison collapses to a constant
     taut = tablefun(2, (a,), lambda m: m[a] == m[a])
     assert taut == tf_const(2, True)
@@ -84,7 +84,7 @@ def test_tf_act_reorders_table():
     g = act(swap(a, c3), f)
     assert g.deps == (b, c3)
     for vs in all_valuations((b, c3), 2):
-        assert tf_apply(g, vs) == (vs.lookup(c3) == 1 and vs.lookup(b) == 0)
+        assert g(vs) == (vs.lookup(c3) == 1 and vs.lookup(b) == 0)
     assert act(swap(a, c3), g) == tf_canonicalise(f)
 
 
@@ -104,7 +104,7 @@ def test_lift_interpretation_tables():
     assert J.fun_interp("z", ()) == tf_const(2, 0)
     xor = J.fun_interp("add", (a, b))
     for vs in all_valuations((a, b), 2):
-        assert tf_apply(xor, vs) == (vs.lookup(a) + vs.lookup(b)) % 2
+        assert xor(vs) == (vs.lookup(a) + vs.lookup(b)) % 2
 
 
 def test_sigma_suite_lift_exact():
