@@ -8,13 +8,15 @@ lazy and memoised; the filters themselves are never materialised.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .nominal import Atom, act, fresh_distinct, strict_support, swap
 from .sequent import ProverBudget, prove, sequent
-from .syntax import (All, And, BOT, Formula, Neg, Or, Signature, alpha_key,
-                     free_atoms, pretty, random_formula, subst_formula)
+from .syntax import (All, And, BOT, Formula, Neg, Or, Signature, Var,
+                     alpha_key, free_atoms, pretty, random_formula,
+                     subst_formula)
 
 MAX_DISJUNCTION_WIDTH = 2  # Y-subsets tried when growing an ideal
 MAX_GENERATORS = 16  # filter generators before a sketch stops deciding
@@ -109,10 +111,9 @@ def filter_check(p: PredSet, universe: Sequence[Formula], b: ProverBudget,
     return rep
 
 
-def grow_filter(p: PredSet, psi: Formula, b: ProverBudget | None = None) -> PredSet:
+def grow_filter(p: PredSet, psi: Formula) -> PredSet:
     """Close p under an extra conjunct; p and psi are members by construction."""
-    b = b or p.budget
-    sig = p.sig
+    b, sig = p.budget, p.sig
     gens = p.generators
     psi_key = alpha_key(psi)
 
@@ -124,10 +125,9 @@ def grow_filter(p: PredSet, psi: Formula, b: ProverBudget | None = None) -> Pred
     return PredSet(oracle, "grown", tuple(And(g, psi) for g in gens), b, sig)
 
 
-def grow_ideal(z: PredSet, ys: Sequence[Formula], b: ProverBudget | None = None) -> PredSet:
+def grow_ideal(z: PredSet, ys: Sequence[Formula]) -> PredSet:
     """Down-close z against disjunctions with members of ys, width-bounded."""
-    b = b or z.budget
-    sig = z.sig
+    b, sig = z.budget, z.sig
     ys = tuple(ys)
     y_keys = {alpha_key(y) for y in ys}
 
@@ -157,7 +157,6 @@ def forall_membership_check(p: PredSet, a: Atom, phi: Formula,
                             candidates: Sequence, b: ProverBudget,
                             sig: Signature) -> CheckReport:
     """Universal members must instantiate to members, for terms and fresh atoms."""
-    from .syntax import Var
     rep = CheckReport("forall-membership", b)
     if not p.member(All(a, phi)):
         return rep
@@ -209,8 +208,7 @@ class PointSketch:
 
 def enumerate_pairs(sig: Signature, count: int) -> list[tuple[Atom, Formula]]:
     """A deterministic stream of (atom, formula) pairs to process."""
-    import random as _random
-    rng = _random.Random(7)
+    rng = random.Random(7)
     pool = tuple(Atom(i) for i in range(3))
     out = []
     while len(out) < count:
@@ -243,7 +241,7 @@ def point_sketch(seed_formula: Formula, steps: int, b: ProverBudget,
         if len(flt.generators) >= MAX_GENERATORS:
             transcript.append(f"{label} SIDE undecided")
             continue
-        tentative = grow_filter(flt, candidate, b)
+        tentative = grow_filter(flt, candidate)
         clash = any(_entails(g, BOT, b, sig) or idl.member(g)
                     for g in tentative.generators)
         if not clash:
@@ -252,7 +250,7 @@ def point_sketch(seed_formula: Formula, steps: int, b: ProverBudget,
         else:
             bs = fresh_distinct(free_atoms(phi) | strict_support(flt.generators) | {a}, 3)
             family = [act(swap(bb, a), phi) for bb in bs]
-            idl = grow_ideal(idl, family, b)
+            idl = grow_ideal(idl, family)
             queried.extend(family)
             transcript.append(f"{label} SIDE ideal")
     return PointSketch(flt, idl, pairs, steps, b, transcript, queried)

@@ -10,30 +10,21 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from . import nominal
-from .nominal import Atom, Perm, fresh_distinct, swap
+from .nominal import Atom, fresh_distinct, swap
 from .report import SuiteReport, run_law
 from .sigma import Carrier, Sampler
 from .syntax import All, And, Bot, Eq, Formula, Neg, Pred, Term, Var
 
 
-@dataclass(frozen=True)
-class FoleqAlgebra:
-    name: str
-    termlike: Carrier
+@dataclass(frozen=True, kw_only=True)
+class FoleqAlgebra(Carrier):
+    """A sigma-algebra over ``terms`` with the lattice operations added."""
+
     top: Any
     meet: Callable[[Any, Any], Any]
     neg: Callable[[Any], Any]
     freshmeet: Callable[[Atom, Any], Any]
-    subst: Callable[[Any, Atom, Any], Any]
     eq: Callable[[Any, Any], Any]
-    equal: Callable[[Any, Any], bool]
-    act: Callable[[Perm, Any], Any] = nominal.act
-    support: Callable[[Any], frozenset] = nominal.support
-
-    @property
-    def terms(self) -> Carrier:
-        return self.termlike
 
     @property
     def bot(self):
@@ -71,25 +62,25 @@ class Interpretation:
     pred_interp: Callable[[str, tuple[Atom, ...]], Any]
 
 
-def _extend(alg_like, base, us):
+def _extend(alg: Carrier, base, us):
     """Evaluate a symbol at fresh distinct atoms, then substitute the arguments.
 
     The atoms are fresh for every argument, so sequential substitution
     agrees with the simultaneous action.
     """
-    terms = alg_like.terms
+    terms = alg.terms
     avoid = set()
     for u in us:
         avoid |= terms.support(u)
     names = fresh_distinct(avoid, len(us))
     x = base(names)
     for a, u in zip(names, us):
-        x = alg_like.subst(x, a, u)
+        x = alg.subst(x, a, u)
     return x
 
 
 def interpret_term(t: Term, interp: Interpretation):
-    terms = interp.algebra.termlike
+    terms = interp.algebra.terms
     if isinstance(t, Var):
         return terms.atm(t.atom)
     us = [interpret_term(s, interp) for s in t.args]
@@ -149,7 +140,7 @@ def foleq_axiom_suite(alg: FoleqAlgebra, sampler: Sampler, n: int,
     rng = random.Random(seed)
     rep = SuiteReport(f"foleq axioms on {alg.name}")
     eq, sup = alg.equal, alg.support
-    tsup = alg.termlike.support
+    tsup = alg.terms.support
 
     def elems(k):
         return [sampler.element(rng) for _ in range(k)]
@@ -273,7 +264,7 @@ def foleq_axiom_suite(alg: FoleqAlgebra, sampler: Sampler, n: int,
         u1, u2, w = (sampler.termlike(rng) for _ in range(3))
         a = sampler.atom(rng)
         lhs = alg.subst(alg.eq(u1, u2), a, w)
-        rhs = alg.eq(alg.termlike.subst(u1, a, w), alg.termlike.subst(u2, a, w))
+        rhs = alg.eq(alg.terms.subst(u1, a, w), alg.terms.subst(u2, a, w))
         if not eq(lhs, rhs):
             return ce(u1, u2, a, w)
     run_law(rep, "sub-eq", n, sub_eq)

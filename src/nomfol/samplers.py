@@ -1,7 +1,7 @@
 """Carrier descriptors and random samplers for the axiom suites.
 
-Probe sets default to all terms up to depth 2 over the active signature
-plus a few extra atoms: small, deterministic, and enough to exercise the
+Probe sets are all terms up to depth 2 over the active signature and
+three atoms: small, deterministic, and enough to exercise the
 binder interactions the membership-level laws care about.
 """
 from __future__ import annotations
@@ -35,45 +35,45 @@ def formula_carrier(sig: Signature) -> Carrier:
         subst=subst_formula,
         equal=lambda phi, psi: alpha_key(phi) == alpha_key(psi),
         support=free_atoms,
-        termlike=term_carrier(sig),
+        terms=term_carrier(sig),
     )
 
 
-DEFAULT_POOL = atoms(0, 1, 2, 3, 4)
+POOL = atoms(0, 1, 2, 3, 4)  # the atoms every sampler draws from
 
 
-def term_sampler(sig: Signature, pool=DEFAULT_POOL, depth: int = 3) -> Sampler:
-    gen = lambda rng: random_term(sig, rng, pool, rng.randint(0, depth))
-    return Sampler(element=gen, termlike=gen, pool=pool)
+def term_sampler(sig: Signature) -> Sampler:
+    gen = lambda rng: random_term(sig, rng, POOL, rng.randint(0, 3))
+    return Sampler(element=gen, termlike=gen, pool=POOL)
 
 
-def formula_sampler(sig: Signature, pool=DEFAULT_POOL, depth: int = 3) -> Sampler:
+def formula_sampler(sig: Signature) -> Sampler:
     return Sampler(
-        element=lambda rng: random_formula(sig, rng, pool, rng.randint(0, depth)),
-        termlike=lambda rng: random_term(sig, rng, pool, rng.randint(0, 2)),
-        pool=pool,
+        element=lambda rng: random_formula(sig, rng, POOL, rng.randint(0, 3)),
+        termlike=lambda rng: random_term(sig, rng, POOL, rng.randint(0, 2)),
+        pool=POOL,
     )
 
 
-def tarski_sampler(k: int, pool=DEFAULT_POOL, truth: bool = False) -> Sampler:
+def tarski_sampler(k: int, truth: bool = False) -> Sampler:
     """Random canonical TableFuns; termlike side is domain-valued."""
     return Sampler(
-        element=lambda rng: random_tablefun(k, rng, pool,
+        element=lambda rng: random_tablefun(k, rng, POOL,
                                             outputs=None if truth else k),
-        termlike=lambda rng: random_tablefun(k, rng, pool, outputs=k),
-        pool=pool,
+        termlike=lambda rng: random_tablefun(k, rng, POOL, outputs=k),
+        pool=POOL,
     )
 
 
-def tarski_foleq_sampler(k: int, pool=DEFAULT_POOL) -> Sampler:
-    return tarski_sampler(k, pool, truth=True)
+def tarski_foleq_sampler(k: int) -> Sampler:
+    return tarski_sampler(k, truth=True)
 
 
-def probe_terms(sig: Signature, depth: int = 2, extra_atoms: int = 3) -> list[Term]:
-    """All terms up to the given depth over the signature plus extra atoms."""
-    base: list[Term] = [Var(a) for a in atoms(*range(extra_atoms))]
+def probe_terms(sig: Signature) -> list[Term]:
+    """All terms up to depth 2 over the signature and the atoms a0, a1, a2."""
+    base: list[Term] = [Var(a) for a in atoms(0, 1, 2)]
     layer = list(base)
-    for _ in range(depth):
+    for _ in range(2):
         new: list[Term] = []
         for name, ar in sig.functions:
             for combo in itertools.product(layer if ar else [()], repeat=max(ar, 1)):
@@ -88,17 +88,17 @@ def probe_terms(sig: Signature, depth: int = 2, extra_atoms: int = 3) -> list[Te
     return out
 
 
-def term_charset(sig: Signature, rng: random.Random, pool=DEFAULT_POOL) -> CharSet:
+def term_charset(sig: Signature, rng: random.Random) -> CharSet:
     """A random finitely supported set of terms, as a membership oracle."""
     kind = rng.randrange(4)
     if kind == 0:
-        sample = [random_term(sig, rng, pool, rng.randint(0, 2))
+        sample = [random_term(sig, rng, POOL, rng.randint(0, 2))
                   for _ in range(rng.randint(1, 4))]
         cs = CharSet(lambda t, ss=tuple(sample): t in ss,
                      frozenset().union(*(free_atoms_term(t) for t in sample)),
                      "finite")
     elif kind == 1:
-        a = rng.choice(pool)
+        a = rng.choice(POOL)
         cs = CharSet(lambda t, a=a: a in free_atoms_term(t), frozenset((a,)),
                      f"mentions-{a}")
     elif kind == 2 and sig.functions:
@@ -121,9 +121,9 @@ def _depth(t: Term) -> int:
     return 1 + max((_depth(s) for s in t.args), default=0)
 
 
-def charset_sampler(sig: Signature, pool=DEFAULT_POOL) -> Sampler:
+def charset_sampler(sig: Signature) -> Sampler:
     return Sampler(
-        element=lambda rng: term_charset(sig, rng, pool),
-        termlike=lambda rng: random_term(sig, rng, pool, rng.randint(0, 2)),
-        pool=pool,
+        element=lambda rng: term_charset(sig, rng),
+        termlike=lambda rng: random_term(sig, rng, POOL, rng.randint(0, 2)),
+        pool=POOL,
     )

@@ -7,7 +7,7 @@ with a declared support, compared only on caller-supplied probe sets.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from . import nominal
@@ -19,8 +19,8 @@ from .report import SuiteReport, run_law
 class Carrier:
     """A nominal set with a substitution action over a termlike algebra.
 
-    ``atm`` is present exactly when the carrier is termlike (then the
-    designated termlike algebra is the carrier itself).
+    ``atm`` is present exactly when the carrier is termlike; then ``terms``
+    is left out and the designated termlike algebra is the carrier itself.
     """
 
     name: str
@@ -29,11 +29,11 @@ class Carrier:
     act: Callable[[Perm, Any], Any] = nominal.act
     support: Callable[[Any], frozenset] = nominal.support
     atm: Callable[[Atom], Any] | None = None
-    termlike: "Carrier | None" = None
+    terms: "Carrier" = field(default=None, compare=False, repr=False)
 
-    @property
-    def terms(self) -> "Carrier":
-        return self if self.termlike is None else self.termlike
+    def __post_init__(self):
+        if self.terms is None:
+            object.__setattr__(self, "terms", self)
 
     @property
     def is_termlike(self) -> bool:
@@ -46,9 +46,14 @@ class AmgisAlgebra:
 
     name: str
     amgis: Callable[[Any, Any, Atom], Any]
-    termlike: Carrier
-    act: Callable[[Perm, Any], Any] = nominal.act
+    terms: Carrier
     equal: Callable[[Any, Any], bool] | None = None
+
+    def agree(self, x, y, probes: Sequence) -> bool:
+        """Element equality, or agreement on the probes when there is none."""
+        if self.equal is not None:
+            return self.equal(x, y)
+        return charsets_agree(x, y, probes)
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,7 @@ def pow_amgis(alg: Carrier) -> AmgisAlgebra:
     return AmgisAlgebra(
         name=f"PowAmgis({alg.name})",
         amgis=lambda p, u, a: powamgis_action(alg, p, u, a),
-        termlike=alg.terms,
+        terms=alg.terms,
     )
 
 
@@ -106,7 +111,7 @@ def powsigma_action(P: AmgisAlgebra, X: CharSet, a: Atom, u) -> CharSet:
     Membership of p tests p[u <- c] in (c a).X at the single fresh c; the
     some/any property of the new-quantifier justifies the single sample.
     """
-    usupp = P.termlike.support(u)
+    usupp = P.terms.support(u)
     c = fresh(X.declared_support | usupp | {a})
     swapped = X._act_(swap(c, a))
     return CharSet(
@@ -125,7 +130,7 @@ def powsigma_conditions(P: AmgisAlgebra, X: CharSet, u_samples, p_probes,
     """
     bad = []
     for u in u_samples:
-        a = fresh(X.declared_support | P.termlike.support(u))
+        a = fresh(X.declared_support | P.terms.support(u))
         for p in p_probes:
             if X.member(P.amgis(p, u, a)) != X.member(p):
                 bad.append(f"condition-1 u={u!r} p={p!r}")
@@ -133,7 +138,7 @@ def powsigma_conditions(P: AmgisAlgebra, X: CharSet, u_samples, p_probes,
     for a in atom_samples:
         b = fresh(X.declared_support | {a})
         for p in p_probes:
-            lhs = X.member(P.amgis(p, P.termlike.atm(b), a))
+            lhs = X.member(P.amgis(p, P.terms.atm(b), a))
             rhs = X.member(nominal.act(swap(b, a), p))
             if lhs != rhs:
                 bad.append(f"condition-2 a={a} p={p!r}")
@@ -147,13 +152,10 @@ def exactness_check(P: AmgisAlgebra, p, q, u, probes) -> bool:
     Returns False only on a witnessed violation (hypothesis holds on the
     probes but p and q differ on them); vacuously True otherwise.
     """
-    eq = P.equal or (lambda x, y: charsets_agree(x, y, probes))
-    c = fresh(nominal.support(p) | nominal.support(q) | P.termlike.support(u))
-    if not eq(P.amgis(p, u, c), P.amgis(q, u, c)):
+    c = fresh(nominal.support(p) | nominal.support(q) | P.terms.support(u))
+    if not P.agree(P.amgis(p, u, c), P.amgis(q, u, c), probes):
         return True
-    if P.equal is not None:
-        return P.equal(p, q)
-    return charsets_agree(p, q, probes)
+    return P.agree(p, q, probes)
 
 
 def eq_element_member(P: AmgisAlgebra, p, u, v, probes) -> bool:
@@ -162,12 +164,9 @@ def eq_element_member(P: AmgisAlgebra, p, u, v, probes) -> bool:
     Tests p[u <- c] = p[v <- c] at one fresh c, on the probe set when the
     algebra has no decidable element equality.
     """
-    ts = P.termlike
+    ts = P.terms
     c = fresh(nominal.support(p) | ts.support(u) | ts.support(v))
-    left, right = P.amgis(p, u, c), P.amgis(p, v, c)
-    if P.equal is not None:
-        return P.equal(left, right)
-    return charsets_agree(left, right, probes)
+    return P.agree(P.amgis(p, u, c), P.amgis(p, v, c), probes)
 
 
 def sim_subst(alg, x, pairs: Sequence[tuple[Atom, Any]]):
@@ -289,8 +288,7 @@ def amgis_axiom_suite(P: AmgisAlgebra, sampler: Sampler, n: int,
     """Check amgis-sigma; membership-level over probes for CharSet carriers."""
     rng = random.Random(seed)
     rep = SuiteReport(f"amgis axioms on {P.name}")
-    ts = P.termlike
-    eq = P.equal or (lambda x, y: charsets_agree(x, y, probes))
+    ts = P.terms
 
     def case():
         p = sampler.element(rng)
@@ -300,7 +298,7 @@ def amgis_axiom_suite(P: AmgisAlgebra, sampler: Sampler, n: int,
         b = sampler.atom_fresh_for(rng, {a})
         lhs = P.amgis(P.amgis(p, v, b), u, a)
         rhs = P.amgis(P.amgis(p, ts.subst(u, b, v), a), v, b)
-        if not eq(lhs, rhs):
+        if not P.agree(lhs, rhs, probes):
             return f"p={p!r} u={u!r} v={v!r} a={a} b={b}"
     run_law(rep, "amgis-sigma", n, case)
     return rep

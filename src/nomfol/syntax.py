@@ -71,10 +71,11 @@ def parse_signature(text: str) -> Signature:
 
 @dataclass(frozen=True)
 class Term:
-    pass
+    def __repr__(self):
+        return pretty_term(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Var(Term):
     atom: Atom
 
@@ -84,11 +85,8 @@ class Var(Term):
     def _support_(self) -> frozenset[Atom]:
         return frozenset((self.atom,))
 
-    def __repr__(self):
-        return self.atom.name
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class App(Term):
     fn: str
     args: tuple[Term, ...]
@@ -101,11 +99,6 @@ class App(Term):
         for t in self.args:
             out |= t._support_()
         return out
-
-    def __repr__(self):
-        if not self.args:
-            return self.fn
-        return f"{self.fn}({', '.join(map(repr, self.args))})"
 
 
 def free_atoms_term(t: Term) -> frozenset[Atom]:
@@ -139,8 +132,11 @@ class Formula:
     _free: frozenset[Atom] | None = field(default=None, init=False, repr=False,
                                           compare=False)
 
+    def __repr__(self):
+        return pretty(self)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Bot(Formula):
     def _act_(self, pi):
         return self
@@ -148,11 +144,8 @@ class Bot(Formula):
     def _support_(self):
         return frozenset()
 
-    def __repr__(self):
-        return "bottom"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Eq(Formula):
     lhs: Term
     rhs: Term
@@ -163,11 +156,8 @@ class Eq(Formula):
     def _support_(self):
         return self.lhs._support_() | self.rhs._support_()
 
-    def __repr__(self):
-        return f"{self.lhs!r} = {self.rhs!r}"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Pred(Formula):
     name: str
     args: tuple[Term, ...]
@@ -181,13 +171,8 @@ class Pred(Formula):
             out |= t._support_()
         return out
 
-    def __repr__(self):
-        if not self.args:
-            return self.name
-        return f"{self.name}({', '.join(map(repr, self.args))})"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class And(Formula):
     lhs: Formula
     rhs: Formula
@@ -198,11 +183,8 @@ class And(Formula):
     def _support_(self):
         return free_atoms(self.lhs) | free_atoms(self.rhs)
 
-    def __repr__(self):
-        return pretty(self)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Neg(Formula):
     body: Formula
 
@@ -212,11 +194,8 @@ class Neg(Formula):
     def _support_(self):
         return free_atoms(self.body)
 
-    def __repr__(self):
-        return pretty(self)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class All(Formula):
     binder: Atom
     body: Formula
@@ -226,9 +205,6 @@ class All(Formula):
 
     def _support_(self):
         return free_atoms(self.body) - {self.binder}
-
-    def __repr__(self):
-        return pretty(self)
 
 
 BOT = Bot()
@@ -391,16 +367,12 @@ def _alpha_key_walk(phi: Formula) -> str:
 # ------------------------------------------------------------ printing
 
 # precedence levels: forall 0 < eq 1 < and 4 < neg 5 < atomic 6
-def _term_str(t: Term) -> str:
+def pretty_term(t: Term) -> str:
     if isinstance(t, Var):
         return t.atom.name
     if not t.args:
         return t.fn
-    return f"{t.fn}({', '.join(_term_str(s) for s in t.args)})"
-
-
-def pretty_term(t: Term) -> str:
-    return _term_str(t)
+    return f"{t.fn}({', '.join(pretty_term(s) for s in t.args)})"
 
 
 def _level(phi: Formula) -> int:
@@ -419,9 +391,9 @@ def _pp(phi: Formula, min_level: int) -> str:
     if isinstance(phi, Bot):
         s = "bottom"
     elif isinstance(phi, Pred):
-        s = f"{phi.name}({', '.join(map(_term_str, phi.args))})" if phi.args else phi.name
+        s = f"{phi.name}({', '.join(map(pretty_term, phi.args))})" if phi.args else phi.name
     elif isinstance(phi, Eq):
-        s = f"{_term_str(phi.lhs)} = {_term_str(phi.rhs)}"
+        s = f"{pretty_term(phi.lhs)} = {pretty_term(phi.rhs)}"
     elif isinstance(phi, And):
         s = f"{_pp(phi.lhs, 4)} /\\ {_pp(phi.rhs, 5)}"
     elif isinstance(phi, Neg):

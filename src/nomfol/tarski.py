@@ -11,7 +11,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .foleq import FoleqAlgebra, Interpretation, interpret
 from .nominal import Atom, Perm
+from .sigma import Carrier
 from .syntax import (All, And, Bot, Eq, Formula, Neg, Pred, Signature,
                      SyntaxError_, Term, Var, free_atoms)
 
@@ -273,8 +275,7 @@ def standard_eval(phi: Formula, model: OrdinaryModel, vs: Valuation) -> bool:
 
 # ----------------------------------------------------------- the lift
 
-def tarski_termlike(k: int):
-    from .sigma import Carrier
+def tarski_termlike(k: int) -> Carrier:
     return Carrier(
         name=f"Tarski[{k},{k}]",
         subst=tf_subst,
@@ -283,24 +284,22 @@ def tarski_termlike(k: int):
     )
 
 
-def tarski_algebra(k: int):
-    from .foleq import FoleqAlgebra
+def tarski_algebra(k: int) -> FoleqAlgebra:
     return FoleqAlgebra(
         name=f"Tarski[{k},2]",
-        termlike=tarski_termlike(k),
+        subst=tf_subst,
+        equal=lambda f, g: f == g,
+        terms=tarski_termlike(k),
         top=tf_const(k, True),
         meet=tf_meet,
         neg=tf_neg,
         freshmeet=tf_freshmeet,
-        subst=tf_subst,
         eq=tf_eq,
-        equal=lambda f, g: f == g,
     )
 
 
-def lift_interpretation(model: OrdinaryModel):
+def lift_interpretation(model: OrdinaryModel) -> Interpretation:
     """Tables for the model's symbols at distinct atoms, as an Interpretation."""
-    from .foleq import Interpretation
     k = model.k
 
     def fun_interp(name: str, atoms: tuple[Atom, ...]) -> TableFun:
@@ -322,7 +321,6 @@ def all_valuations(atoms: Iterable[Atom], k: int) -> Iterator[Valuation]:
 
 def agreement_check(phi: Formula, model: OrdinaryModel) -> bool:
     """Lifted absolute semantics vs brute-force semantics, at every valuation."""
-    from .foleq import interpret
     table = interpret(phi, lift_interpretation(model))
     return all(table(vs) == standard_eval(phi, model, vs)
                for vs in all_valuations(free_atoms(phi), model.k))

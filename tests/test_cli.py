@@ -35,6 +35,14 @@ def test_eval_errors():
     assert code == 64
 
 
+def test_directory_arguments_are_usage_errors(tmp_path):
+    for argv in (["prove", "P(c) |- P(c)", "--sig", str(tmp_path)],
+                 ["check", str(tmp_path)],
+                 ["eval", "P(c)", "--model", str(tmp_path)]):
+        code, out = go(*argv)
+        assert code == 64 and out.startswith("error:") and "Is a directory" in out, argv
+
+
 def test_prove_and_check_roundtrip(tmp_path):
     code, out = go("prove", "|- forall a. (P(a) \\/ ~ P(a))", "--sig", SIG,
                    "--depth", "6")
@@ -184,6 +192,9 @@ def test_usage_error():
     assert code == 64
     code, _ = go("axioms", "precedent", "--jobs", "2")
     assert code == 64
+    for n in ("0", "-1"):
+        code, out = go("axioms", "sigma-terms", "--n", n)
+        assert code == 64 and out == f"error: --n must be at least 1, got {n}\n"
 
 
 CLI_OPTIONS = {

@@ -5,7 +5,7 @@ from nomfol.nominal import Perm, act, atoms, fresh, support, swap
 from nomfol.foleq import (foleq_axiom_suite, freshmeet_char_check,
                           interpret, interpret_term, sequent_valid)
 from nomfol.samplers import tarski_foleq_sampler
-from nomfol.sigma import sim_subst
+from nomfol.sigma import sigma_axiom_suite, sim_subst
 from nomfol.syntax import (All, And, BOT, Eq, Neg, Pred, Signature, Var,
                            default_signature, free_atoms, random_formula,
                            random_term, subst_formula)
@@ -41,6 +41,18 @@ def test_foleq_suite_all_k():
         rep = foleq_axiom_suite(tarski_algebra(k), tarski_foleq_sampler(k),
                                 200, seed=30 + k)
         assert rep.ok, f"k={k}\n" + "\n".join(rep.lines())
+
+
+def test_foleq_algebra_is_a_sigma_algebra():
+    # Tarski[k,2] is a Carrier over Tarski[k,k]: the four substitution laws
+    # that do not need an atom injection hold on the truth-valued tables
+    for k in (1, 2, 3):
+        rep = sigma_axiom_suite(tarski_algebra(k), tarski_foleq_sampler(k),
+                                300, seed=40 + k)
+        assert rep.ok, f"k={k}\n" + "\n".join(rep.lines())
+        assert [r.name for r in rep.results] == \
+            ["sigma-id", "sigma-#", "sigma-alpha", "sigma-sigma"]
+        assert all(r.passed == 300 for r in rep.results)
 
 
 def test_freshmeet_char_check():
@@ -278,7 +290,7 @@ def test_applied_symbol_substitution():
         q = rng.choice(pool)
         from nomfol.foleq import _extend
         for name, build in [("Q", lambda vs: _extend(alg, lambda ns: I.pred_interp("Q", ns), vs)),
-                            ("g", lambda vs: _extend(alg.termlike, lambda ns: I.fun_interp("g", ns), vs))]:
+                            ("g", lambda vs: _extend(alg.terms, lambda ns: I.fun_interp("g", ns), vs))]:
             lhs = alg.subst(build(us), q, w) if name == "Q" else \
                 tf_subst(build(us), q, w)
             rhs = build([tf_subst(u, q, w) for u in us])
