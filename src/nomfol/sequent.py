@@ -8,6 +8,7 @@ found model is a certificate.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -476,18 +477,54 @@ def _used_signature(s: Sequent, sig: Signature) -> Signature:
                      tuple(x for x in sig.predicates if x[0] in used))
 
 
-def countermodel_space(s: Sequent, sig: Signature, max_k: int) -> int:
-    """Number of (model, valuation) pairs find_countermodel may try."""
+def _size_space(used: Signature, n_free: int, k: int) -> int | float:
+    """The (model, valuation) pairs of size k, or its log10 from 10**29 up."""
+    lk = math.log10(k)
+    try:
+        digits = (n_free * lk + sum(float(k) ** ar * lk for _, ar in used.functions)
+                  + sum(float(k) ** ar * math.log10(2) for _, ar in used.predicates))
+    except OverflowError:
+        return math.inf
+    if digits >= 29:
+        return digits
+    n = k ** n_free
+    for _, ar in used.functions:
+        n *= k ** (k ** ar)
+    for _, ar in used.predicates:
+        n *= 2 ** (k ** ar)
+    return n
+
+
+def space_exceeded(n: int | float) -> bool:
+    """A count from space_by_size passes COUNTERMODEL_SPACE_LIMIT; a float always does."""
+    return isinstance(n, float) or n > COUNTERMODEL_SPACE_LIMIT
+
+
+def space_by_size(s: Sequent, sig: Signature, max_k: int) -> Iterator[tuple[int, int | float]]:
+    """Each size k from 1 to max_k with the (model, valuation) pairs that
+    find_countermodel may try at sizes 1 to k.
+
+    It stops after the first size whose count passes the limit.  A count of
+    30 digits or more is given as its log10, a float, so that no huge
+    integer is ever built.
+    """
     used = _used_signature(s, sig)
     n_free = len(s.free_atoms())
     total = 0
     for k in range(1, max_k + 1):
-        models = 1
-        for _, ar in used.functions:
-            models *= k ** (k ** ar)
-        for _, ar in used.predicates:
-            models *= 2 ** (k ** ar)
-        total += models * k ** n_free
+        n = _size_space(used, n_free, k)
+        # the total so far is within the limit: beside 10**29 it is lost
+        total = n if isinstance(n, float) else total + n
+        yield k, total
+        if space_exceeded(total):
+            return
+
+
+def countermodel_space(s: Sequent, sig: Signature, max_k: int) -> int | float:
+    """The last count of space_by_size: through max_k, or the first refused size."""
+    total = 0
+    for _, total in space_by_size(s, sig, max_k):
+        pass
     return total
 
 

@@ -66,10 +66,7 @@ class TableFun:
         return frozenset(self.deps)
 
     def _act_(self, pi: Perm) -> "TableFun":
-        new_deps = tuple(sorted((pi(a) for a in self.deps), key=lambda a: a.id))
-        back = {pi(a): a for a in self.deps}
-        return tablefun(self.k, new_deps,
-                        lambda m: self(Valuation({back[a]: v for a, v in m.items()})))
+        return tablefun(self.k, map(pi, self.deps), self.table)
 
     def __call__(self, vs: Valuation):
         idx = 0
@@ -83,48 +80,44 @@ class TableFun:
         return f"TF{ds}({vals})"
 
 
-def _rows(k: int, deps: tuple[Atom, ...]) -> Iterator[dict[Atom, int]]:
-    for combo in itertools.product(range(k), repeat=len(deps)):
-        yield dict(zip(deps, combo))
-
-
-def tablefun(k: int, deps: Iterable[Atom], fn) -> TableFun:
-    """Build and canonicalise a TableFun; fn maps a dep-assignment dict to a value."""
-    deps = tuple(sorted(set(deps), key=lambda a: a.id))
+def _gather(f: TableFun, deps: tuple[Atom, ...]) -> tuple:
+    """f's table over the rows of deps: f's atoms outside deps read 0."""
     if len(deps) > MAX_DEPS:
         raise ValueError(f"dependency width {len(deps)} exceeds limit {MAX_DEPS}")
-    table = tuple(fn(m) for m in _rows(k, deps))
-    return tf_canonicalise(TableFun(k, deps, table))
+    if deps == f.deps:
+        return f.table
+    stride = {a: f.k ** (len(f.deps) - 1 - i) for i, a in enumerate(f.deps)}
+    idxs = [0]
+    for d in deps:
+        s = stride.get(d, 0)
+        idxs = [i + v * s for i in idxs for v in range(f.k)]
+    return tuple(f.table[i] for i in idxs)
+
+
+def _by_id(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
+    return tuple(sorted(atoms, key=lambda a: a.id))
+
+
+def tablefun(k: int, atoms: Iterable[Atom], values: Iterable) -> TableFun:
+    """The canonical TableFun of row-major values over atoms, in any order."""
+    raw = TableFun(k, tuple(atoms), tuple(values))
+    deps = _by_id(raw.deps)
+    return tf_canonicalise(TableFun(k, deps, _gather(raw, deps)))
 
 
 def _reads(f: TableFun, i: int) -> bool:
-    n, k = len(f.deps), f.k
-    stride = k ** (n - 1 - i)
+    # the column reads its atom iff some block's k sub-slices differ
+    t, k = f.table, f.k
+    stride = k ** (len(f.deps) - 1 - i)
     block = stride * k
-    for base in range(0, len(f.table), block):
-        for off in range(stride):
-            column = {f.table[base + off + v * stride] for v in range(k)}
-            if len(column) > 1:
-                return True
-    return False
+    return any(t[base + v * stride:base + (v + 1) * stride] != t[base:base + stride]
+               for base in range(0, len(t), block) for v in range(1, k))
 
 
 def tf_canonicalise(f: TableFun) -> TableFun:
     """Prune dependencies the table never reads; idempotent."""
-    kept = [i for i in range(len(f.deps)) if _reads(f, i)]
-    if len(kept) == len(f.deps):
-        return f
-    deps = tuple(f.deps[i] for i in kept)
-    idxs = []
-    for combo in itertools.product(range(f.k), repeat=len(deps)):
-        full = [0] * len(f.deps)
-        for slot, i in enumerate(kept):
-            full[i] = combo[slot]
-        idx = 0
-        for v in full:
-            idx = idx * f.k + v
-        idxs.append(idx)
-    return TableFun(f.k, deps, tuple(f.table[i] for i in idxs))
+    deps = tuple(a for i, a in enumerate(f.deps) if _reads(f, i))
+    return f if deps == f.deps else TableFun(f.k, deps, _gather(f, deps))
 
 
 def tf_const(k: int, v) -> TableFun:
@@ -142,13 +135,19 @@ def tf_subst(f: TableFun, a: Atom, u: TableFun) -> TableFun:
         raise ValueError("mismatched domains")
     if a not in f.deps:
         return f
-    deps = (set(f.deps) - {a}) | set(u.deps)
-    return tablefun(f.k, deps, lambda m: f(Valuation(m).set(a, u(Valuation(m)))))
+    k, rest = f.k, tuple(d for d in f.deps if d != a)
+    deps = _by_id(set(rest) | set(u.deps))
+    # f's row index with a read as 0, spread onto the output rows; u may
+    # read a itself, so a's column of deps is never f's
+    base = TableFun(k, rest, _gather(TableFun(k, f.deps, range(len(f.table))), rest))
+    stride = k ** (len(rest) - f.deps.index(a))
+    return tablefun(k, deps, [f.table[i + x * stride] for i, x in
+                              zip(_gather(base, deps), _gather(u, deps))])
 
 
 def tf_meet(f: TableFun, g: TableFun) -> TableFun:
-    return tablefun(f.k, set(f.deps) | set(g.deps),
-                    lambda m: f(Valuation(m)) and g(Valuation(m)))
+    deps = _by_id(set(f.deps) | set(g.deps))
+    return tablefun(f.k, deps, [x and y for x, y in zip(_gather(f, deps), _gather(g, deps))])
 
 
 def tf_neg(f: TableFun) -> TableFun:
@@ -159,21 +158,17 @@ def tf_eq(u: TableFun, v: TableFun) -> TableFun:
     """Pointwise equality table; the lift's equality element applied to u, v."""
     if u.k != v.k:
         raise ValueError("mismatched domains")
-    return tablefun(u.k, set(u.deps) | set(v.deps),
-                    lambda m: u(Valuation(m)) == v(Valuation(m)))
+    deps = _by_id(set(u.deps) | set(v.deps))
+    return tablefun(u.k, deps, [x == y for x, y in zip(_gather(u, deps), _gather(v, deps))])
 
 
 def tf_freshmeet(a: Atom, f: TableFun) -> TableFun:
     """Meet of f over all domain values at a; the fresh-finite limit."""
     if a not in f.deps:
         return f
-    deps = tuple(d for d in f.deps if d != a)
-    return tablefun(f.k, deps,
-                    lambda m: all(f(Valuation(m).set(a, x)) for x in range(f.k)))
-
-
-def tf_leq(f: TableFun, g: TableFun) -> bool:
-    return tf_meet(f, g) == f
+    k, deps = f.k, tuple(d for d in f.deps if d != a)
+    t = _gather(f, deps + (a,))
+    return tablefun(k, deps, [all(t[i:i + k]) for i in range(0, len(t), k)])
 
 
 # ----------------------------------------------------- ordinary models
@@ -301,19 +296,14 @@ def tarski_algebra(k: int) -> FoleqAlgebra:
 def lift_interpretation(model: OrdinaryModel) -> Interpretation:
     """Tables for the model's symbols at distinct atoms, as an Interpretation."""
     k = model.k
-
-    def fun_interp(name: str, atoms: tuple[Atom, ...]) -> TableFun:
-        return tablefun(k, atoms, lambda m: model.fun_value(name, tuple(m[a] for a in atoms)))
-
-    def pred_interp(name: str, atoms: tuple[Atom, ...]) -> TableFun:
-        return tablefun(k, atoms, lambda m: model.pred_value(name, tuple(m[a] for a in atoms)))
-
-    return Interpretation(tarski_algebra(k), fun_interp, pred_interp)
+    return Interpretation(tarski_algebra(k),
+                          lambda name, atoms: tablefun(k, atoms, model.funcs[name]),
+                          lambda name, atoms: tablefun(k, atoms, model.preds[name]))
 
 
 def all_valuations(atoms: Iterable[Atom], k: int) -> Iterator[Valuation]:
     """Every assignment of the given atoms, for every default element."""
-    atoms = tuple(sorted(set(atoms), key=lambda a: a.id))
+    atoms = _by_id(set(atoms))
     for default in range(k):
         for combo in itertools.product(range(k), repeat=len(atoms)):
             yield Valuation(dict(zip(atoms, combo)), default)
@@ -351,8 +341,6 @@ def random_tablefun(k: int, rng: random.Random, pool: tuple[Atom, ...],
                     outputs: int | None = None) -> TableFun:
     """Random canonical TableFun on at most 3 atoms; outputs=None gives truth values."""
     n = rng.randint(0, min(3, len(pool)))
-    deps = tuple(rng.sample(pool, n))
-    space = outputs if outputs is not None else 2
-    f = tablefun(k, deps,
-                 lambda m: rng.randrange(space) if outputs is not None else rng.random() < 0.5)
-    return f
+    deps = _by_id(rng.sample(pool, n))
+    return tablefun(k, deps, [rng.randrange(outputs) if outputs is not None
+                              else rng.random() < 0.5 for _ in range(k ** n)])

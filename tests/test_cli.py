@@ -1,9 +1,10 @@
 import argparse
 import io
+import math
 import os
 import time
 
-from nomfol.cli import build_parser, run
+from nomfol.cli import _count, build_parser, run
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SIG = os.path.join(DATA, "p1.sig")
@@ -85,13 +86,38 @@ def test_countermodel_forall():
     assert "domain" in out and "pred P :" in out
 
 
-def test_countermodel_refuses_hopeless_search():
-    # all six default symbols at k <= 3: about 1.3e10 models
-    start = time.perf_counter()
-    code, out = go("countermodel", "P(c), Q(f(a), g(a, a)) |- R", "--max-k", "3")
-    assert time.perf_counter() - start < 1.0
+def test_countermodel_refuses_hopeless_search(tmp_path):
+    def timed(*argv):
+        start = time.perf_counter()
+        answer = go("countermodel", *argv)
+        assert time.perf_counter() - start < 1.0
+        return answer
+
+    # all six default symbols at k <= 3: about 1.3e10 models, but sizes are
+    # searched in order and size 1 already has a countermodel
+    code, out = timed("P(c), Q(f(a), g(a, a)) |- R", "--max-k", "3")
+    assert code == 0
+    assert out == ("domain 1\nfun c : 0\nfun f : 0\nfun g : 0\npred P : 1\n"
+                   "pred Q : 1\npred R : 0\n# valuation a0=0 default=0\n")
+    # no countermodel: 32,776 pairs searched through size 2, size 3 refused
+    code, out = timed("P(c), Q(f(a), g(a, a)), R |- R", "--max-k", "3")
     assert code == 2
-    assert out == "UNKNOWN search space 39182114824 exceeds 1000000\n"
+    assert out == "UNKNOWN search space 39182114824 at size 3 exceeds 1000000\n"
+    # 2 ** (2 ** 24) tables at size 2 are counted in log space, never built
+    sig = tmp_path / "wide.sig"
+    sig.write_text("pred P 24\n")
+    p = "P(" + ", ".join(["a"] * 24) + ")"
+    code, out = timed(f"{p} |- {p}", "--sig", str(sig), "--max-k", "2")
+    assert code == 2
+    assert out == "UNKNOWN search space 3.64e5050445 at size 2 exceeds 1000000\n"
+
+
+def test_count_format():
+    assert _count(39182114824) == "39182114824"
+    assert _count(10 ** 29) == "1.00e29"
+    # a float is the log10 of a count too large to build
+    assert _count(29.5) == "3.16e29"
+    assert _count(math.inf) == "inf"
 
 
 def test_deep_nesting_is_a_usage_error():
@@ -195,6 +221,12 @@ def test_usage_error():
     for n in ("0", "-1"):
         code, out = go("axioms", "sigma-terms", "--n", n)
         assert code == 64 and out == f"error: --n must be at least 1, got {n}\n"
+    for n in ("0", "-1"):
+        code, out = go("sketch", "P(c)", "--steps", n)
+        assert code == 64 and out == f"error: --steps must be at least 1, got {n}\n"
+    for n in ("0", "-3"):
+        code, out = go("countermodel", "|- P(a)", "--max-k", n)
+        assert code == 64 and out == f"error: --max-k must be at least 1, got {n}\n"
 
 
 CLI_OPTIONS = {

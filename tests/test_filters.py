@@ -201,6 +201,15 @@ def test_point_sketch_runs_and_stays_disjoint():
         assert sk.disjoint_on_queries()
 
 
+def test_point_sketch_reaches_the_ideal_side():
+    # step 6 clashes with bottom, so its pair and fresh copies go to the ideal
+    sk = point_sketch(pf("P(c)"), 8, ProverBudget(max_depth=5), sig)
+    assert sk.transcript[6] == "STEP 6 PAIR (a0, bottom /\\ (a0 = a0)) SIDE ideal"
+    assert [line.rsplit("SIDE ", 1)[1] for line in sk.transcript] == \
+        ["filter"] * 6 + ["ideal", "filter"]
+    assert sk.disjoint_on_queries()
+
+
 def test_point_sketch_rejects_inconsistent_seed():
     with pytest.raises(ValueError):
         point_sketch(BOT, 1, B, sig)

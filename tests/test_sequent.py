@@ -1,15 +1,17 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from nomfol.nominal import act, atoms, fresh, swap
 from nomfol.foleq import sequent_valid
-from nomfol.sequent import (Proof, ProverBudget, _has, _without, check_proof,
-                            countermodel_space, default_universe,
+from nomfol.sequent import (Proof, ProverBudget, _has, _size_space, _without,
+                            check_proof, countermodel_space, default_universe,
                             find_countermodel, format_proof,
                             format_sequent, generate_derivable, herbrand_equiv,
-                            parse_proof, parse_sequent, prove, sequent)
+                            parse_proof, parse_sequent, prove, sequent,
+                            space_by_size)
 from nomfol.syntax import (All, And, LimitExceeded, Neg, Pred, Signature, Var,
                            all_atoms, alpha_eq, default_signature,
                            parse_formula, random_formula)
@@ -114,6 +116,43 @@ def test_check_proof_allR_side_condition():
     bad2 = Proof("allR", s2, (phi, a), (inner2,))
     ok2, diag2 = check_proof(bad2)
     assert not ok2 and "free" in diag2
+
+
+TAMPERED = [
+    # (rule, conclusion, witnesses, premise conclusions, message)
+    ("eqR", "|- P(a)", (Var(a),), ["P(a) |- P(a)"],
+     "premise 1 should be 'a0 = a0 |- P(a0)', got 'P(a0) |- P(a0)'"),
+    ("cut", "P(a) |- P(a)", (), [], "unknown rule"),
+    ("andL", "P(a) |- P(a)", (pf("P(a) /\\ P(b)"),), ["P(a) |- P(a)"],
+     "principal conjunction is not on the left"),
+    ("andR", "P(a) |- P(a)", (pf("P(a) /\\ P(b)"),), ["P(a) |- P(a)"] * 2,
+     "principal conjunction is not on the right"),
+    ("negL", "P(a) |- P(a)", (pf("~P(b)"),), ["P(a) |- P(a)"],
+     "principal negation is not on the left"),
+    ("negR", "P(a) |- P(a)", (pf("~P(b)"),), ["P(a) |- P(a)"],
+     "principal negation is not on the right"),
+    ("allL", "P(a) |- P(a)", (pf("forall b. P(b)"), Var(a)), ["P(a) |- P(a)"],
+     "principal quantifier is not on the left"),
+    # instantiated at c, claimed at a
+    ("allL", "forall b. P(b) |- P(a)", (pf("forall b. P(b)"), Var(a)),
+     ["P(c) |- P(a)"], "premise should instantiate with a0"),
+    ("allR", "P(a) |- P(a)", (pf("forall b. P(b)"), c3), ["P(a) |- P(a)"],
+     "principal quantifier is not on the right"),
+    ("eqL", "P(a) |- P(a)", (pf("a = b"), Pred("P", (Var(c3),)), c3), ["P(a) |- P(a)"],
+     "equation is not on the left"),
+    # a = b rewrites P(b) into P(a); P(b) is not on the left
+    ("eqL", "a = b, P(a) |- P(a)", (pf("a = b"), Pred("P", (Var(c3),)), c3),
+     ["P(a) |- P(a)"], "rewritten formula is not on the left"),
+    ("eqL", "a = b, P(b) |- P(a)", (pf("a = b"), Pred("P", (Var(c3),)), c3),
+     ["P(a) |- P(a)"], "premise does not match the rewrite"),
+]
+
+
+@pytest.mark.parametrize("rule, conclusion, witnesses, premises, why", TAMPERED)
+def test_check_proof_rejects_tampered_nodes(rule, conclusion, witnesses, premises, why):
+    s = ps(conclusion)
+    p = Proof(rule, s, witnesses, tuple(Proof("hyp", ps(t)) for t in premises))
+    assert check_proof(p) == (False, f"{rule} at '{format_sequent(s)}': {why}")
 
 
 def test_prove_examples():
@@ -249,6 +288,22 @@ def test_countermodel_space():
     # all six default symbols; at k=3: 3^(1+3+9) * 2^(3+9+1) models
     s = ps("P(c), Q(f(a), g(a, a)) |- R")
     assert countermodel_space(s, sig, 3) == 2 ** 3 + 2 * 2 ** 14 + 3 * 6 ** 13
+
+
+def test_space_by_size():
+    # sizes stop after the first whose running count passes 10**6
+    s = ps("P(c), Q(f(a), g(a, a)), R |- R")
+    assert list(space_by_size(s, sig, 5)) == [(1, 8), (2, 32776), (3, 39182114824)]
+    assert countermodel_space(s, sig, 5) == 39182114824
+    assert list(space_by_size(s, sig, 2)) == [(1, 8), (2, 32776)]
+    # 2 * 2 ** (2 ** 24) pairs at size 2: counted as a log10, never built
+    wide = Signature((), (("P", 24),))
+    p = "P(" + ", ".join(["a"] * 24) + ")"
+    (k1, n1), (k2, n2) = space_by_size(parse_sequent(f"{p} |- {p}", wide), wide, 3)
+    assert (k1, n1, k2) == (1, 2, 2)
+    assert isinstance(n2, float) and n2 == pytest.approx((2 ** 24 + 1) * math.log10(2))
+    # a count past even a float's range is infinite, not an OverflowError
+    assert _size_space(Signature((), (("P", 2),)), 0, 10 ** 200) == math.inf
 
 
 def test_generate_derivable():

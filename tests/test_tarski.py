@@ -1,19 +1,22 @@
+import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nomfol.nominal import act, atoms, fresh, support, swap
+from nomfol.nominal import Perm, act, atoms, fresh, support, swap
 from nomfol.samplers import tarski_sampler
 from nomfol.sigma import sigma_axiom_suite
 from nomfol.syntax import (All, BOT, Eq, Neg, Or, Pred, Signature,
-                           SyntaxError_, Var)
+                           SyntaxError_, Var, default_signature)
 from nomfol.tarski import (MAX_DEPS, OrdinaryModel, TableFun, Valuation,
                            agreement_check, all_valuations, iter_models,
-                           lift_interpretation, parse_model,
+                           lift_interpretation, parse_model, random_model,
                            random_tablefun, standard_eval, tablefun,
                            tarski_termlike, tf_atm,
                            tf_canonicalise, tf_const, tf_eq, tf_freshmeet,
-                           tf_leq, tf_meet, tf_subst)
+                           tf_meet, tf_subst)
 
 a, b, c3 = atoms(0, 1, 2)
 sig1 = Signature((), (("P", 1),))
@@ -58,12 +61,12 @@ def test_tf_canonicalise():
     for vs in all_valuations((a, b), 2):
         assert f(vs) == g(vs)
     # a tautological comparison collapses to a constant
-    taut = tablefun(2, (a,), lambda m: m[a] == m[a])
+    taut = tablefun(2, (a,), (True, True))
     assert taut == tf_const(2, True)
 
 
 def test_tf_freshmeet():
-    f = tablefun(2, (a,), lambda m: m[a] == 1)
+    f = tablefun(2, (a,), (False, True))
     assert tf_freshmeet(a, f) == tf_const(2, False)
     g = random_tablefun(2, random.Random(2), (b,), outputs=None)
     assert tf_freshmeet(a, g) == g  # a not in deps
@@ -80,7 +83,7 @@ def test_tf_eq():
 
 
 def test_tf_act_reorders_table():
-    f = tablefun(2, (a, b), lambda m: m[a] == 1 and m[b] == 0)
+    f = tablefun(2, (a, b), (False, False, True, False))
     g = act(swap(a, c3), f)
     assert g.deps == (b, c3)
     for vs in all_valuations((b, c3), 2):
@@ -91,13 +94,13 @@ def test_tf_act_reorders_table():
 def test_dep_width_limit():
     pool = atoms(*range(MAX_DEPS + 1))
     with pytest.raises(ValueError):
-        tablefun(2, pool, lambda m: True)
+        tablefun(2, pool, (True,) * 2 ** len(pool))
 
 
 def test_lift_interpretation_tables():
     I = lift_interpretation(N2)
     p_at = I.pred_interp("P", (a,))
-    assert p_at == tablefun(2, (a,), lambda m: m[a] == 1)
+    assert p_at == tablefun(2, (a,), (False, True))
     sig2 = Signature((("z", 0), ("add", 2)), ())
     M = OrdinaryModel(sig2, 2, {"z": (0,), "add": (0, 1, 1, 0)}, {})
     J = lift_interpretation(M)
@@ -137,7 +140,8 @@ def test_monotone():
         # g <= f pointwise by construction
         u = random_tablefun(k, rng, pool, outputs=k)
         q = rng.choice(pool)
-        assert tf_leq(tf_subst(g, q, u), tf_subst(f, q, u))
+        lo = tf_subst(g, q, u)
+        assert tf_meet(lo, tf_subst(f, q, u)) == lo
 
 
 def test_freshmeet_is_meet_of_constant_instances():
@@ -189,3 +193,170 @@ def test_valuation_action_renames_keys_only():
     out = act(swap(a, c3), vs)
     assert out.overrides == {c3: 1, b: 2}
     assert out.default == 0
+
+
+# ------------------------------------------------------------------
+# The closure kernel that the stride kernel replaced, kept as a reference:
+# every table is built by calling a function once per row, on a dict.
+
+def _ref_rows(k, deps):
+    for combo in itertools.product(range(k), repeat=len(deps)):
+        yield dict(zip(deps, combo))
+
+
+def ref_tablefun(k, deps, fn):
+    deps = tuple(sorted(set(deps), key=lambda q: q.id))
+    if len(deps) > MAX_DEPS:
+        raise ValueError("too wide")
+    return ref_canonicalise(TableFun(k, deps, tuple(fn(m) for m in _ref_rows(k, deps))))
+
+
+def _ref_reads(f, i):
+    n, k = len(f.deps), f.k
+    stride = k ** (n - 1 - i)
+    block = stride * k
+    for base in range(0, len(f.table), block):
+        for off in range(stride):
+            if len({f.table[base + off + v * stride] for v in range(k)}) > 1:
+                return True
+    return False
+
+
+def ref_canonicalise(f):
+    kept = [i for i in range(len(f.deps)) if _ref_reads(f, i)]
+    deps = tuple(f.deps[i] for i in kept)
+    idxs = []
+    for combo in itertools.product(range(f.k), repeat=len(deps)):
+        full = [0] * len(f.deps)
+        for slot, i in enumerate(kept):
+            full[i] = combo[slot]
+        idx = 0
+        for v in full:
+            idx = idx * f.k + v
+        idxs.append(idx)
+    return TableFun(f.k, deps, tuple(f.table[i] for i in idxs))
+
+
+def ref_act(pi, f):
+    back = {pi(q): q for q in f.deps}
+    return ref_tablefun(f.k, back, lambda m: f(Valuation({back[q]: v for q, v in m.items()})))
+
+
+def ref_subst(f, q, u):
+    if q not in f.deps:
+        return f
+    return ref_tablefun(f.k, (set(f.deps) - {q}) | set(u.deps),
+                        lambda m: f(Valuation(m).set(q, u(Valuation(m)))))
+
+
+def ref_meet(f, g):
+    return ref_tablefun(f.k, set(f.deps) | set(g.deps),
+                        lambda m: f(Valuation(m)) and g(Valuation(m)))
+
+
+def ref_eq(u, v):
+    return ref_tablefun(u.k, set(u.deps) | set(v.deps),
+                        lambda m: u(Valuation(m)) == v(Valuation(m)))
+
+
+def ref_freshmeet(q, f):
+    if q not in f.deps:
+        return f
+    return ref_tablefun(f.k, set(f.deps) - {q},
+                        lambda m: all(f(Valuation(m).set(q, x)) for x in range(f.k)))
+
+
+def ref_random_tablefun(k, rng, pool, outputs):
+    deps = tuple(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+    return ref_tablefun(k, deps, lambda m: rng.randrange(outputs) if outputs is not None
+                        else rng.random() < 0.5)
+
+
+def _row(k, deps, m):
+    idx = 0
+    for q in deps:
+        idx = idx * k + m[q]
+    return idx
+
+
+POOL = atoms(0, 1, 2, 3)
+
+
+@st.composite
+def raw_tables(draw, k, outputs=None, deps=st.lists(st.sampled_from(POOL), unique=True,
+                                                       max_size=3)):
+    """Atoms in any order, with row-major values over them."""
+    ds = tuple(draw(deps))
+    value = st.booleans() if outputs is None else st.integers(0, outputs - 1)
+    return ds, draw(st.lists(value, min_size=k ** len(ds), max_size=k ** len(ds)))
+
+
+def _canonical(k, raw):
+    ds, values = raw
+    return ref_tablefun(k, ds, lambda m: values[_row(k, ds, m)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_stride_kernel_matches_closure_kernel(data):
+    k = data.draw(st.sampled_from((1, 2, 3)))
+    ds, values = raw = data.draw(raw_tables(k))
+    assert tablefun(k, ds, values) == _canonical(k, raw)
+    order = tuple(sorted(ds, key=lambda q: q.id))
+    uncanonical = TableFun(k, order, tuple(values[_row(k, ds, dict(zip(order, c)))]
+                                           for c in itertools.product(range(k), repeat=len(ds))))
+    assert tf_canonicalise(uncanonical) == ref_canonicalise(uncanonical)
+    f, g = _canonical(k, raw), _canonical(k, data.draw(raw_tables(k)))
+    u, v = (_canonical(k, data.draw(raw_tables(k, outputs=k))) for _ in range(2))
+    q = data.draw(st.sampled_from(POOL))
+    # a term that may read q itself, as in f[q := g(q)]
+    reads_q = st.lists(st.sampled_from(POOL), unique=True, min_size=1, max_size=3).map(
+        lambda xs: [q] + [x for x in xs if x != q][:2])
+    uq = _canonical(k, data.draw(raw_tables(k, outputs=k, deps=reads_q)))
+    pi = Perm(dict(zip(POOL, data.draw(st.permutations(POOL)))))
+    assert act(pi, f) == ref_act(pi, f)
+    assert act(pi, u) == ref_act(pi, u)
+    assert tf_meet(f, g) == ref_meet(f, g)
+    assert tf_eq(u, v) == ref_eq(u, v)
+    assert tf_subst(f, q, u) == ref_subst(f, q, u)
+    assert tf_subst(f, q, uq) == ref_subst(f, q, uq)
+    assert tf_subst(u, q, uq) == ref_subst(u, q, uq)
+    assert tf_freshmeet(q, f) == ref_freshmeet(q, f)
+
+
+def test_subst_of_a_term_reading_the_substituted_atom():
+    # f[a := g(a)] with both reading a: the output's a column is g's
+    f = tablefun(2, (a, b), (False, True, True, True))
+    g = tablefun(2, (a,), (1, 0))
+    assert tf_subst(f, a, g) == tablefun(2, (a, b), (True, True, False, True))
+    assert tf_subst(f, a, g) == ref_subst(f, a, g)
+
+
+def test_lift_tables_and_random_tables_match_closure_kernel():
+    rng = random.Random(31)
+    sig = default_signature()
+    for _ in range(60):
+        k = rng.choice((1, 2, 3))
+        model = random_model(sig, k, rng)
+        interp = lift_interpretation(model)
+        for symbols, value, lifted in ((sig.functions, model.fun_value, interp.fun_interp),
+                                       (sig.predicates, model.pred_value, interp.pred_interp)):
+            for name, ar in symbols:
+                names = tuple(rng.sample(POOL, ar))
+                want = ref_tablefun(k, names, lambda m: value(name, tuple(m[x] for x in names)))
+                assert lifted(name, names) == want, (name, names)
+        seed, outputs = rng.randrange(10 ** 6), rng.choice((None, k))
+        assert random_tablefun(k, random.Random(seed), POOL, outputs) == \
+            ref_random_tablefun(k, random.Random(seed), POOL, outputs)
+
+
+def test_width_is_refused_before_rows_are_enumerated():
+    # two disjoint width-4 tables at k = 10: their meet would have 10**8 rows
+    parity = [sum(c) % 2 == 0 for c in itertools.product(range(10), repeat=4)]
+    f, g = tablefun(10, atoms(0, 1, 2, 3), parity), tablefun(10, atoms(4, 5, 6, 7), parity)
+    assert len(f.deps) == len(g.deps) == 4
+    start = time.perf_counter()
+    for op in (tf_meet, tf_eq):
+        with pytest.raises(ValueError, match="dependency width 8 exceeds limit 6"):
+            op(f, g)
+    assert time.perf_counter() - start < 1.0
