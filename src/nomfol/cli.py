@@ -8,16 +8,15 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import sys
 
 from . import filters, samplers
 from .foleq import foleq_axiom_suite, interpret
 from .nominal import Atom, FinCofinAtomSet, atoms, support
 from .report import AxiomResult, SuiteReport
-from .sequent import (COUNTERMODEL_SPACE_LIMIT, ProverBudget, check_proof,
+from .sequent import (ProverBudget, SearchRefused, check_proof,
                       find_countermodel, format_proof, parse_proof,
-                      parse_sequent, prove, space_by_size, space_exceeded)
+                      parse_sequent, prove)
 from .sigma import amgis_axiom_suite, pow_amgis, sigma_axiom_suite
 from .syntax import (LimitExceeded, Signature, SyntaxError_,
                      default_signature, parse_formula, parse_signature)
@@ -91,33 +90,18 @@ def cmd_check(args, out) -> int:
     return 0 if ok else 1
 
 
-def _count(n: int | float) -> str:
-    """n in full, or as mantissa and exponent once it has 30 digits or more.
-
-    A float n is already the log10 of the count.
-    """
-    if isinstance(n, int):
-        if n < 10 ** 29:
-            return str(n)
-        n = math.log10(n)
-    if math.isinf(n):
-        return "inf"
-    return f"{10 ** (n % 1):.2f}e{int(n)}"
-
-
 def cmd_countermodel(args, out) -> int:
     if args.max_k < 1:
         raise ValueError(f"--max-k must be at least 1, got {args.max_k}")
     sig = _load_signature(args.sig)
     s = parse_sequent(args.sequent, sig)
-    for k, space in space_by_size(s, sig, args.max_k):
-        pass
-    # sizes are searched in order; the first size past the limit is refused
-    refused = space_exceeded(space)
-    found = find_countermodel(s, sig, k - 1 if refused else k)
+    try:
+        found = find_countermodel(s, sig, args.max_k)
+    except SearchRefused as e:
+        print(f"UNKNOWN {e}", file=out)
+        return 2
     if found is None:
-        print(f"UNKNOWN search space {_count(space)} at size {k} exceeds "
-              f"{COUNTERMODEL_SPACE_LIMIT}" if refused else "UNKNOWN", file=out)
+        print("UNKNOWN", file=out)
         return 2
     model, vs = found
     print(model.format(), end="", file=out)

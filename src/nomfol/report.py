@@ -35,14 +35,8 @@ class SuiteReport:
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
 
-    def failures(self) -> list[AxiomResult]:
-        return [r for r in self.results if not r.ok]
-
     def lines(self) -> list[str]:
         return [r.line() for r in self.results]
-
-    def __str__(self) -> str:
-        return "\n".join(self.lines())
 
 
 def run_law(report: SuiteReport, name: str, n: int, case) -> None:

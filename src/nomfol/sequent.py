@@ -361,49 +361,40 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
         return None
 
     def moves(sq: Sequent):
-        out = []
+        """Each move as (rule, witnesses, premises), in rule order, built lazily."""
         for f in sq.left:
             if isinstance(f, And):
-                prem = sequent(_without(sq.left, sq.left_keys, f) + (f.lhs, f.rhs),
-                               sq.right)
-                out.append(("andL", (f,), [prem]))
+                yield "andL", (f,), [sequent(_without(sq.left, sq.left_keys, f)
+                                             + (f.lhs, f.rhs), sq.right)]
             elif isinstance(f, Neg):
-                prem = sequent(_without(sq.left, sq.left_keys, f), sq.right + (f.body,))
-                out.append(("negL", (f,), [prem]))
+                yield "negL", (f,), [sequent(_without(sq.left, sq.left_keys, f),
+                                             sq.right + (f.body,))]
         for f in sq.right:
             if isinstance(f, Neg):
-                prem = sequent(sq.left + (f.body,), _without(sq.right, sq.right_keys, f))
-                out.append(("negR", (f,), [prem]))
+                yield "negR", (f,), [sequent(sq.left + (f.body,),
+                                             _without(sq.right, sq.right_keys, f))]
             elif isinstance(f, All):
                 c = _allR_witness(sq, f)
                 body = act(swap(c, f.binder), f.body)
-                prem = sequent(sq.left, _without(sq.right, sq.right_keys, f) + (body,))
-                out.append(("allR", (f, c), [prem]))
+                yield "allR", (f, c), [sequent(sq.left, _without(sq.right, sq.right_keys, f)
+                                               + (body,))]
         for f in sq.right:
             if isinstance(f, And):
                 rest = _without(sq.right, sq.right_keys, f)
-                out.append(("andR", (f,), [sequent(sq.left, rest + (f.lhs,)),
-                                           sequent(sq.left, rest + (f.rhs,))]))
+                yield "andR", (f,), [sequent(sq.left, rest + (f.lhs,)),
+                                     sequent(sq.left, rest + (f.rhs,))]
         for f in sq.left:
             if isinstance(f, All):
                 for r in universe:
                     inst = subst_formula(f.body, f.binder, r)
-                    if _has(sq.left_set, inst):
-                        continue
-                    out.append(("allL", (f, r), [sequent(sq.left + (inst,), sq.right)]))
-        mentions_eq = any(isinstance(f, Eq) for f in sq.left) or \
-            any(isinstance(f, Eq) for f in sq.right)
-        if mentions_eq:
-            for r in universe:
-                refl = Eq(r, r)
-                if _has(sq.left_set, refl):
-                    continue
-                out.append(("eqR", (r,), [sequent(sq.left + (refl,), sq.right)]))
-            out.extend(_eqL_moves(sq))
-        return out[:MAX_BRANCHING]
-
-    def _eqL_moves(sq: Sequent):
-        out = []
+                    if not _has(sq.left_set, inst):
+                        yield "allL", (f, r), [sequent(sq.left + (inst,), sq.right)]
+        if not any(isinstance(f, Eq) for f in sq.left + sq.right):
+            return
+        for r in universe:
+            refl = Eq(r, r)
+            if not _has(sq.left_set, refl):
+                yield "eqR", (r,), [sequent(sq.left + (refl,), sq.right)]
         sq_atoms = sq.free_atoms()
         for e in sq.left:
             if not isinstance(e, Eq) or e.lhs == e.rhs:
@@ -414,19 +405,18 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
                 if target is e:
                     continue
                 hole = fresh(blocked | all_atoms(target))
-                _, total = _safe_abstract(target, r_old, hole, set())
+                every, total = _safe_abstract(target, r_old, hole, None)
                 if total == 0:
                     continue
-                pick_sets = [None] + [{i} for i in range(min(total, 2))]
-                for picks in pick_sets:
-                    template, _ = _safe_abstract(target, r_old, hole, picks)
+                # every safe occurrence; from two on, also the first and second alone
+                singles = (_safe_abstract(target, r_old, hole, {i})[0]
+                           for i in range(2 if total >= 2 else 0))
+                for template in itertools.chain([every], singles):
                     inst_new = subst_formula(template, hole, r_new)
-                    if _has(sq.left_set, inst_new):
-                        continue
-                    prem = sequent(_without(sq.left, sq.left_keys, target)
-                                   + (inst_new,), sq.right)
-                    out.append(("eqL", (e, template, hole), [prem]))
-        return out
+                    if not _has(sq.left_set, inst_new):
+                        yield "eqL", (e, template, hole), [sequent(
+                            _without(sq.left, sq.left_keys, target) + (inst_new,),
+                            sq.right)]
 
     def search(sq: Sequent, depth: int) -> Proof | None:
         key = sq.key()
@@ -439,7 +429,7 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
             return leaf
         if depth <= 0 or memo_fail.get(key, -1) >= depth:
             return None
-        for rule, wits, prems in moves(sq):
+        for rule, wits, prems in itertools.islice(moves(sq), MAX_BRANCHING):
             subproofs = []
             for prem in prems:
                 sub = search(prem, depth - 1)
@@ -495,61 +485,61 @@ def _size_space(used: Signature, n_free: int, k: int) -> int | float:
     return n
 
 
-def space_exceeded(n: int | float) -> bool:
-    """A count from space_by_size passes COUNTERMODEL_SPACE_LIMIT; a float always does."""
-    return isinstance(n, float) or n > COUNTERMODEL_SPACE_LIMIT
+def _count(n: int | float) -> str:
+    """n in full, or as mantissa and exponent once it has 30 digits or more.
 
-
-def space_by_size(s: Sequent, sig: Signature, max_k: int) -> Iterator[tuple[int, int | float]]:
-    """Each size k from 1 to max_k with the (model, valuation) pairs that
-    find_countermodel may try at sizes 1 to k.
-
-    It stops after the first size whose count passes the limit.  A count of
-    30 digits or more is given as its log10, a float, so that no huge
-    integer is ever built.
+    A float n is already the log10 of the count.
     """
-    used = _used_signature(s, sig)
-    n_free = len(s.free_atoms())
-    total = 0
-    for k in range(1, max_k + 1):
-        n = _size_space(used, n_free, k)
-        # the total so far is within the limit: beside 10**29 it is lost
-        total = n if isinstance(n, float) else total + n
-        yield k, total
-        if space_exceeded(total):
-            return
+    if isinstance(n, int):
+        if n < 10 ** 29:
+            return str(n)
+        n = math.log10(n)
+    if math.isinf(n):
+        return "inf"
+    return f"{10 ** (n % 1):.2f}e{int(n)}"
 
 
-def countermodel_space(s: Sequent, sig: Signature, max_k: int) -> int | float:
-    """The last count of space_by_size: through max_k, or the first refused size."""
-    total = 0
-    for _, total in space_by_size(s, sig, max_k):
-        pass
-    return total
+class SearchRefused(Exception):
+    """Sizes 1 to k hold more (model, valuation) pairs than COUNTERMODEL_SPACE_LIMIT.
+
+    ``count`` is that total, or its log10 (a float) from 30 digits on.
+    """
+
+    def __init__(self, k: int, count: int | float):
+        super().__init__(f"search space {_count(count)} at size {k} exceeds "
+                         f"{COUNTERMODEL_SPACE_LIMIT}")
+        self.k, self.count = k, count
 
 
 def find_countermodel(s: Sequent, sig: Signature, max_k: int
                       ) -> tuple[OrdinaryModel, Valuation] | None:
     """Exhaustive deterministic search for a falsifying model and valuation.
 
-    Only the symbols that occur in s are enumerated; every other symbol
-    keeps its first table in iter_models order (all 0, all false).  Such a
-    symbol cannot change the verdict, so the result is the first
-    countermodel of an enumeration of the whole signature.
+    Sizes are searched in order, and each is counted just before it is
+    searched; the first size that takes the running count past the limit
+    raises SearchRefused.  Only the symbols that occur in s are enumerated;
+    every other symbol keeps its first table in iter_models order (all 0,
+    all false).  Such a symbol cannot change the verdict, so the result is
+    the first countermodel of an enumeration of the whole signature.
     """
     used = _used_signature(s, sig)
     free = tuple(sorted(s.free_atoms(), key=lambda a: a.id))
+    total = 0
     for k in range(1, max_k + 1):
-        funcs = {name: (0,) * k ** ar for name, ar in sig.functions}
-        preds = {name: (False,) * k ** ar for name, ar in sig.predicates}
-        for sub in iter_models(used, k):
-            model = OrdinaryModel(sig, k, {**funcs, **sub.funcs},
-                                  {**preds, **sub.preds})
+        n = _size_space(used, len(free), k)
+        # the total so far is within the limit: beside 10**29 it is lost
+        total = n if isinstance(n, float) else total + n
+        if isinstance(total, float) or total > COUNTERMODEL_SPACE_LIMIT:
+            raise SearchRefused(k, total)
+        for model in iter_models(used, k):
             for combo in itertools.product(range(k), repeat=len(free)):
                 vs = Valuation(dict(zip(free, combo)), 0)
                 if all(standard_eval(f, model, vs) for f in s.left) and \
                         not any(standard_eval(f, model, vs) for f in s.right):
-                    return model, vs
+                    funcs = {name: (0,) * k ** ar for name, ar in sig.functions}
+                    preds = {name: (False,) * k ** ar for name, ar in sig.predicates}
+                    return OrdinaryModel(sig, k, {**funcs, **model.funcs},
+                                         {**preds, **model.preds}), vs
     return None
 
 
@@ -685,12 +675,16 @@ def herbrand_equiv(phi: Formula, psi: Formula, sig: Signature,
                    max_k: int = 2) -> HerbrandResult:
     """Interprovability, refutation by countermodel, or unknown.
 
-    A sequent both proved and refuted would be a soundness bug and raises.
+    A refused countermodel search gives unknown.  A sequent both proved and
+    refuted would be a soundness bug and raises.
     """
     fwd = prove(sequent([phi], [psi]), budget, sig)
     bwd = prove(sequent([psi], [phi]), budget, sig)
-    cm = find_countermodel(sequent([phi], [psi]), sig, max_k) or \
-        find_countermodel(sequent([psi], [phi]), sig, max_k)
+    try:
+        cm = find_countermodel(sequent([phi], [psi]), sig, max_k) or \
+            find_countermodel(sequent([psi], [phi]), sig, max_k)
+    except SearchRefused:
+        return HerbrandResult("unknown")
     if fwd is not None and bwd is not None:
         if cm is not None:
             raise RuntimeError("soundness bug: sequent both proved and refuted")

@@ -4,7 +4,8 @@ import math
 import os
 import time
 
-from nomfol.cli import _count, build_parser, run
+from nomfol.cli import build_parser, run
+from nomfol.sequent import _count
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SIG = os.path.join(DATA, "p1.sig")
@@ -110,6 +111,17 @@ def test_countermodel_refuses_hopeless_search(tmp_path):
     code, out = timed(f"{p} |- {p}", "--sig", str(sig), "--max-k", "2")
     assert code == 2
     assert out == "UNKNOWN search space 3.64e5050445 at size 2 exceeds 1000000\n"
+
+
+def test_countermodel_answers_before_counting_larger_sizes():
+    # one pair per size, so the limit would first be passed at size 1,000,001;
+    # size 1 is counted and searched before any larger size is counted
+    start = time.perf_counter()
+    code, out = go("countermodel", "|- bottom", "--max-k", "2000000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert out == ("domain 1\nfun c : 0\nfun f : 0\nfun g : 0\npred P : 0\n"
+                   "pred Q : 0\npred R : 0\n# valuation  default=0\n")
 
 
 def test_count_format():

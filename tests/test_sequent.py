@@ -6,12 +6,12 @@ import pytest
 
 from nomfol.nominal import act, atoms, fresh, swap
 from nomfol.foleq import sequent_valid
-from nomfol.sequent import (Proof, ProverBudget, _has, _size_space, _without,
-                            check_proof, countermodel_space, default_universe,
-                            find_countermodel, format_proof,
-                            format_sequent, generate_derivable, herbrand_equiv,
-                            parse_proof, parse_sequent, prove, sequent,
-                            space_by_size)
+from nomfol.sequent import (Proof, ProverBudget, SearchRefused, _has,
+                            _size_space, _used_signature, _without,
+                            check_proof, default_universe, find_countermodel,
+                            format_proof, format_sequent, generate_derivable,
+                            herbrand_equiv, parse_proof, parse_sequent, prove,
+                            sequent)
 from nomfol.syntax import (All, And, LimitExceeded, Neg, Pred, Signature, Var,
                            all_atoms, alpha_eq, default_signature,
                            parse_formula, random_formula)
@@ -280,28 +280,41 @@ def test_countermodel_matches_full_signature_search():
     assert _differential(sig, _random_sequents(sig, random.Random(46), 6), 2) > 0
 
 
+def _space(s, sig, max_k):
+    """The (model, valuation) pairs find_countermodel may try at sizes 1 to max_k."""
+    used = _used_signature(s, sig)
+    return sum(_size_space(used, len(s.free_atoms()), k) for k in range(1, max_k + 1))
+
+
 def test_countermodel_space():
     # c/0 and P/1 at k=1,2: (1*2)*1 + (2*4)*2 with one free atom
-    assert countermodel_space(ps("P(c) |- P(a)"), sig, 2) == 2 + 16
+    assert _space(ps("P(c) |- P(a)"), sig, 2) == 2 + 16
     # no symbols used: one model per k, k^2 valuations
-    assert countermodel_space(ps("|- a = b"), sig, 3) == 1 + 4 + 9
+    assert _space(ps("|- a = b"), sig, 3) == 1 + 4 + 9
     # all six default symbols; at k=3: 3^(1+3+9) * 2^(3+9+1) models
     s = ps("P(c), Q(f(a), g(a, a)) |- R")
-    assert countermodel_space(s, sig, 3) == 2 ** 3 + 2 * 2 ** 14 + 3 * 6 ** 13
+    assert _space(s, sig, 3) == 2 ** 3 + 2 * 2 ** 14 + 3 * 6 ** 13
 
 
-def test_space_by_size():
-    # sizes stop after the first whose running count passes 10**6
+def test_countermodel_search_refused_per_size():
+    # sizes are counted as they are reached; the first whose running count
+    # passes 10**6 is refused after the smaller sizes are searched
     s = ps("P(c), Q(f(a), g(a, a)), R |- R")
-    assert list(space_by_size(s, sig, 5)) == [(1, 8), (2, 32776), (3, 39182114824)]
-    assert countermodel_space(s, sig, 5) == 39182114824
-    assert list(space_by_size(s, sig, 2)) == [(1, 8), (2, 32776)]
+    assert [_space(s, sig, k) for k in (1, 2)] == [8, 32776]
+    with pytest.raises(SearchRefused) as refused:
+        find_countermodel(s, sig, 5)
+    assert (refused.value.k, refused.value.count) == (3, 39182114824)
+    assert not isinstance(refused.value, ValueError)
     # 2 * 2 ** (2 ** 24) pairs at size 2: counted as a log10, never built
     wide = Signature((), (("P", 24),))
     p = "P(" + ", ".join(["a"] * 24) + ")"
-    (k1, n1), (k2, n2) = space_by_size(parse_sequent(f"{p} |- {p}", wide), wide, 3)
-    assert (k1, n1, k2) == (1, 2, 2)
-    assert isinstance(n2, float) and n2 == pytest.approx((2 ** 24 + 1) * math.log10(2))
+    s = parse_sequent(f"{p} |- {p}", wide)
+    assert _space(s, wide, 1) == 2
+    with pytest.raises(SearchRefused) as refused:
+        find_countermodel(s, wide, 3)
+    assert refused.value.k == 2 and isinstance(refused.value.count, float)
+    assert refused.value.count == pytest.approx((2 ** 24 + 1) * math.log10(2))
+    assert str(refused.value) == "search space 3.64e5050445 at size 2 exceeds 1000000"
     # a count past even a float's range is infinite, not an OverflowError
     assert _size_space(Signature((), (("P", 2),)), 0, 10 ** 200) == math.inf
 
@@ -356,6 +369,14 @@ def test_herbrand_examples():
     assert r.status == "equivalent"
     r = herbrand_equiv(pf("P(a)"), pf("Q(a, a)"), sig, max_k=1)
     assert r.status == "distinct" and r.countermodel is not None
+
+
+def test_herbrand_unknown_when_the_search_is_refused():
+    # P(a..a) and forall b. P(b..b) agree at size 1; size 2 is refused
+    wide = Signature((), (("P", 24),))
+    phi = parse_formula("P(" + ", ".join(["a"] * 24) + ")", wide)
+    psi = parse_formula("forall b. P(" + ", ".join(["b"] * 24) + ")", wide)
+    assert herbrand_equiv(phi, psi, wide, ProverBudget(3), max_k=2).status == "unknown"
 
 
 def test_herbrand_sigma_well_defined():
