@@ -105,8 +105,8 @@ def cmd_countermodel(args, out) -> int:
         return 2
     model, vs = found
     print(model.format(), end="", file=out)
-    ov = " ".join(f"{a.name}={v}" for a, v in sorted(vs.overrides.items()))
-    print(f"# valuation {ov} default={vs.default}".rstrip(), file=out)
+    ov = [f"{a.name}={v}" for a, v in sorted(vs.overrides.items())]
+    print(" ".join(["# valuation", *ov, f"default={vs.default}"]), file=out)
     return 0
 
 

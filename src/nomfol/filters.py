@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .nominal import Atom, act, fresh_distinct, strict_support, swap
+from .nominal import Atom, act, fresh_distinct, support, swap
 from .sequent import ProverBudget, prove, sequent
 from .syntax import (All, And, BOT, Formula, Neg, Or, Signature, Var,
                      alpha_key, free_atoms, pretty, random_formula,
@@ -24,13 +24,18 @@ MAX_GENERATORS = 16  # filter generators before a sketch stops deciding
 
 @dataclass
 class PredSet:
-    """A set of predicates given by an alpha-invariant membership oracle."""
+    """A set of predicates given by an alpha-invariant membership oracle.
+
+    ``support`` is the set's support as its constructor works it out from
+    its inputs; the fresh atoms of the checks avoid it.
+    """
 
     oracle: Callable[[Formula], bool]
     provenance: str
     generators: tuple[Formula, ...] = ()
     budget: ProverBudget = ProverBudget()
     sig: Signature | None = None
+    support: frozenset[Atom] = frozenset()
     _memo: dict = field(default_factory=dict, repr=False)
 
     def member(self, phi: Formula) -> bool:
@@ -50,12 +55,14 @@ def _entails(phi: Formula, psi: Formula, b: ProverBudget, sig: Signature) -> boo
 
 def upset(phi: Formula, b: ProverBudget, sig: Signature) -> PredSet:
     """Everything the formula provably entails, under the budget."""
-    return PredSet(lambda xi: _entails(phi, xi, b, sig), "upset", (phi,), b, sig)
+    return PredSet(lambda xi: _entails(phi, xi, b, sig), "upset", (phi,), b, sig,
+                   free_atoms(phi))
 
 
 def downset(phi: Formula, b: ProverBudget, sig: Signature) -> PredSet:
     """Everything that provably entails the formula, under the budget."""
-    return PredSet(lambda xi: _entails(xi, phi, b, sig), "downset", (phi,), b, sig)
+    return PredSet(lambda xi: _entails(xi, phi, b, sig), "downset", (phi,), b, sig,
+                   free_atoms(phi))
 
 
 @dataclass
@@ -102,7 +109,7 @@ def filter_check(p: PredSet, universe: Sequence[Formula], b: ProverBudget,
             if key in seen:
                 continue
             seen.add(key)
-            bs = fresh_distinct(free_atoms(phi) | strict_support(p.generators), 3)
+            bs = fresh_distinct(free_atoms(phi) | p.support, 3)
             if all(p.member(act(swap(bb, a), phi)) for bb in bs):
                 if not p.member(All(a, phi)):
                     rep.violations.append(
@@ -122,7 +129,8 @@ def grow_filter(p: PredSet, psi: Formula) -> PredSet:
             return True
         return any(_entails(And(g, psi), xi, b, sig) for g in gens)
 
-    return PredSet(oracle, "grown", tuple(And(g, psi) for g in gens), b, sig)
+    return PredSet(oracle, "grown", tuple(And(g, psi) for g in gens), b, sig,
+                   p.support | free_atoms(psi))
 
 
 def grow_ideal(z: PredSet, ys: Sequence[Formula]) -> PredSet:
@@ -144,13 +152,15 @@ def grow_ideal(z: PredSet, ys: Sequence[Formula]) -> PredSet:
                         return True
         return False
 
-    return PredSet(oracle, "grown-ideal", z.generators, b, sig)
+    return PredSet(oracle, "grown-ideal", z.generators, b, sig,
+                   z.support.union(*map(free_atoms, ys)))
 
 
 def points_amgis(p: PredSet, u, a: Atom) -> PredSet:
     """The amgis-action on predicate sets: test membership after substituting."""
     return PredSet(lambda phi: p.member(subst_formula(phi, a, u)),
-                   "amgis-image", (), p.budget, p.sig)
+                   "amgis-image", (), p.budget, p.sig,
+                   p.support | support(u) | {a})
 
 
 def forall_membership_check(p: PredSet, a: Atom, phi: Formula,
@@ -163,7 +173,7 @@ def forall_membership_check(p: PredSet, a: Atom, phi: Formula,
     for u in candidates:
         if not p.member(subst_formula(phi, a, u)):
             rep.violations.append(f"instance at candidate term missing: {u!r}")
-    for n in fresh_distinct(free_atoms(phi) | strict_support(p.generators) | {a}, 2):
+    for n in fresh_distinct(free_atoms(phi) | p.support | {a}, 2):
         if not p.member(subst_formula(phi, a, Var(n))):
             rep.violations.append(f"instance at fresh atom {n} missing")
     return rep
@@ -248,7 +258,7 @@ def point_sketch(seed_formula: Formula, steps: int, b: ProverBudget,
             flt = tentative
             transcript.append(f"{label} SIDE filter")
         else:
-            bs = fresh_distinct(free_atoms(phi) | strict_support(flt.generators) | {a}, 3)
+            bs = fresh_distinct(free_atoms(phi) | flt.support | {a}, 3)
             family = [act(swap(bb, a), phi) for bb in bs]
             idl = grow_ideal(idl, family)
             queried.extend(family)

@@ -126,8 +126,23 @@ class Proof:
     premises: tuple["Proof", ...] = ()
 
 
-_ARITY = {"hyp": 0, "botL": 0, "eqR": 1, "andL": 1, "andR": 2,
-          "negL": 1, "negR": 1, "allL": 1, "allR": 1, "eqL": 1}
+# rule: (premise count, witness kinds), a kind being a key of _KINDS
+_RULES = {"hyp": (0, ""), "botL": (0, ""), "eqR": (1, "t"), "andL": (1, "f"),
+          "andR": (2, "f"), "negL": (1, "f"), "negR": (1, "f"),
+          "allL": (1, "ft"), "allR": (1, "fa"), "eqL": (1, "ffa")}
+
+
+def _read_atom(name: str, sig: Signature, atom_map: dict[str, int]) -> Atom:
+    m = re.fullmatch(r"a(\d+)", name)
+    if not m:
+        raise SyntaxError_(f"bad atom name {name!r} in proof")
+    return Atom(int(m.group(1)))
+
+
+# witness kind: (type, writer, reader)
+_KINDS = {"f": (Formula, pretty, parse_formula),
+          "t": (Term, pretty_term, parse_term),
+          "a": (Atom, lambda a: a.name, _read_atom)}
 
 
 MAX_BRANCHING = 64  # moves tried per sequent, in rule order
@@ -242,21 +257,49 @@ def _fail(p: Proof, why: str):
     raise _CheckFail(f"{p.rule} at '{format_sequent(p.conclusion)}': {why}")
 
 
-def _expect_premise(p: Proof, i: int, *wants: Sequent):
-    # the principal may also occur in the context, so keep and drop
-    # variants of the premise are both instances of the literal rule
-    got = p.premises[i].conclusion
-    if got.key() not in {w.key() for w in wants}:
-        _fail(p, f"premise {i + 1} should be '{format_sequent(wants[0])}', "
-                 f"got '{format_sequent(got)}'")
+_PRINCIPALS = {And: "principal conjunction", Neg: "principal negation",
+               All: "principal quantifier", Eq: "equation"}
+
+
+def _principal(p: Proof, cls: type, on_left: bool) -> Formula:
+    """The first witness, which must be a cls on the given side."""
+    f, s = p.witnesses[0], p.conclusion
+    if not isinstance(f, cls) or not _has(s.left_set if on_left else s.right_set, f):
+        _fail(p, f"{_PRINCIPALS[cls]} is not on the {'left' if on_left else 'right'}")
+    return f
+
+
+def _expect_premises(p: Proof, principal: Formula, on_left: bool, *adds,
+                     why: str = "") -> None:
+    """Premise i is the conclusion plus adds[i], a (left, right) pair.
+
+    The principal may also occur in the context, so the premise may keep
+    it or drop it: both are instances of the literal rule.
+    """
+    s = p.conclusion
+    if on_left:
+        drop = (_without(s.left, s.left_keys, principal), s.right)
+    else:
+        drop = (s.left, _without(s.right, s.right_keys, principal))
+    for i, (left, right) in enumerate(adds):
+        wants = [sequent(ctx_l + left, ctx_r + right)
+                 for ctx_l, ctx_r in (drop, (s.left, s.right))]
+        got = p.premises[i].conclusion
+        if got.key() not in (wants[0].key(), wants[1].key()):
+            _fail(p, why or f"premise {i + 1} should be '{format_sequent(wants[0])}', "
+                            f"got '{format_sequent(got)}'")
 
 
 def _check_node(p: Proof) -> None:
     s = p.conclusion
-    if p.rule not in _ARITY:
+    if p.rule not in _RULES:
         _fail(p, "unknown rule")
-    if len(p.premises) != _ARITY[p.rule]:
-        _fail(p, f"expected {_ARITY[p.rule]} premises, got {len(p.premises)}")
+    arity, kinds = _RULES[p.rule]
+    if len(p.premises) != arity:
+        _fail(p, f"expected {arity} premises, got {len(p.premises)}")
+    if len(p.witnesses) != len(kinds) or not all(
+            isinstance(w, _KINDS[k][0]) for w, k in zip(p.witnesses, kinds)):
+        _fail(p, f"witnesses should be of kinds '{kinds}'")
 
     if p.rule == "hyp":
         if s.right_set.isdisjoint(s.left_keys):
@@ -265,80 +308,41 @@ def _check_node(p: Proof) -> None:
         if not _has(s.left_set, BOT):
             _fail(p, "bottom is not on the left")
     elif p.rule == "eqR":
-        (r,) = p.witnesses
-        want = sequent(s.left + (Eq(r, r),), s.right)
-        _expect_premise(p, 0, want)
+        refl = Eq(p.witnesses[0], p.witnesses[0])
+        # no principal: naming refl makes the drop variant the keep variant
+        _expect_premises(p, refl, True, ((refl,), ()))
     elif p.rule == "andL":
-        (principal,) = p.witnesses
-        if not isinstance(principal, And) or not _has(s.left_set, principal):
-            _fail(p, "principal conjunction is not on the left")
-        parts = (principal.lhs, principal.rhs)
-        _expect_premise(p, 0,
-                        sequent(_without(s.left, s.left_keys, principal) + parts,
-                                s.right),
-                        sequent(s.left + parts, s.right))
+        f = _principal(p, And, True)
+        _expect_premises(p, f, True, ((f.lhs, f.rhs), ()))
     elif p.rule == "andR":
-        (principal,) = p.witnesses
-        if not isinstance(principal, And) or not _has(s.right_set, principal):
-            _fail(p, "principal conjunction is not on the right")
-        rest = _without(s.right, s.right_keys, principal)
-        _expect_premise(p, 0, sequent(s.left, rest + (principal.lhs,)),
-                        sequent(s.left, s.right + (principal.lhs,)))
-        _expect_premise(p, 1, sequent(s.left, rest + (principal.rhs,)),
-                        sequent(s.left, s.right + (principal.rhs,)))
+        f = _principal(p, And, False)
+        _expect_premises(p, f, False, ((), (f.lhs,)), ((), (f.rhs,)))
     elif p.rule == "negL":
-        (principal,) = p.witnesses
-        if not isinstance(principal, Neg) or not _has(s.left_set, principal):
-            _fail(p, "principal negation is not on the left")
-        _expect_premise(p, 0,
-                        sequent(_without(s.left, s.left_keys, principal),
-                                s.right + (principal.body,)),
-                        sequent(s.left, s.right + (principal.body,)))
+        f = _principal(p, Neg, True)
+        _expect_premises(p, f, True, ((), (f.body,)))
     elif p.rule == "negR":
-        (principal,) = p.witnesses
-        if not isinstance(principal, Neg) or not _has(s.right_set, principal):
-            _fail(p, "principal negation is not on the right")
-        _expect_premise(p, 0,
-                        sequent(s.left + (principal.body,),
-                                _without(s.right, s.right_keys, principal)),
-                        sequent(s.left + (principal.body,), s.right))
+        f = _principal(p, Neg, False)
+        _expect_premises(p, f, False, ((f.body,), ()))
     elif p.rule == "allL":
-        principal, r = p.witnesses
-        if not isinstance(principal, All) or not _has(s.left_set, principal):
-            _fail(p, "principal quantifier is not on the left")
-        inst = subst_formula(principal.body, principal.binder, r)
-        got = p.premises[0].conclusion
-        keep = sequent(s.left + (inst,), s.right)
-        drop = sequent(_without(s.left, s.left_keys, principal) + (inst,), s.right)
-        if got.key() not in (keep.key(), drop.key()):
-            _fail(p, f"premise should instantiate with {pretty_term(r)}")
+        f, r = _principal(p, All, True), p.witnesses[1]
+        _expect_premises(p, f, True, ((subst_formula(f.body, f.binder, r),), ()),
+                         why=f"premise should instantiate with {pretty_term(r)}")
     elif p.rule == "allR":
-        principal, c = p.witnesses
-        if not isinstance(principal, All) or not _has(s.right_set, principal):
-            _fail(p, "principal quantifier is not on the right")
-        rest = _without(s.right, s.right_keys, principal)
-        blocked = frozenset().union(*map(free_atoms, s.left + rest))
-        if c in blocked:
+        f, c = _principal(p, All, False), p.witnesses[1]
+        rest = _without(s.right, s.right_keys, f)
+        if c in frozenset().union(*map(free_atoms, s.left + rest)):
             _fail(p, f"witness atom {c} is free in the context")
-        if c in free_atoms(principal):
+        if c in free_atoms(f):
             _fail(p, f"witness atom {c} is free in the quantified body")
-        body = act(swap(c, principal.binder), principal.body)
-        _expect_premise(p, 0, sequent(s.left, rest + (body,)),
-                        sequent(s.left, s.right + (body,)))
+        _expect_premises(p, f, False, ((), (act(swap(c, f.binder), f.body),)))
     elif p.rule == "eqL":
-        equation, template, a = p.witnesses
-        if not isinstance(equation, Eq) or not _has(s.left_set, equation):
-            _fail(p, "equation is not on the left")
-        r_new, r_old = equation.lhs, equation.rhs
-        inst_old = subst_formula(template, a, r_old)
-        inst_new = subst_formula(template, a, r_new)
+        _, template, a = p.witnesses
+        e = _principal(p, Eq, True)
+        inst_old = subst_formula(template, a, e.rhs)
         if not _has(s.left_set, inst_old):
             _fail(p, "rewritten formula is not on the left")
-        got = p.premises[0].conclusion
-        keep = sequent(s.left + (inst_new,), s.right)
-        drop = sequent(_without(s.left, s.left_keys, inst_old) + (inst_new,), s.right)
-        if got.key() not in (keep.key(), drop.key()):
-            _fail(p, "premise does not match the rewrite")
+        _expect_premises(p, inst_old, True, ((subst_formula(template, a, e.lhs),), ()),
+                         why="premise does not match the rewrite")
     for q in p.premises:
         _check_node(q)
 
@@ -702,55 +706,27 @@ def _quote(s: str) -> str:
 
 def format_proof(p: Proof) -> str:
     parts = [p.rule, _quote(format_sequent(p.conclusion))]
-    for w in p.witnesses:
-        if isinstance(w, Atom):
-            parts.append(_quote(w.name))
-        elif isinstance(w, Term):
-            parts.append(_quote(pretty_term(w)))
-        elif isinstance(w, Formula):
-            parts.append(_quote(pretty(w)))
-        else:
-            raise TypeError(f"bad witness {w!r}")
-    for q in p.premises:
-        parts.append(format_proof(q))
+    parts += (_quote(_KINDS[k][1](w))
+              for k, w in zip(_RULES[p.rule][1], p.witnesses, strict=True))
+    parts += map(format_proof, p.premises)
     return "(" + " ".join(parts) + ")"
 
 
-_WITNESS_KINDS = {"hyp": "", "botL": "", "eqR": "t", "andL": "f", "andR": "f",
-                  "negL": "f", "negR": "f", "allL": "ft", "allR": "fa",
-                  "eqL": "ffa"}
+# a parenthesis, a quoted string with backslash escapes, a symbol, a stray quote
+_TOKEN = re.compile(r'([()])|"((?:[^"\\]|\\.)*)"|([^\s()"]+)|(")', re.S)
 
 
-def _sexpr_tokens(text: str) -> Iterator[tuple[str, str]]:
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            yield (ch, ch)
-            i += 1
-        elif ch == '"':
-            j, out = i + 1, []
-            while j < len(text) and text[j] != '"':
-                if text[j] == "\\":
-                    j += 1
-                out.append(text[j])
-                j += 1
-            if j >= len(text):
-                raise SyntaxError_("unterminated string in proof file")
-            yield ("str", "".join(out))
-            i = j + 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in '()"':
-                j += 1
-            yield ("sym", text[i:j])
-            i = j
+def _sexpr_tokens(text: str) -> list[tuple[str, str]]:
+    found = _TOKEN.findall(text)
+    if any(stray for *_, stray in found):
+        raise SyntaxError_("unterminated string in proof file")
+    return [(paren, paren) if paren else ("sym", sym) if sym
+            else ("str", re.sub(r"\\(.)", r"\1", string, flags=re.S))
+            for paren, string, sym, _ in found]
 
 
 def parse_proof(text: str, sig: Signature) -> Proof:
-    toks = list(_sexpr_tokens(text))
+    toks = _sexpr_tokens(text)
     pos = [0]
 
     def peek():
@@ -763,40 +739,26 @@ def parse_proof(text: str, sig: Signature) -> Proof:
         pos[0] += 1
         return v
 
-    def atom_of(name: str) -> Atom:
-        m = re.fullmatch(r"a(\d+)", name)
-        if not m:
-            raise SyntaxError_(f"bad atom name {name!r} in proof")
-        return Atom(int(m.group(1)))
-
     def node(depth: int) -> Proof:
         if depth > MAX_NESTING:
             raise LimitExceeded(f"proof nesting deeper than {MAX_NESTING}")
         take("(")
         rule = take("sym")
-        if rule not in _ARITY:
+        if rule not in _RULES:
             raise SyntaxError_(f"unknown rule {rule!r} in proof")
         conclusion_text = take("str")
-        raws = []
-        for kind in _WITNESS_KINDS[rule]:
-            raws.append((kind, take("str")))
-        formula_texts = [t for k, t in raws if k in "tf"]
-        pieces = [p for p in conclusion_text.split("|-")] + formula_texts
-        amap = build_atom_map(pieces, sig)
+        kinds = _RULES[rule][1]
+        raws = [take("str") for _ in kinds]
+        # atom witnesses are canonical names, read without the atom map
+        amap = build_atom_map(conclusion_text.split("|-")
+                              + [r for k, r in zip(kinds, raws) if k != "a"], sig)
         conclusion = parse_sequent(conclusion_text, sig, amap)
-        wits = []
-        for kind, raw in raws:
-            if kind == "t":
-                wits.append(parse_term(raw, sig, amap))
-            elif kind == "f":
-                wits.append(parse_formula(raw, sig, amap))
-            else:
-                wits.append(atom_of(raw))
+        wits = tuple(_KINDS[k][2](r, sig, amap) for k, r in zip(kinds, raws))
         premises = []
         while peek()[0] == "(":
             premises.append(node(depth + 1))
         take(")")
-        return Proof(rule, conclusion, tuple(wits), tuple(premises))
+        return Proof(rule, conclusion, wits, tuple(premises))
 
     p = node(1)
     if peek()[0] != "eof":

@@ -72,6 +72,14 @@ def test_check_rejects_corrupted(tmp_path):
     assert code == 1 and out.startswith("PARSE-ERROR")
 
 
+def test_check_reports_a_string_cut_at_a_backslash(tmp_path):
+    # the backslash escapes the end of the file; this used to raise IndexError
+    proof_file = tmp_path / "cut.sexp"
+    proof_file.write_text('(hyp "P(a) |- P(a)\\')
+    assert go("check", str(proof_file)) == (
+        1, "PARSE-ERROR unterminated string in proof file\n")
+
+
 def test_countermodel_golden():
     code, out = go("countermodel", "|- P(a)", "--sig", SIG, "--max-k", "1")
     assert code == 0
@@ -121,7 +129,7 @@ def test_countermodel_answers_before_counting_larger_sizes():
     assert time.perf_counter() - start < 0.5
     assert code == 0
     assert out == ("domain 1\nfun c : 0\nfun f : 0\nfun g : 0\npred P : 0\n"
-                   "pred Q : 0\npred R : 0\n# valuation  default=0\n")
+                   "pred Q : 0\npred R : 0\n# valuation default=0\n")
 
 
 def test_count_format():

@@ -133,6 +133,18 @@ def test_points_amgis_is_exact_sigma_iff():
             p.member(subst_formula(phi, q, u))
 
 
+def test_points_amgis_image_keeps_the_support():
+    # the identity image has p's members; were its support taken as empty,
+    # condition 4 would sample p's own atoms a0..a2 as "fresh" for P(a3)
+    p = upset(pf("P(a0) /\\ P(a1) /\\ P(a2)"), B, sig)
+    img = points_amgis(p, Var(atoms(9)[0]), atoms(9)[0])
+    universe = [pf("P(a3)")]
+    assert filter_check(p, universe, B, sig).ok
+    rep = filter_check(img, universe, B, sig)
+    assert rep.ok, rep.lines()
+    assert img.support == frozenset(atoms(0, 1, 2, 9))
+
+
 def test_points_amgis_commutes_when_fresh():
     p = upset(pf("Q(a, b)"), B, sig)
     u = pf("P(c)").args[0]  # the constant term c

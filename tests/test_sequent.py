@@ -7,7 +7,7 @@ import pytest
 from nomfol.nominal import act, atoms, fresh, swap
 from nomfol.foleq import sequent_valid
 from nomfol.sequent import (Proof, ProverBudget, SearchRefused, _has,
-                            _size_space, _used_signature, _without,
+                            _sexpr_tokens, _size_space, _used_signature, _without,
                             check_proof, default_universe, find_countermodel,
                             format_proof, format_sequent, generate_derivable,
                             herbrand_equiv, parse_proof, parse_sequent, prove,
@@ -153,6 +153,49 @@ def test_check_proof_rejects_tampered_nodes(rule, conclusion, witnesses, premise
     s = ps(conclusion)
     p = Proof(rule, s, witnesses, tuple(Proof("hyp", ps(t)) for t in premises))
     assert check_proof(p) == (False, f"{rule} at '{format_sequent(s)}': {why}")
+
+
+# rule: (premise count, witness kinds: f formula, t term, a atom)
+SHAPES = {"hyp": (0, ""), "botL": (0, ""), "eqR": (1, "t"), "andL": (1, "f"),
+          "andR": (2, "f"), "negL": (1, "f"), "negR": (1, "f"),
+          "allL": (1, "ft"), "allR": (1, "fa"), "eqL": (1, "ffa")}
+SAMPLES = {"f": pf("P(a)"), "t": Var(a), "a": a}
+
+
+def _witness_mutants(kinds):
+    """Witness tuples one too few, one too many, and one of the wrong kind."""
+    right = [SAMPLES[k] for k in kinds]
+    if right:
+        yield tuple(right[:-1])
+    yield tuple(right) + (SAMPLES["f"],)
+    for i, k in enumerate(kinds):
+        for other in "fta".replace(k, ""):
+            yield tuple(right[:i]) + (SAMPLES[other],) + tuple(right[i + 1:])
+
+
+@pytest.mark.parametrize("rule", sorted(SHAPES))
+def test_check_proof_rejects_malformed_witnesses(rule):
+    arity, kinds = SHAPES[rule]
+    s = ps("P(a) |- P(a)")
+    premises = (Proof("hyp", s),) * arity
+    want = (False, f"{rule} at 'P(a0) |- P(a0)': "
+                   f"witnesses should be of kinds '{kinds}'")
+    for wits in _witness_mutants(kinds):
+        assert check_proof(Proof(rule, s, wits, premises)) == want, wits
+
+
+def test_check_proof_rejects_non_atom_allR_witness():
+    # a variable in the atom slot (it used to raise AttributeError), and a
+    # formula there on a vacuous quantifier (it used to pass: the swap left
+    # the body alone); with the atom a2 in that slot, each node checks
+    for conclusion, rule, premise, witness in [
+            ("bottom |- forall a0. P(a0)", "botL", "bottom |- P(a2)", Var(c3)),
+            ("P(a1) |- forall a0. P(a1)", "hyp", "P(a1) |- P(a1)", pf("P(a1)"))]:
+        s, premise = ps(conclusion), Proof(rule, ps(premise))
+        p = Proof("allR", s, (s.right[0], witness), (premise,))
+        assert check_proof(p) == (False, f"allR at '{format_sequent(s)}': "
+                                         "witnesses should be of kinds 'fa'")
+        assert check_proof(Proof("allR", s, (s.right[0], c3), (premise,))) == (True, "ok")
 
 
 def test_prove_examples():
@@ -434,6 +477,17 @@ def test_parse_proof_rejects_garbage():
         parse_proof('(frobnicate "P(a) |- P(a)")', sig)
     with pytest.raises(SyntaxError_):
         parse_proof('(hyp "P(a) |- P(a)"', sig)
+    # a string cut at an escaping backslash used to raise IndexError
+    with pytest.raises(SyntaxError_, match="unterminated string in proof file"):
+        parse_proof('(hyp "P(a) |- P(a)\\', sig)
+
+
+def test_proof_tokens():
+    assert list(_sexpr_tokens('""')) == [("str", "")]
+    assert list(_sexpr_tokens('"\\""')) == [("str", '"')]
+    assert list(_sexpr_tokens('"\\\\"')) == [("str", "\\")]
+    assert list(_sexpr_tokens('(hyp "a |- a")')) == [
+        ("(", "("), ("sym", "hyp"), ("str", "a |- a"), (")", ")")]
 
 
 def _negation_chain(levels):
