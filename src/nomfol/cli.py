@@ -7,6 +7,7 @@ and seed.  Exit codes: 0 success, 1 check failed, 2 unknown or not found,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 
@@ -191,6 +192,7 @@ def cmd_sketch(args, out) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="nomfol", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

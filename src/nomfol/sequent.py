@@ -18,9 +18,9 @@ from .nominal import Atom, act, atoms, fresh, swap
 from .syntax import (All, And, App, BOT, Bot, Eq, Formula, LimitExceeded,
                      MAX_NESTING, Neg, Pred, Signature, SyntaxError_, Term,
                      Var, all_atoms, alpha_key, build_atom_map, free_atoms,
-                     free_atoms_term, parse_formula, parse_term, pretty,
-                     pretty_term, random_formula, random_term, subst_formula,
-                     subterms)
+                     free_atoms_term, parse_formula, parse_sides, parse_term,
+                     pretty, pretty_term, random_formula, random_term,
+                     subst_formula, subterms)
 from .tarski import OrdinaryModel, Valuation, iter_models, standard_eval
 
 
@@ -86,34 +86,9 @@ def format_sequent(s: Sequent) -> str:
     return f"{lhs} |- {rhs}".strip()
 
 
-def _split_top(text: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        parts.append(tail)
-    return [p.strip() for p in parts if p.strip()]
-
-
 def parse_sequent(text: str, sig: Signature,
                   atom_map: dict[str, int] | None = None) -> Sequent:
-    if text.count("|-") != 1:
-        raise SyntaxError_("a sequent needs exactly one '|-'")
-    lhs, rhs = text.split("|-")
-    left, right = _split_top(lhs), _split_top(rhs)
-    if atom_map is None:
-        atom_map = build_atom_map(left + right, sig)
-    return sequent([parse_formula(p, sig, atom_map) for p in left],
-                   [parse_formula(p, sig, atom_map) for p in right])
+    return sequent(*parse_sides(text, sig, atom_map))
 
 
 # -------------------------------------------------------------- proofs
@@ -750,7 +725,7 @@ def parse_proof(text: str, sig: Signature) -> Proof:
         kinds = _RULES[rule][1]
         raws = [take("str") for _ in kinds]
         # atom witnesses are canonical names, read without the atom map
-        amap = build_atom_map(conclusion_text.split("|-")
+        amap = build_atom_map([conclusion_text]
                               + [r for k, r in zip(kinds, raws) if k != "a"], sig)
         conclusion = parse_sequent(conclusion_text, sig, amap)
         wits = tuple(_KINDS[k][2](r, sig, amap) for k, r in zip(kinds, raws))

@@ -414,62 +414,35 @@ def pretty(phi: Formula) -> str:
 # ------------------------------------------------------------- parsing
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<comma>,)|(?P<dot>\.)"
-    r"|(?P<and>/\\)|(?P<or>\\/)|(?P<iff><->)|(?P<imp>->)|(?P<neg>~)|(?P<eq>=)"
-    r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*))"
+    r"(?P<space>\s+)|(?P<lpar>\()|(?P<rpar>\))|(?P<comma>,)|(?P<dot>\.)"
+    r"|(?P<turnstile>\|-)|(?P<and>/\\)|(?P<or>\\/)|(?P<iff><->)|(?P<imp>->)"
+    r"|(?P<neg>~)|(?P<eq>=)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<bad>.)"
 )
 
 _KEYWORDS = ("forall", "bottom", "top")
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.toks: list[tuple[str, str, int]] = []
-        while self.pos < len(text):
-            if text[self.pos :].strip() == "":
-                break
-            m = _TOKEN.match(text, self.pos)
-            if m is None or m.end() == self.pos:
-                raise SyntaxError_(f"unexpected character at {self.pos}: {text[self.pos]!r}")
-            kind = m.lastgroup
-            val = m.group(m.lastgroup)
-            if kind == "ident" and val in _KEYWORDS:
-                kind = val
-            self.toks.append((kind, val, m.start(m.lastgroup)))
-            self.pos = m.end()
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        if self.i < len(self.toks):
-            return self.toks[self.i]
-        return ("eof", "", len(self.text))
-
-    def next(self) -> tuple[str, str, int]:
-        t = self.peek()
-        self.i += 1
-        return t
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        t = self.next()
-        if t[0] != kind:
-            raise SyntaxError_(f"expected {kind} at position {t[2]}, got {t[1]!r}")
-        return t
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, value, position) tokens of text, read in one pass."""
+    toks = []
+    for m in _TOKEN.finditer(text):
+        kind, val = m.lastgroup, m.group()
+        if kind == "bad":
+            raise SyntaxError_(f"unexpected character at {m.start()}: {val!r}")
+        if kind != "space":
+            toks.append((val if kind == "ident" and val in _KEYWORDS else kind,
+                         val, m.start()))
+    return toks
 
 
-def build_atom_map(texts: Iterable[str], sig: Signature) -> dict[str, int]:
-    """One name-to-atom assignment shared by several pieces of text.
+def _atom_map(toks: Iterable[tuple[str, str, int]], sig: Signature) -> dict[str, int]:
+    """One name-to-atom assignment for the identifiers among toks.
 
     Canonical names aK map to K; other undeclared identifiers get the
     lowest unused indices in order of first appearance.
     """
-    names: list[str] = []
-    for text in texts:
-        for kind, val, _ in _Lexer(text).toks:
-            if kind == "ident" and sig.fun_arity(val) is None \
-                    and sig.pred_arity(val) is None:
-                names.append(val)
+    names = [val for kind, val, _ in toks if kind == "ident"
+             and sig.fun_arity(val) is None and sig.pred_arity(val) is None]
     mapping: dict[str, int] = {}
     used: set[int] = set()
     for n in names:
@@ -487,8 +460,17 @@ def build_atom_map(texts: Iterable[str], sig: Signature) -> dict[str, int]:
     return mapping
 
 
+def build_atom_map(texts: Iterable[str], sig: Signature) -> dict[str, int]:
+    """One name-to-atom assignment shared by several pieces of text."""
+    return _atom_map((t for text in texts for t in _tokens(text)), sig)
+
+
 MAX_NESTING = 100
 MAX_FORMULA_NODES = 10_000
+
+# binary connectives, loosest first: (token, constructor, right-associative)
+_BINARY = (("iff", Iff, True), ("imp", Imp, True), ("or", Or, False),
+           ("and", And, False))
 
 
 class _Parser:
@@ -506,13 +488,27 @@ class _Parser:
 
     def __init__(self, text: str, sig: Signature,
                  atom_map: dict[str, int] | None = None):
-        self.lx = _Lexer(text)
+        self.toks = _tokens(text)
+        self.i = 0
+        self.end = len(text)
         self.sig = sig
-        if atom_map is None:
-            atom_map = build_atom_map([text], sig)
-        self.atom_ids = dict(atom_map)
+        self.atom_ids = _atom_map(self.toks, sig) if atom_map is None else dict(atom_map)
         self.depth = 0
         self.sizes: dict[int, tuple[Formula, int]] = {}
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.toks[self.i] if self.i < len(self.toks) else ("eof", "", self.end)
+
+    def next(self) -> tuple[str, str, int]:
+        t = self.peek()
+        self.i += 1
+        return t
+
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        t = self.next()
+        if t[0] != kind:
+            raise SyntaxError_(f"expected {kind} at position {t[2]}, got {t[1]!r}")
+        return t
 
     def _enter(self, pos: int) -> int:
         self.depth += 1
@@ -547,14 +543,12 @@ class _Parser:
 
     def _atom(self, name: str) -> Atom:
         if name not in self.atom_ids:
-            nxt = 0
-            while nxt in set(self.atom_ids.values()):
-                nxt += 1
-            self.atom_ids[name] = nxt
+            used = set(self.atom_ids.values())
+            self.atom_ids[name] = min(set(range(len(used) + 1)) - used)
         return Atom(self.atom_ids[name])
 
     def term(self) -> Term:
-        kind, val, pos = self.lx.next()
+        kind, val, pos = self.next()
         if kind != "ident":
             raise SyntaxError_(f"expected a term at position {pos}, got {val!r}")
         ar = self.sig.fun_arity(val)
@@ -562,72 +556,50 @@ class _Parser:
             if self.sig.pred_arity(val) is not None:
                 raise SyntaxError_(f"predicate symbol {val!r} used as a term at {pos}")
             return Var(self._atom(val))
-        args = self._args(val, ar, pos)
-        return App(val, args)
+        return App(val, self._args(val, ar, pos))
 
     def _args(self, name: str, arity: int, pos: int) -> tuple[Term, ...]:
         args: list[Term] = []
-        if self.lx.peek()[0] == "lpar":
-            self._enter(self.lx.next()[2])
-            if self.lx.peek()[0] != "rpar":
+        if self.peek()[0] == "lpar":
+            self._enter(self.next()[2])
+            if self.peek()[0] != "rpar":
                 args.append(self.term())
-                while self.lx.peek()[0] == "comma":
-                    self.lx.next()
+                while self.peek()[0] == "comma":
+                    self.next()
                     args.append(self.term())
-            self.lx.expect("rpar")
+            self.expect("rpar")
             self.depth -= 1
         if len(args) != arity:
             raise SyntaxError_(f"{name!r} has arity {arity}, got {len(args)} args at {pos}")
         return tuple(args)
 
-    def formula(self) -> Formula:
-        lhs = self.imp_()
-        if self.lx.peek()[0] == "iff":
-            pos = self._enter(self.lx.next()[2])
-            out = self._sized(Iff(lhs, self.formula()), pos)
-            self.depth -= 1
-            return out
-        return lhs
-
-    def imp_(self) -> Formula:
-        lhs = self.or_()
-        if self.lx.peek()[0] == "imp":
-            pos = self._enter(self.lx.next()[2])
-            out = self._sized(Imp(lhs, self.imp_()), pos)
-            self.depth -= 1
-            return out
-        return lhs
-
-    def or_(self) -> Formula:
+    def formula(self, level: int = 0) -> Formula:
+        """A formula whose connectives bind no looser than _BINARY[level]; a
+        left chain keeps its nesting levels until it ends, a right operand
+        until it is read."""
+        if level == len(_BINARY):
+            return self.unary()
+        kind, build, right = _BINARY[level]
         depth = self.depth
-        out = self.and_()
-        while self.lx.peek()[0] == "or":
-            pos = self._enter(self.lx.next()[2])
-            out = self._sized(Or(out, self.and_()), pos)
-        self.depth = depth
-        return out
-
-    def and_(self) -> Formula:
-        depth = self.depth
-        out = self.unary()
-        while self.lx.peek()[0] == "and":
-            pos = self._enter(self.lx.next()[2])
-            out = self._sized(And(out, self.unary()), pos)
+        out = self.formula(level + 1)
+        while self.peek()[0] == kind:
+            pos = self._enter(self.next()[2])
+            out = self._sized(build(out, self.formula(level + (not right))), pos)
         self.depth = depth
         return out
 
     def unary(self) -> Formula:
-        kind, val, pos = self.lx.peek()
+        kind, val, pos = self.peek()
         if kind == "neg":
-            self._enter(self.lx.next()[2])
+            self._enter(self.next()[2])
             out = self._sized(Neg(self.unary()), pos)
         elif kind == "forall":
-            self._enter(self.lx.next()[2])
-            k2, v2, p2 = self.lx.expect("ident")
+            self._enter(self.next()[2])
+            k2, v2, p2 = self.expect("ident")
             if not self._undeclared(v2):
                 raise SyntaxError_(f"binder {v2!r} clashes with a signature symbol at {p2}")
             a = self._atom(v2)
-            self.lx.expect("dot")
+            self.expect("dot")
             out = self._sized(All(a, self.formula()), pos)
         else:
             return self.atomic()
@@ -635,31 +607,40 @@ class _Parser:
         return out
 
     def atomic(self) -> Formula:
-        kind, val, pos = self.lx.peek()
+        kind, val, pos = self.peek()
         if kind == "lpar":
-            self._enter(self.lx.next()[2])
+            self._enter(self.next()[2])
             out = self.formula()
-            self.lx.expect("rpar")
+            self.expect("rpar")
             self.depth -= 1
             return out
         if kind == "bottom":
-            self.lx.next()
+            self.next()
             return BOT
         if kind == "top":
-            self.lx.next()
+            self.next()
             return TOP
         if kind == "ident" and self.sig.pred_arity(val) is not None:
-            self.lx.next()
-            args = self._args(val, self.sig.pred_arity(val), pos)
-            return Pred(val, args)
+            self.next()
+            return Pred(val, self._args(val, self.sig.pred_arity(val), pos))
         # otherwise it must start a term equation
         lhs = self.term()
-        self.lx.expect("eq")
+        self.expect("eq")
         rhs = self.term()
         return Eq(lhs, rhs)
 
+    def formulas(self) -> list[Formula]:
+        """A comma-separated list, empty right before ``|-`` or the end."""
+        if self.peek()[0] in ("turnstile", "eof"):
+            return []
+        out = [self.formula()]
+        while self.peek()[0] == "comma":
+            self.next()
+            out.append(self.formula())
+        return out
+
     def done(self) -> None:
-        t = self.lx.peek()
+        t = self.peek()
         if t[0] != "eof":
             raise SyntaxError_(f"trailing input at position {t[2]}: {t[1]!r}")
 
@@ -678,6 +659,22 @@ def parse_term(text: str, sig: Signature,
     out = p.term()
     p.done()
     return out
+
+
+def parse_sides(text: str, sig: Signature, atom_map: dict[str, int] | None = None
+                ) -> tuple[list[Formula], list[Formula]]:
+    """The two formula lists of a sequent ``phi1, phi2 |- psi1``."""
+    p = _Parser(text, sig, atom_map)
+    left = p.formulas()
+    if p.peek()[0] != "turnstile":
+        p.done()
+        raise SyntaxError_("a sequent needs exactly one '|-'")
+    p.next()
+    right = p.formulas()
+    if p.peek()[0] == "turnstile":
+        raise SyntaxError_("a sequent needs exactly one '|-'")
+    p.done()
+    return left, right
 
 
 # ------------------------------------------------------------- sampling

@@ -211,6 +211,10 @@ class OrdinaryModel:
         return "\n".join(lines) + "\n"
 
 
+def _decimal(v: str) -> bool:
+    return v.isascii() and v.isdigit()
+
+
 def parse_model(text: str, sig: Signature) -> OrdinaryModel:
     """Parse the row-major model file format; arity comes from the signature."""
     k = None
@@ -222,6 +226,8 @@ def parse_model(text: str, sig: Signature) -> OrdinaryModel:
             continue
         parts = line.split()
         if parts[0] == "domain" and len(parts) == 2:
+            if not _decimal(parts[1]):
+                raise SyntaxError_(f"line {lineno}: bad domain size {parts[1]!r}")
             k = int(parts[1])
         elif parts[0] in ("fun", "pred") and len(parts) >= 3 and parts[2] == ":":
             if k is None:
@@ -230,12 +236,18 @@ def parse_model(text: str, sig: Signature) -> OrdinaryModel:
             if parts[0] == "fun":
                 if sig.fun_arity(name) is None:
                     raise SyntaxError_(f"line {lineno}: unknown function {name!r}")
-                funcs[name] = tuple(int(v) for v in vals)
-                if any(not 0 <= v < k for v in funcs[name]):
-                    raise SyntaxError_(f"line {lineno}: value out of domain")
+                bad = [v for v in vals if not (_decimal(v) and int(v) < k)]
+                if bad:
+                    raise SyntaxError_(f"line {lineno}: function value {bad[0]!r} "
+                                       f"is not in 0..{k - 1}")
+                funcs[name] = tuple(map(int, vals))
             else:
                 if sig.pred_arity(name) is None:
                     raise SyntaxError_(f"line {lineno}: unknown predicate {name!r}")
+                bad = [v for v in vals if v not in ("0", "1")]
+                if bad:
+                    raise SyntaxError_(f"line {lineno}: predicate value {bad[0]!r} "
+                                       f"is not 0 or 1")
                 preds[name] = tuple(v == "1" for v in vals)
         else:
             raise SyntaxError_(f"line {lineno}: cannot parse {raw!r}")

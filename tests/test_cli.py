@@ -167,13 +167,53 @@ def test_nested_iff_is_refused():
     phi = "P(a)"
     for _ in range(25):
         phi = f"P(a) <-> ({phi})"
-    for argv in (["eval", phi, "--model", MODEL], ["prove", "|- " + phi]):
+    # a position in a sequent counts from the start of the whole argument
+    for argv, pos in ((["eval", phi, "--model", MODEL], 155),
+                      (["prove", "|- " + phi], 158)):
         start = time.perf_counter()
         code, out = go(*argv, "--sig", SIG)
         assert time.perf_counter() - start < 1.0
         assert code == 64, argv
         assert out == ("error: formula expands to 14323 nodes, more than 10000, "
-                       "at position 155\n")
+                       f"at position {pos}\n")
+
+
+def test_sequent_errors():
+    # an empty list item is an error, not a formula that is dropped
+    for text in ("P(a),, Q(a, a) |- R", "P(a), |- R", "|- P(a),", ", |- R"):
+        code, out = go("prove", text)
+        assert code == 64 and out.startswith("error: expected a term"), text
+    code, out = go("prove", "P(a), Q(a, b |- R")
+    assert (code, out) == (64, "error: expected rpar at position 13, got '|-'\n")
+    for text in ("P(a)", "P(a) |- R |- R"):
+        assert go("prove", text) == (64, "error: a sequent needs exactly one '|-'\n")
+
+
+def test_long_conclusion_is_refused_quickly(tmp_path):
+    # 640 KB of conjunctions: lexed in one pass, refused at the 101st /\
+    conj = " /\\ ".join(["P(c)"] * 80_000)
+    proof_file = tmp_path / "long.sexp"
+    # a proof file writes each backslash as two
+    proof_file.write_text('(hyp "%s |-")' % conj.replace("\\", "\\\\"))
+    start = time.perf_counter()
+    code, out = go("check", str(proof_file))
+    assert time.perf_counter() - start < 5.0
+    assert code == 64 and out.startswith("error: nesting deeper than 100")
+
+
+def test_model_values_are_checked(tmp_path):
+    sig = tmp_path / "pr.sig"
+    sig.write_text("fun c 0\npred P 1\npred R 0\n")
+    model = tmp_path / "bad.model"
+    for body, err in [("fun c : 0\npred P : 1 7\npred R : 0",
+                       "line 3: predicate value '7' is not 0 or 1"),
+                      ("fun c : 0\npred P : 1 0\npred R : yes",
+                       "line 4: predicate value 'yes' is not 0 or 1"),
+                      ("fun c : x\npred P : 1 0\npred R : 0",
+                       "line 2: function value 'x' is not in 0..1")]:
+        model.write_text("domain 2\n" + body + "\n")
+        code, out = go("eval", "P(a) /\\ R", "--sig", str(sig), "--model", str(model))
+        assert (code, out) == (64, f"error: {err}\n")
 
 
 def _negation_chain(levels):

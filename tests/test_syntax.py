@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nomfol.nominal import Perm, act, atoms, swap
+from nomfol.sequent import parse_sequent
 from nomfol.syntax import (All, And, App, BOT, Eq, Iff, Imp, LimitExceeded,
                            MAX_FORMULA_NODES, Neg, Or, Pred, Signature,
                            SyntaxError_, TOP, Var, _alpha_key_walk, all_atoms,
@@ -61,6 +62,12 @@ def test_precedence():
     r = Pred("R", ())
     expect = Iff(Imp(Or(And(Neg(P(x)), P(y)), r), r), r)
     assert phi == expect
+    # /\ and \/ group to the left, -> and <-> to the right
+    for op, build, left in [("/\\", And, True), ("\\/", Or, True),
+                            ("->", Imp, False), ("<->", Iff, False)]:
+        got = parse_formula(f"P(a) {op} P(b) {op} R", sig)
+        assert got == (build(build(P(x), P(y)), r) if left
+                       else build(P(x), build(P(y), r))), op
 
 
 def test_free_atoms():
@@ -204,16 +211,22 @@ def test_parser_never_hangs_on_noise():
     # arbitrary token soup either parses or raises a positioned error
     rng = random.Random(12)
     vocab = ["P", "Q", "f", "g", "c", "a", "b", "x", "(", ")", ",", ".",
-             "/\\", "\\/", "~", "->", "<->", "=", "forall", "bottom", "top"]
+             "/\\", "\\/", "~", "->", "<->", "=", "forall", "bottom", "top", "|-"]
     outcomes = {"ok": 0, "err": 0}
     for _ in range(500):
         text = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 12)))
-        try:
-            parse_formula(text, sig)
-            outcomes["ok"] += 1
-        except SyntaxError_:
-            outcomes["err"] += 1
+        for parse in (parse_formula, parse_sequent):
+            try:
+                parse(text, sig)
+                outcomes["ok"] += 1
+            except SyntaxError_:
+                outcomes["err"] += 1
     assert outcomes["err"] > 0  # noise mostly fails, and never crashes
+
+
+def test_lexer_names_the_bad_character():
+    with pytest.raises(SyntaxError_, match=r"^unexpected character at 5: '\$'$"):
+        parse_formula("P(a) $", sig)
 
 
 def test_nesting_limit():
@@ -223,6 +236,9 @@ def test_nesting_limit():
                  " \\/ ".join(["R"] * 101), " -> ".join(["R"] * 101),
                  "P(" + "f(" * 99 + "a" + ")" * 100]:
         parse_formula(deep, sig)
+    # a chain's levels end with the chain: 1 + 60 levels, then 1 + 99
+    for op in ("/\\", "\\/", "->"):
+        parse_formula("(" + f" {op} ".join(["R"] * 61) + f") {op} " + "~" * 99 + "R", sig)
     with pytest.raises(SyntaxError_, match="nesting deeper than 100 at position 100"):
         parse_formula("~" * 101 + "R", sig)
     with pytest.raises(SyntaxError_, match="at position 100"):

@@ -176,6 +176,8 @@ def test_model_file_roundtrip():
         parse_model("fun z : 0", sig2)
     with pytest.raises(SyntaxError_):
         parse_model("domain 2\nfun nope : 0", sig2)
+    with pytest.raises(SyntaxError_, match="line 1: bad domain size 'x'"):
+        parse_model("domain x", sig2)
     with pytest.raises(ValueError):
         OrdinaryModel(sig2, 0, {}, {})
 
