@@ -115,7 +115,7 @@ def _suite_reports(args) -> list[SuiteReport]:
     sig = default_signature()
     n, seed = args.n, args.seed
     if args.suite == "sigma-terms":
-        return [sigma_axiom_suite(samplers.term_carrier(sig),
+        return [sigma_axiom_suite(samplers.term_carrier(),
                                   samplers.term_sampler(sig), n, seed)]
     if args.suite == "sigma-tarski":
         return [sigma_axiom_suite(tarski_termlike(k), samplers.tarski_sampler(k),
@@ -123,7 +123,7 @@ def _suite_reports(args) -> list[SuiteReport]:
                 for k in (2, 3)]
     if args.suite == "amgis-pow":
         probes = samplers.probe_terms(sig)[:100]
-        return [amgis_axiom_suite(pow_amgis(samplers.term_carrier(sig)),
+        return [amgis_axiom_suite(pow_amgis(samplers.term_carrier()),
                                   samplers.charset_sampler(sig), n, probes, seed)]
     if args.suite == "foleq-tarski":
         return [foleq_axiom_suite(tarski_algebra(k),
@@ -156,7 +156,7 @@ def precedent_suite() -> SuiteReport:
         for combo in itertools.combinations(base, r):
             sets.append(FinCofinAtomSet(frozenset(combo), False))
             sets.append(FinCofinAtomSet(frozenset(combo), True))
-    rep = SuiteReport("precedent")
+    rep = SuiteReport()
     result = AxiomResult("precedent")
     for x in sets:
         for y in sets:

@@ -19,7 +19,6 @@ from .syntax import (All, And, BOT, Formula, Neg, Or, Signature, Var,
                      subst_formula)
 
 MAX_DISJUNCTION_WIDTH = 2  # Y-subsets tried when growing an ideal
-MAX_GENERATORS = 16  # filter generators before a sketch stops deciding
 
 
 @dataclass
@@ -164,8 +163,7 @@ def points_amgis(p: PredSet, u, a: Atom) -> PredSet:
 
 
 def forall_membership_check(p: PredSet, a: Atom, phi: Formula,
-                            candidates: Sequence, b: ProverBudget,
-                            sig: Signature) -> CheckReport:
+                            candidates: Sequence, b: ProverBudget) -> CheckReport:
     """Universal members must instantiate to members, for terms and fresh atoms."""
     rep = CheckReport("forall-membership", b)
     if not p.member(All(a, phi)):
@@ -248,9 +246,6 @@ def point_sketch(seed_formula: Formula, steps: int, b: ProverBudget,
         label = f"STEP {i} PAIR ({a.name}, {pretty(phi)})"
         candidate = All(a, phi)
         queried.append(candidate)
-        if len(flt.generators) >= MAX_GENERATORS:
-            transcript.append(f"{label} SIDE undecided")
-            continue
         tentative = grow_filter(flt, candidate)
         clash = any(_entails(g, BOT, b, sig) or idl.member(g)
                     for g in tentative.generators)

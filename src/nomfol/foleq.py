@@ -138,7 +138,7 @@ def foleq_axiom_suite(alg: FoleqAlgebra, sampler: Sampler, n: int,
                       seed: int = 0) -> SuiteReport:
     """Lattice, distributivity, quantifier, compatibility and equality laws."""
     rng = random.Random(seed)
-    rep = SuiteReport(f"foleq axioms on {alg.name}")
+    rep = SuiteReport()
     eq, sup = alg.equal, alg.support
     tsup = alg.terms.support
 

@@ -25,7 +25,6 @@ class AxiomResult:
 
 @dataclass
 class SuiteReport:
-    title: str
     results: list[AxiomResult] = field(default_factory=list)
 
     def add(self, result: AxiomResult) -> None:

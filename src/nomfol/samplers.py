@@ -17,7 +17,7 @@ from .syntax import (App, Signature, Term, Var, alpha_key, free_atoms,
 from .tarski import random_tablefun
 
 
-def term_carrier(sig: Signature) -> Carrier:
+def term_carrier() -> Carrier:
     """First-order terms as a termlike algebra; substitution is the real one."""
     return Carrier(
         name="terms",
@@ -28,14 +28,14 @@ def term_carrier(sig: Signature) -> Carrier:
     )
 
 
-def formula_carrier(sig: Signature) -> Carrier:
+def formula_carrier() -> Carrier:
     """Predicates over terms; equality is alpha-equivalence."""
     return Carrier(
         name="formulas",
         subst=subst_formula,
         equal=lambda phi, psi: alpha_key(phi) == alpha_key(psi),
         support=free_atoms,
-        terms=term_carrier(sig),
+        terms=term_carrier(),
     )
 
 

@@ -11,49 +11,55 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .nominal import Atom, act, atoms, fresh, swap
 from .syntax import (All, And, App, BOT, Bot, Eq, Formula, LimitExceeded,
                      MAX_NESTING, Neg, Pred, Signature, SyntaxError_, Term,
-                     Var, all_atoms, alpha_key, build_atom_map, free_atoms,
-                     free_atoms_term, parse_formula, parse_sides, parse_term,
-                     pretty, pretty_term, random_formula, random_term,
-                     subst_formula, subterms)
+                     Var, all_atoms, alpha_key, free_atoms, free_atoms_term,
+                     parse_shared, parse_sides, pretty, pretty_term,
+                     random_formula, random_term, subst_formula, subterms)
 from .tarski import OrdinaryModel, Valuation, iter_models, standard_eval
 
 
-def _norm(fs) -> tuple[tuple[Formula, ...], tuple[str, ...]]:
-    """One formula per alpha class, in key order, and the keys."""
-    seen: dict[str, Formula] = {}
-    for f in fs:
-        seen.setdefault(alpha_key(f), f)
-    keys = tuple(sorted(seen))
-    return tuple(seen[k] for k in keys), keys
+class Side(tuple):
+    """One side of a sequent, a finite set of formulas up to alpha.
+
+    It is a tuple of one formula per alpha class, the first one seen, in
+    key order.  ``keys`` holds their alpha keys in that order and
+    ``key_set`` the same keys as a set, so membership up to alpha and the
+    memo key are lookups, not walks.
+    """
+
+    def __new__(cls, formulas: Iterable[Formula]) -> "Side":
+        seen: dict[str, Formula] = {}
+        for f in formulas:
+            seen.setdefault(alpha_key(f), f)
+        keys = tuple(sorted(seen))
+        side = tuple.__new__(cls, [seen[k] for k in keys])
+        side.keys, side.key_set = keys, frozenset(keys)
+        return side
+
+    def has(self, phi: Formula) -> bool:
+        """Whether phi is on this side, up to alpha."""
+        return alpha_key(phi) in self.key_set
+
+    def without(self, phi: Formula) -> tuple[Formula, ...]:
+        """This side's formulas less phi, up to alpha."""
+        k = alpha_key(phi)
+        return tuple(f for f, fk in zip(self, self.keys) if fk != k)
 
 
 @dataclass(frozen=True)
 class Sequent:
-    """Build with ``sequent``, which also fills in each side's alpha keys.
+    """Build with ``sequent``, which makes each side a Side."""
 
-    Each side keeps the keys of its formulas in order and as a set, so
-    membership up to alpha and the memo key are lookups, not walks.
-    """
-
-    left: tuple[Formula, ...]
-    right: tuple[Formula, ...]
-    left_keys: tuple[str, ...] = field(repr=False, compare=False)
-    right_keys: tuple[str, ...] = field(repr=False, compare=False)
-    left_set: frozenset[str] = field(init=False, repr=False, compare=False)
-    right_set: frozenset[str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "left_set", frozenset(self.left_keys))
-        object.__setattr__(self, "right_set", frozenset(self.right_keys))
+    left: Side
+    right: Side
 
     def key(self) -> tuple:
-        return (self.left_keys, self.right_keys)
+        return (self.left.keys, self.right.keys)
 
     def free_atoms(self) -> frozenset[Atom]:
         return frozenset().union(*map(free_atoms, self.left + self.right))
@@ -63,21 +69,7 @@ class Sequent:
 
 
 def sequent(left, right) -> Sequent:
-    left, left_keys = _norm(left)
-    right, right_keys = _norm(right)
-    return Sequent(left, right, left_keys, right_keys)
-
-
-def _has(keys: frozenset[str], phi: Formula) -> bool:
-    """Whether phi is, up to alpha, on the side with these keys."""
-    return alpha_key(phi) in keys
-
-
-def _without(fs: tuple[Formula, ...], keys: tuple[str, ...],
-             phi: Formula) -> tuple[Formula, ...]:
-    """The side fs, whose alpha keys are keys, less phi up to alpha."""
-    k = alpha_key(phi)
-    return tuple(f for f, fk in zip(fs, keys) if fk != k)
+    return Sequent(Side(left), Side(right))
 
 
 def format_sequent(s: Sequent) -> str:
@@ -86,9 +78,8 @@ def format_sequent(s: Sequent) -> str:
     return f"{lhs} |- {rhs}".strip()
 
 
-def parse_sequent(text: str, sig: Signature,
-                  atom_map: dict[str, int] | None = None) -> Sequent:
-    return sequent(*parse_sides(text, sig, atom_map))
+def parse_sequent(text: str, sig: Signature) -> Sequent:
+    return sequent(*parse_sides(text, sig))
 
 
 # -------------------------------------------------------------- proofs
@@ -107,17 +98,17 @@ _RULES = {"hyp": (0, ""), "botL": (0, ""), "eqR": (1, "t"), "andL": (1, "f"),
           "allL": (1, "ft"), "allR": (1, "fa"), "eqL": (1, "ffa")}
 
 
-def _read_atom(name: str, sig: Signature, atom_map: dict[str, int]) -> Atom:
+def _read_atom(name: str) -> Atom:
     m = re.fullmatch(r"a(\d+)", name)
     if not m:
         raise SyntaxError_(f"bad atom name {name!r} in proof")
     return Atom(int(m.group(1)))
 
 
-# witness kind: (type, writer, reader)
-_KINDS = {"f": (Formula, pretty, parse_formula),
-          "t": (Term, pretty_term, parse_term),
-          "a": (Atom, lambda a: a.name, _read_atom)}
+# witness kind: (type, writer, reader), the reader of an atom being _read_atom
+_KINDS = {"f": (Formula, pretty, "formula"),
+          "t": (Term, pretty_term, "term"),
+          "a": (Atom, lambda a: a.name, None)}
 
 
 MAX_BRANCHING = 64  # moves tried per sequent, in rule order
@@ -128,13 +119,13 @@ class ProverBudget:
     max_depth: int = 8
 
     def __post_init__(self):
-        if self.max_depth < 0:
-            raise ValueError("budget bounds must be >= 0")
+        # a proof found at depth d nests up to d + 1 nodes; parse_proof
+        # refuses nesting past MAX_NESTING
+        if not 0 <= self.max_depth < MAX_NESTING:
+            raise ValueError(f"prover depth {self.max_depth} is not in 0..{MAX_NESTING - 1}")
 
 
 def formula_terms(phi: Formula) -> Iterator[Term]:
-    if isinstance(phi, (Bot,)):
-        return
     if isinstance(phi, Eq):
         yield from subterms(phi.lhs)
         yield from subterms(phi.rhs)
@@ -204,9 +195,13 @@ def _safe_abstract(phi: Formula, r: Term, hole: Atom, picks: set[int] | None):
     return out, counter[0]
 
 
+def _allR_context(s: Sequent, principal: All) -> frozenset[Atom]:
+    """The atoms an allR witness must avoid: those free in the context."""
+    return frozenset().union(*map(free_atoms, s.left + s.right.without(principal)))
+
+
 def _allR_witness(s: Sequent, principal: All) -> Atom:
-    rest = _without(s.right, s.right_keys, principal)
-    blocked = frozenset().union(*map(free_atoms, s.left + rest))
+    blocked = _allR_context(s, principal)
     a = principal.binder
     if a not in blocked:
         return a
@@ -239,7 +234,7 @@ _PRINCIPALS = {And: "principal conjunction", Neg: "principal negation",
 def _principal(p: Proof, cls: type, on_left: bool) -> Formula:
     """The first witness, which must be a cls on the given side."""
     f, s = p.witnesses[0], p.conclusion
-    if not isinstance(f, cls) or not _has(s.left_set if on_left else s.right_set, f):
+    if not isinstance(f, cls) or not (s.left if on_left else s.right).has(f):
         _fail(p, f"{_PRINCIPALS[cls]} is not on the {'left' if on_left else 'right'}")
     return f
 
@@ -253,9 +248,9 @@ def _expect_premises(p: Proof, principal: Formula, on_left: bool, *adds,
     """
     s = p.conclusion
     if on_left:
-        drop = (_without(s.left, s.left_keys, principal), s.right)
+        drop = (s.left.without(principal), s.right)
     else:
-        drop = (s.left, _without(s.right, s.right_keys, principal))
+        drop = (s.left, s.right.without(principal))
     for i, (left, right) in enumerate(adds):
         wants = [sequent(ctx_l + left, ctx_r + right)
                  for ctx_l, ctx_r in (drop, (s.left, s.right))]
@@ -277,10 +272,10 @@ def _check_node(p: Proof) -> None:
         _fail(p, f"witnesses should be of kinds '{kinds}'")
 
     if p.rule == "hyp":
-        if s.right_set.isdisjoint(s.left_keys):
+        if s.right.key_set.isdisjoint(s.left.keys):
             _fail(p, "no shared formula between the two sides")
     elif p.rule == "botL":
-        if not _has(s.left_set, BOT):
+        if not s.left.has(BOT):
             _fail(p, "bottom is not on the left")
     elif p.rule == "eqR":
         refl = Eq(p.witnesses[0], p.witnesses[0])
@@ -304,8 +299,7 @@ def _check_node(p: Proof) -> None:
                          why=f"premise should instantiate with {pretty_term(r)}")
     elif p.rule == "allR":
         f, c = _principal(p, All, False), p.witnesses[1]
-        rest = _without(s.right, s.right_keys, f)
-        if c in frozenset().union(*map(free_atoms, s.left + rest)):
+        if c in _allR_context(s, f):
             _fail(p, f"witness atom {c} is free in the context")
         if c in free_atoms(f):
             _fail(p, f"witness atom {c} is free in the quantified body")
@@ -314,7 +308,7 @@ def _check_node(p: Proof) -> None:
         _, template, a = p.witnesses
         e = _principal(p, Eq, True)
         inst_old = subst_formula(template, a, e.rhs)
-        if not _has(s.left_set, inst_old):
+        if not s.left.has(inst_old):
             _fail(p, "rewritten formula is not on the left")
         _expect_premises(p, inst_old, True, ((subst_formula(template, a, e.lhs),), ()),
                          why="premise does not match the rewrite")
@@ -333,9 +327,9 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
     memo_fail: dict[tuple, int] = {}
 
     def closing(sq: Sequent) -> Proof | None:
-        if not sq.right_set.isdisjoint(sq.left_keys):
+        if not sq.right.key_set.isdisjoint(sq.left.keys):
             return Proof("hyp", sq)
-        if _has(sq.left_set, BOT):
+        if sq.left.has(BOT):
             return Proof("botL", sq)
         return None
 
@@ -343,36 +337,33 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
         """Each move as (rule, witnesses, premises), in rule order, built lazily."""
         for f in sq.left:
             if isinstance(f, And):
-                yield "andL", (f,), [sequent(_without(sq.left, sq.left_keys, f)
-                                             + (f.lhs, f.rhs), sq.right)]
+                yield "andL", (f,), [sequent(sq.left.without(f) + (f.lhs, f.rhs),
+                                             sq.right)]
             elif isinstance(f, Neg):
-                yield "negL", (f,), [sequent(_without(sq.left, sq.left_keys, f),
-                                             sq.right + (f.body,))]
+                yield "negL", (f,), [sequent(sq.left.without(f), sq.right + (f.body,))]
         for f in sq.right:
             if isinstance(f, Neg):
-                yield "negR", (f,), [sequent(sq.left + (f.body,),
-                                             _without(sq.right, sq.right_keys, f))]
+                yield "negR", (f,), [sequent(sq.left + (f.body,), sq.right.without(f))]
             elif isinstance(f, All):
                 c = _allR_witness(sq, f)
                 body = act(swap(c, f.binder), f.body)
-                yield "allR", (f, c), [sequent(sq.left, _without(sq.right, sq.right_keys, f)
-                                               + (body,))]
+                yield "allR", (f, c), [sequent(sq.left, sq.right.without(f) + (body,))]
         for f in sq.right:
             if isinstance(f, And):
-                rest = _without(sq.right, sq.right_keys, f)
+                rest = sq.right.without(f)
                 yield "andR", (f,), [sequent(sq.left, rest + (f.lhs,)),
                                      sequent(sq.left, rest + (f.rhs,))]
         for f in sq.left:
             if isinstance(f, All):
                 for r in universe:
                     inst = subst_formula(f.body, f.binder, r)
-                    if not _has(sq.left_set, inst):
+                    if not sq.left.has(inst):
                         yield "allL", (f, r), [sequent(sq.left + (inst,), sq.right)]
         if not any(isinstance(f, Eq) for f in sq.left + sq.right):
             return
         for r in universe:
             refl = Eq(r, r)
-            if not _has(sq.left_set, refl):
+            if not sq.left.has(refl):
                 yield "eqR", (r,), [sequent(sq.left + (refl,), sq.right)]
         sq_atoms = sq.free_atoms()
         for e in sq.left:
@@ -392,10 +383,9 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
                            for i in range(2 if total >= 2 else 0))
                 for template in itertools.chain([every], singles):
                     inst_new = subst_formula(template, hole, r_new)
-                    if not _has(sq.left_set, inst_new):
+                    if not sq.left.has(inst_new):
                         yield "eqL", (e, template, hole), [sequent(
-                            _without(sq.left, sq.left_keys, target) + (inst_new,),
-                            sq.right)]
+                            sq.left.without(target) + (inst_new,), sq.right)]
 
     def search(sq: Sequent, depth: int) -> Proof | None:
         key = sq.key()
@@ -558,16 +548,16 @@ def _forward_step(p: Proof, sig: Signature, rng, pool) -> Proof | None:
             return Proof("andL", conc, (And(f1, f2),), (p,))
         if rule == "negL" and s.right:
             psi = rng.choice(s.right)
-            conc = sequent(s.left + (Neg(psi),), _without(s.right, s.right_keys, psi))
+            conc = sequent(s.left + (Neg(psi),), s.right.without(psi))
             return Proof("negL", conc, (Neg(psi),), (p,))
         if rule == "negR" and s.left:
             phi = rng.choice(s.left)
-            conc = sequent(_without(s.left, s.left_keys, phi), s.right + (Neg(phi),))
+            conc = sequent(s.left.without(phi), s.right + (Neg(phi),))
             return Proof("negR", conc, (Neg(phi),), (p,))
         if rule == "andR" and s.right:
             psi1 = rng.choice(s.right)
-            rest = _without(s.right, s.right_keys, psi1)
-            if _has(s.left_set, BOT):
+            rest = s.right.without(psi1)
+            if s.left.has(BOT):
                 psi2 = random_formula(sig, rng, pool, 1)
                 second = Proof("botL", sequent(s.left, rest + (psi2,)))
             elif s.left:
@@ -581,11 +571,10 @@ def _forward_step(p: Proof, sig: Signature, rng, pool) -> Proof | None:
             return Proof("andR", conc, (And(psi1, psi2),), (p, second))
         if rule == "allR" and s.right:
             psi = rng.choice(s.right)
-            rest = _without(s.right, s.right_keys, psi)
-            blocked = frozenset().union(*map(free_atoms, s.left + rest))
+            blocked = _allR_context(s, psi)
             options = [a for a in free_atoms(psi) if a not in blocked]
             a = rng.choice(options) if options else fresh(blocked | free_atoms(psi))
-            conc = sequent(s.left, rest + (All(a, psi),))
+            conc = sequent(s.left, s.right.without(psi) + (All(a, psi),))
             return Proof("allR", conc, (All(a, psi), a), (p,))
         if rule == "allL" and s.left:
             xi = rng.choice(s.left)
@@ -598,14 +587,14 @@ def _forward_step(p: Proof, sig: Signature, rng, pool) -> Proof | None:
             if total == 0:
                 continue
             principal = All(hole, template)
-            conc = sequent(_without(s.left, s.left_keys, xi) + (principal,), s.right)
+            conc = sequent(s.left.without(xi) + (principal,), s.right)
             return Proof("allL", conc, (principal, r), (p,))
         if rule == "eqR":
             refl = [f for f in s.left if isinstance(f, Eq) and f.lhs == f.rhs]
             if not refl:
                 continue
             e = rng.choice(refl)
-            conc = sequent(_without(s.left, s.left_keys, e), s.right)
+            conc = sequent(s.left.without(e), s.right)
             return Proof("eqR", conc, (e.lhs,), (p,))
         if rule == "eqL":
             eqs = [f for f in s.left if isinstance(f, Eq) and f.lhs != f.rhs]
@@ -620,7 +609,7 @@ def _forward_step(p: Proof, sig: Signature, rng, pool) -> Proof | None:
             if total == 0:
                 continue
             inst_old = subst_formula(template, hole, e.rhs)
-            conc = sequent(_without(s.left, s.left_keys, xi) + (inst_old,), s.right)
+            conc = sequent(s.left.without(xi) + (inst_old,), s.right)
             return Proof("eqL", conc, (e, template, hole), (p,))
     return None
 
@@ -725,10 +714,11 @@ def parse_proof(text: str, sig: Signature) -> Proof:
         kinds = _RULES[rule][1]
         raws = [take("str") for _ in kinds]
         # atom witnesses are canonical names, read without the atom map
-        amap = build_atom_map([conclusion_text]
-                              + [r for k, r in zip(kinds, raws) if k != "a"], sig)
-        conclusion = parse_sequent(conclusion_text, sig, amap)
-        wits = tuple(_KINDS[k][2](r, sig, amap) for k, r in zip(kinds, raws))
+        read = iter(parse_shared([("sides", conclusion_text)] + [
+            (_KINDS[k][2], r) for k, r in zip(kinds, raws) if k != "a"], sig))
+        conclusion = sequent(*next(read))
+        wits = tuple(_read_atom(r) if k == "a" else next(read)
+                     for k, r in zip(kinds, raws))
         premises = []
         while peek()[0] == "(":
             premises.append(node(depth + 1))

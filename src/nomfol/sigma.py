@@ -228,7 +228,7 @@ def sigma_axiom_suite(alg: Carrier, sampler: Sampler, n: int, seed: int = 0) -> 
     and freshness) are enforced by construction on every case.
     """
     rng = random.Random(seed)
-    rep = SuiteReport(f"sigma axioms on {alg.name}")
+    rep = SuiteReport()
     terms = alg.terms
     sup, tsup = alg.support, terms.support
 
@@ -287,7 +287,7 @@ def amgis_axiom_suite(P: AmgisAlgebra, sampler: Sampler, n: int,
                       probes: Sequence = (), seed: int = 0) -> SuiteReport:
     """Check amgis-sigma; membership-level over probes for CharSet carriers."""
     rng = random.Random(seed)
-    rep = SuiteReport(f"amgis axioms on {P.name}")
+    rep = SuiteReport()
     ts = P.terms
 
     def case():

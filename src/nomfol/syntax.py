@@ -460,11 +460,6 @@ def _atom_map(toks: Iterable[tuple[str, str, int]], sig: Signature) -> dict[str,
     return mapping
 
 
-def build_atom_map(texts: Iterable[str], sig: Signature) -> dict[str, int]:
-    """One name-to-atom assignment shared by several pieces of text."""
-    return _atom_map((t for text in texts for t in _tokens(text)), sig)
-
-
 MAX_NESTING = 100
 MAX_FORMULA_NODES = 10_000
 
@@ -486,13 +481,13 @@ class _Parser:
     visits that many nodes.
     """
 
-    def __init__(self, text: str, sig: Signature,
-                 atom_map: dict[str, int] | None = None):
-        self.toks = _tokens(text)
+    def __init__(self, toks: list[tuple[str, str, int]], end: int, sig: Signature,
+                 atom_ids: dict[str, int]):
+        self.toks = toks
         self.i = 0
-        self.end = len(text)
+        self.end = end
         self.sig = sig
-        self.atom_ids = _atom_map(self.toks, sig) if atom_map is None else dict(atom_map)
+        self.atom_ids = atom_ids  # holds every undeclared identifier of toks
         self.depth = 0
         self.sizes: dict[int, tuple[Formula, int]] = {}
 
@@ -541,12 +536,6 @@ class _Parser:
     def _undeclared(self, name: str) -> bool:
         return self.sig.fun_arity(name) is None and self.sig.pred_arity(name) is None
 
-    def _atom(self, name: str) -> Atom:
-        if name not in self.atom_ids:
-            used = set(self.atom_ids.values())
-            self.atom_ids[name] = min(set(range(len(used) + 1)) - used)
-        return Atom(self.atom_ids[name])
-
     def term(self) -> Term:
         kind, val, pos = self.next()
         if kind != "ident":
@@ -555,7 +544,7 @@ class _Parser:
         if ar is None:
             if self.sig.pred_arity(val) is not None:
                 raise SyntaxError_(f"predicate symbol {val!r} used as a term at {pos}")
-            return Var(self._atom(val))
+            return Var(Atom(self.atom_ids[val]))
         return App(val, self._args(val, ar, pos))
 
     def _args(self, name: str, arity: int, pos: int) -> tuple[Term, ...]:
@@ -598,7 +587,7 @@ class _Parser:
             k2, v2, p2 = self.expect("ident")
             if not self._undeclared(v2):
                 raise SyntaxError_(f"binder {v2!r} clashes with a signature symbol at {p2}")
-            a = self._atom(v2)
+            a = Atom(self.atom_ids[v2])
             self.expect("dot")
             out = self._sized(All(a, self.formula()), pos)
         else:
@@ -639,42 +628,49 @@ class _Parser:
             out.append(self.formula())
         return out
 
+    def sides(self) -> tuple[list[Formula], list[Formula]]:
+        """The two formula lists of a sequent ``phi1, phi2 |- psi1``."""
+        left = self.formulas()
+        if self.peek()[0] != "turnstile":
+            self.done()
+            raise SyntaxError_("a sequent needs exactly one '|-'")
+        self.next()
+        right = self.formulas()
+        if self.peek()[0] == "turnstile":
+            raise SyntaxError_("a sequent needs exactly one '|-'")
+        return left, right
+
     def done(self) -> None:
         t = self.peek()
         if t[0] != "eof":
             raise SyntaxError_(f"trailing input at position {t[2]}: {t[1]!r}")
 
 
-def parse_formula(text: str, sig: Signature,
-                  atom_map: dict[str, int] | None = None) -> Formula:
-    p = _Parser(text, sig, atom_map)
-    out = p.formula()
-    p.done()
-    return out
-
-
-def parse_term(text: str, sig: Signature,
-               atom_map: dict[str, int] | None = None) -> Term:
-    p = _Parser(text, sig, atom_map)
-    out = p.term()
-    p.done()
-    return out
-
-
-def parse_sides(text: str, sig: Signature, atom_map: dict[str, int] | None = None
-                ) -> tuple[list[Formula], list[Formula]]:
-    """The two formula lists of a sequent ``phi1, phi2 |- psi1``."""
-    p = _Parser(text, sig, atom_map)
-    left = p.formulas()
-    if p.peek()[0] != "turnstile":
+def parse_shared(parts: Iterable[tuple[str, str]], sig: Signature) -> list:
+    """Read each (reader, text) part, the reader being "formula", "term" or
+    "sides", with one atom map for all the texts; each text is lexed once."""
+    parts = list(parts)
+    toks = [_tokens(text) for _, text in parts]
+    atom_ids = _atom_map([t for ts in toks for t in ts], sig)
+    out = []
+    for (reader, text), ts in zip(parts, toks):
+        p = _Parser(ts, len(text), sig, atom_ids)
+        out.append(getattr(p, reader)())
         p.done()
-        raise SyntaxError_("a sequent needs exactly one '|-'")
-    p.next()
-    right = p.formulas()
-    if p.peek()[0] == "turnstile":
-        raise SyntaxError_("a sequent needs exactly one '|-'")
-    p.done()
-    return left, right
+    return out
+
+
+def parse_formula(text: str, sig: Signature) -> Formula:
+    return parse_shared([("formula", text)], sig)[0]
+
+
+def parse_term(text: str, sig: Signature) -> Term:
+    return parse_shared([("term", text)], sig)[0]
+
+
+def parse_sides(text: str, sig: Signature) -> tuple[list[Formula], list[Formula]]:
+    """The two formula lists of a sequent ``phi1, phi2 |- psi1``."""
+    return parse_shared([("sides", text)], sig)[0]
 
 
 # ------------------------------------------------------------- sampling

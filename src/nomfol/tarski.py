@@ -17,7 +17,8 @@ from .sigma import Carrier
 from .syntax import (All, And, Bot, Eq, Formula, Neg, Pred, Signature,
                      SyntaxError_, Term, Var, free_atoms)
 
-MAX_DEPS = 6  # k**deps table rows; keep constructions bounded
+MAX_DEPS = 6  # dependency width of a table; keep constructions bounded
+MAX_ROWS = 10 ** 6  # k**deps table rows, k = 10 at width MAX_DEPS
 
 
 class Valuation:
@@ -86,6 +87,8 @@ def _gather(f: TableFun, deps: tuple[Atom, ...]) -> tuple:
         raise ValueError(f"dependency width {len(deps)} exceeds limit {MAX_DEPS}")
     if deps == f.deps:
         return f.table
+    if f.k ** len(deps) > MAX_ROWS:
+        raise ValueError(f"table of {f.k ** len(deps)} rows exceeds limit {MAX_ROWS}")
     stride = {a: f.k ** (len(f.deps) - 1 - i) for i, a in enumerate(f.deps)}
     idxs = [0]
     for d in deps:

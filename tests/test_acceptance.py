@@ -36,7 +36,7 @@ def ok(num, label):
 
 def test_criterion_01_sigma_suite():
     t0 = time.time()
-    rep = sigma_axiom_suite(term_carrier(sig), term_sampler(sig), 1000, seed=101)
+    rep = sigma_axiom_suite(term_carrier(), term_sampler(sig), 1000, seed=101)
     assert rep.ok, "\n".join(rep.lines())
     assert all(r.passed == 1000 for r in rep.results)
     for k in (2, 3):
@@ -52,7 +52,7 @@ def test_criterion_01_sigma_suite():
 def test_criterion_02_amgis_membership():
     probes = probe_terms(sig)[:100]
     assert len(probes) == 100
-    rep = amgis_axiom_suite(pow_amgis(term_carrier(sig)), charset_sampler(sig),
+    rep = amgis_axiom_suite(pow_amgis(term_carrier()), charset_sampler(sig),
                             500, probes, seed=102)
     assert rep.ok, "\n".join(rep.lines())
     assert rep.results[0].passed == 500

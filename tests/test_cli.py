@@ -60,6 +60,17 @@ def test_prove_unknown():
     assert code == 2 and out == "UNKNOWN\n"
 
 
+def test_prover_depth_is_bounded():
+    # a proof found at depth d nests up to d + 1 nodes, and check reads 100
+    for argv in (["prove", "a = b, P(a), Q(a, b) |- R"], ["sketch", "P(c)"]):
+        assert go(*argv, "--depth", "100") == \
+            (64, "error: prover depth 100 is not in 0..99\n"), argv
+    code, out = go("prove", "|- P(a) \\/ ~P(a)", "--depth", "99")
+    assert code == 0 and out.startswith("(negR ")
+    code, out = go("sketch", "P(c)", "--steps", "1", "--depth", "99")
+    assert code == 0 and out.startswith("STEP 0 ")
+
+
 def test_check_rejects_corrupted(tmp_path):
     good = go("prove", "|- forall a. (P(a) \\/ ~ P(a))", "--sig", SIG)[1]
     bad = good.replace("hyp", "botL", 1)
@@ -199,6 +210,19 @@ def test_long_conclusion_is_refused_quickly(tmp_path):
     code, out = go("check", str(proof_file))
     assert time.perf_counter() - start < 5.0
     assert code == 64 and out.startswith("error: nesting deeper than 100")
+
+
+def test_table_rows_are_bounded(tmp_path):
+    # Q reads both arguments, so the conjunction's table reads four atoms:
+    # 40**4 rows, refused before they are built
+    (tmp_path / "q.sig").write_text("pred Q 2\n")
+    (tmp_path / "q40.model").write_text(
+        "domain 40\npred Q : " + " ".join("01"[(i // 40 + i) % 2] for i in range(1600)))
+    start = time.perf_counter()
+    code, out = go("eval", "Q(x,y) /\\ Q(z,w)", "--sig", str(tmp_path / "q.sig"),
+                   "--model", str(tmp_path / "q40.model"))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (64, "error: table of 2560000 rows exceeds limit 1000000\n")
 
 
 def test_model_values_are_checked(tmp_path):

@@ -178,11 +178,11 @@ def test_bus_filter_preservation():
 def test_forall_membership():
     p = upset(pf("forall x. P(x)"), B, sig)
     const_c = pf("P(c)").args[0]
-    rep = forall_membership_check(p, a, pf("P(a)"), [const_c], B, sig)
+    rep = forall_membership_check(p, a, pf("P(a)"), [const_c], B)
     assert rep.ok, rep.lines()
     # implication direction only: no violation when the universal is absent
     p2 = upset(pf("P(c)"), B, sig)
-    rep2 = forall_membership_check(p2, a, pf("P(a)"), [const_c], B, sig)
+    rep2 = forall_membership_check(p2, a, pf("P(a)"), [const_c], B)
     assert rep2.ok
 
 

@@ -4,16 +4,17 @@ import random
 
 import pytest
 
+from nomfol import syntax
 from nomfol.nominal import act, atoms, fresh, swap
 from nomfol.foleq import sequent_valid
-from nomfol.sequent import (Proof, ProverBudget, SearchRefused, _has,
-                            _sexpr_tokens, _size_space, _used_signature, _without,
+from nomfol.sequent import (Proof, ProverBudget, SearchRefused, Side, _RULES,
+                            _sexpr_tokens, _size_space, _used_signature,
                             check_proof, default_universe, find_countermodel,
                             format_proof, format_sequent, generate_derivable,
                             herbrand_equiv, parse_proof, parse_sequent, prove,
                             sequent)
 from nomfol.syntax import (All, And, LimitExceeded, Neg, Pred, Signature, Var,
-                           all_atoms, alpha_eq, default_signature,
+                           all_atoms, alpha_eq, alpha_key, default_signature,
                            parse_formula, random_formula)
 from nomfol.tarski import (Valuation, all_valuations, iter_models,
                            lift_interpretation, random_model, standard_eval)
@@ -64,20 +65,24 @@ def test_key_sets_match_alpha_eq_oracle():
     forms += [_rename_binders(f, frozenset(pool)) for f in forms]
     hits = 0
     for _ in range(300):
-        s = sequent(rng.sample(forms, rng.randint(0, 4)),
-                    rng.sample(forms, rng.randint(0, 3)))
-        for side, keys, key_set in ((s.left, s.left_keys, s.left_set),
-                                    (s.right, s.right_keys, s.right_set)):
+        given = (rng.sample(forms, rng.randint(0, 4)),
+                 rng.sample(forms, rng.randint(0, 3)))
+        s = sequent(*given)
+        for side, fs in zip((s.left, s.right), given):
+            assert isinstance(side, Side) and isinstance(side, tuple)
+            assert list(side.keys) == sorted(side.keys) == [alpha_key(f) for f in side]
+            assert side.key_set == frozenset(side.keys)
+            # the first formula of each alpha class is the one kept
+            assert all(f is next(g for g in fs if alpha_eq(g, f)) for f in side)
             assert not any(alpha_eq(f, g) for f, g in itertools.combinations(side, 2))
             for phi in rng.sample(forms, 8) + [_rename_binders(f, frozenset(pool))
                                                for f in side]:
                 has = any(alpha_eq(f, phi) for f in side)
                 hits += has
-                assert _has(key_set, phi) == has
-                assert _without(side, keys, phi) == \
-                    tuple(f for f in side if not alpha_eq(f, phi))
+                assert side.has(phi) == has
+                assert side.without(phi) == tuple(f for f in side if not alpha_eq(f, phi))
         shared = any(alpha_eq(f, g) for f in s.left for g in s.right)
-        assert s.right_set.isdisjoint(s.left_keys) != shared
+        assert s.right.key_set.isdisjoint(s.left.keys) != shared
         if rng.random() < 0.5:
             t = sequent([_rename_binders(f, frozenset(pool)) for f in s.left[::-1]],
                         [_rename_binders(f, frozenset(pool)) for f in s.right])
@@ -482,6 +487,28 @@ def test_parse_proof_rejects_garbage():
         parse_proof('(hyp "P(a) |- P(a)\\', sig)
 
 
+def test_parse_proof_lexes_each_text_once(monkeypatch):
+    lexed = []
+    tokens = syntax._tokens
+    monkeypatch.setattr(syntax, "_tokens", lambda text: lexed.append(text) or tokens(text))
+    atom_witnesses = 0
+    for seed in range(20):
+        p = generate_derivable(sig, seed, 8)[-1][1]
+        lexed.clear()
+        q = parse_proof(format_proof(p), sig)
+        assert format_proof(q) == format_proof(p)
+        nodes, texts = [q], 0
+        while nodes:
+            n = nodes.pop()
+            nodes += n.premises
+            kinds = _RULES[n.rule][1]
+            # the conclusion and each formula or term witness; atoms are not lexed
+            texts += 1 + len(kinds) - kinds.count("a")
+            atom_witnesses += kinds.count("a")
+        assert len(lexed) == texts
+    assert atom_witnesses > 0
+
+
 def test_proof_tokens():
     assert list(_sexpr_tokens('""')) == [("str", "")]
     assert list(_sexpr_tokens('"\\""')) == [("str", '"')]
@@ -520,6 +547,10 @@ def test_parse_proof_nesting_limit():
 def test_budget_validation():
     with pytest.raises(ValueError):
         ProverBudget(max_depth=-1)
+    # a proof found at depth 99 nests at most 100 nodes, which check reads back
+    assert ProverBudget(max_depth=99).max_depth == 99
+    with pytest.raises(ValueError, match="prover depth 100 is not in 0..99"):
+        ProverBudget(max_depth=100)
 
 
 def test_prove_classics():

@@ -15,8 +15,8 @@ from nomfol.syntax import (App, Var, alpha_eq, default_signature,
                            free_atoms_term, random_term)
 
 sig = default_signature()
-terms = term_carrier(sig)
-formulas = formula_carrier(sig)
+terms = term_carrier()
+formulas = formula_carrier()
 a, b, c3, d = atoms(0, 1, 2, 3)
 P = pow_amgis(terms)
 PROBES = probe_terms(sig)[:100]
@@ -58,7 +58,7 @@ def test_suite_report_format():
     rep = sigma_axiom_suite(terms, term_sampler(sig), 5, seed=3)
     for line in rep.lines():
         assert line.startswith("AXIOM sigma-") and " PASS 5" in line
-    broken = SuiteReport("x")
+    broken = SuiteReport()
     from nomfol.report import AxiomResult
     broken.add(AxiomResult("bad", 2, "x=1 y=2"))
     assert broken.lines() == ["AXIOM bad FAIL x=1 y=2"]
