@@ -8,17 +8,17 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import sys
 
 from . import filters, samplers
-from .foleq import foleq_axiom_suite, interpret
-from .nominal import Atom, FinCofinAtomSet, atoms, support
-from .report import AxiomResult, SuiteReport
+from .foleq import FOLEQ_LAWS, foleq_axiom_suite, interpret
+from .nominal import support
+from .report import SuiteReport, run_laws
 from .sequent import (ProverBudget, SearchRefused, check_proof,
                       find_countermodel, format_proof, parse_proof,
                       parse_sequent, prove)
-from .sigma import amgis_axiom_suite, pow_amgis, sigma_axiom_suite
+from .sigma import (amgis_axiom_suite, pow_amgis, precedent_suite,
+                    sigma_axiom_suite)
 from .syntax import (LimitExceeded, Signature, SyntaxError_,
                      default_signature, parse_formula, parse_signature)
 from .tarski import (lift_interpretation, parse_model, tarski_algebra,
@@ -26,8 +26,25 @@ from .tarski import (lift_interpretation, parse_model, tarski_algebra,
 
 USAGE_ERROR = 64
 
-SUITES = ("sigma-terms", "sigma-tarski", "amgis-pow", "foleq-tarski",
-          "precedent", "eq-laws")
+EQ_LAWS = ("sub-eq", "eq-refl", "eq-subst")
+
+# Suite name to the reports it prints, given --n and --seed.  The lambdas
+# look the suite functions up when called, so a rebound name is honoured.
+SUITES = {
+    "sigma-terms": lambda n, seed: [sigma_axiom_suite(
+        samplers.term_carrier(), samplers.term_sampler(default_signature()), n, seed)],
+    "sigma-tarski": lambda n, seed: [sigma_axiom_suite(
+        tarski_termlike(k), samplers.tarski_sampler(k), n, seed) for k in (2, 3)],
+    "amgis-pow": lambda n, seed: [amgis_axiom_suite(
+        pow_amgis(samplers.term_carrier()), samplers.charset_sampler(default_signature()),
+        n, samplers.probe_terms(default_signature())[:100], seed)],
+    "foleq-tarski": lambda n, seed: [foleq_axiom_suite(
+        tarski_algebra(k), samplers.tarski_foleq_sampler(k), n, seed) for k in (1, 2, 3)],
+    "precedent": lambda n, seed: [precedent_suite()],
+    "eq-laws": lambda n, seed: [run_laws(
+        {name: FOLEQ_LAWS[name] for name in EQ_LAWS}, n, seed,
+        tarski_algebra(k), samplers.tarski_foleq_sampler(k)) for k in (2, 3)],
+}
 
 
 def _load_signature(path: str | None) -> Signature:
@@ -111,70 +128,11 @@ def cmd_countermodel(args, out) -> int:
     return 0
 
 
-def _suite_reports(args) -> list[SuiteReport]:
-    sig = default_signature()
-    n, seed = args.n, args.seed
-    if args.suite == "sigma-terms":
-        return [sigma_axiom_suite(samplers.term_carrier(),
-                                  samplers.term_sampler(sig), n, seed)]
-    if args.suite == "sigma-tarski":
-        return [sigma_axiom_suite(tarski_termlike(k), samplers.tarski_sampler(k),
-                                  n, seed)
-                for k in (2, 3)]
-    if args.suite == "amgis-pow":
-        probes = samplers.probe_terms(sig)[:100]
-        return [amgis_axiom_suite(pow_amgis(samplers.term_carrier()),
-                                  samplers.charset_sampler(sig), n, probes, seed)]
-    if args.suite == "foleq-tarski":
-        return [foleq_axiom_suite(tarski_algebra(k),
-                                  samplers.tarski_foleq_sampler(k), n, seed)
-                for k in (1, 2, 3)]
-    if args.suite == "eq-laws":
-        keep = ("eq-refl", "eq-subst", "sub-eq")
-        reports = []
-        for k in (2, 3):
-            rep = foleq_axiom_suite(tarski_algebra(k),
-                                    samplers.tarski_foleq_sampler(k), n, seed)
-            rep.results = [r for r in rep.results if r.name in keep]
-            reports.append(rep)
-        return reports
-    if args.suite == "precedent":
-        return [precedent_suite()]
-    raise ValueError(f"unknown suite {args.suite!r}")
-
-
-def precedent_suite() -> SuiteReport:
-    """Exhaustive check that removing a fresh atom's members reflects equality.
-
-    Runs over every finite and cofinite atom set supported inside the
-    universe a0..a3, with the witness atom a4 fresh for all of them.
-    """
-    base = atoms(0, 1, 2, 3)
-    a = Atom(4)
-    sets = []
-    for r in range(len(base) + 1):
-        for combo in itertools.combinations(base, r):
-            sets.append(FinCofinAtomSet(frozenset(combo), False))
-            sets.append(FinCofinAtomSet(frozenset(combo), True))
-    rep = SuiteReport()
-    result = AxiomResult("precedent")
-    for x in sets:
-        for y in sets:
-            if (x == y) != (x.remove(a) == y.remove(a)):
-                result.counterexample = f"{x!r} vs {y!r}"
-                break
-            result.passed += 1
-        if result.counterexample:
-            break
-    rep.add(result)
-    return rep
-
-
 def cmd_axioms(args, out) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     code = 0
-    for rep in _suite_reports(args):
+    for rep in SUITES[args.suite](args.n, args.seed):
         if _print_report(rep, out) != 0:
             code = 1
     return code

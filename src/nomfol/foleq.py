@@ -6,12 +6,11 @@ are always derived, so instances carry no coherence obligations for them.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from .nominal import Atom, fresh_distinct, swap
-from .report import SuiteReport, run_law
+from .report import SuiteReport, run_laws
 from .sigma import Carrier, Sampler
 from .syntax import All, And, Bot, Eq, Formula, Neg, Pred, Term, Var
 
@@ -134,161 +133,170 @@ def freshmeet_char_check(alg: FoleqAlgebra, x, a: Atom, candidates,
     return True
 
 
+def _ce(*parts) -> str:
+    return " ".join(repr(p) for p in parts)
+
+
+def _lattice(rng, alg, sampler):
+    x, y, z = (sampler.element(rng) for _ in range(3))
+    eq = alg.equal
+    checks = [
+        (eq(alg.meet(alg.meet(x, y), z), alg.meet(x, alg.meet(y, z))), "meet-assoc"),
+        (eq(alg.meet(x, y), alg.meet(y, x)), "meet-comm"),
+        (eq(alg.meet(x, x), x), "meet-idem"),
+        (eq(alg.meet(x, alg.top), x), "meet-top"),
+        (eq(alg.join(alg.join(x, y), z), alg.join(x, alg.join(y, z))), "join-assoc"),
+        (eq(alg.join(x, y), alg.join(y, x)), "join-comm"),
+        (eq(alg.join(x, x), x), "join-idem"),
+        (eq(alg.join(x, alg.bot), x), "join-bot"),
+        (eq(alg.meet(x, alg.join(x, y)), x), "absorb-1"),
+        (eq(alg.join(x, alg.meet(x, y)), x), "absorb-2"),
+    ]
+    for ok, tag in checks:
+        if not ok:
+            return f"{tag} {_ce(x, y, z)}"
+
+
+def _distrib(rng, alg, sampler):
+    x, y, z = (sampler.element(rng) for _ in range(3))
+    if not alg.equal(alg.join(x, alg.meet(y, z)),
+                     alg.meet(alg.join(x, y), alg.join(x, z))):
+        return _ce(x, y, z)
+    if not alg.equal(alg.meet(x, alg.join(y, z)),
+                     alg.join(alg.meet(x, y), alg.meet(x, z))):
+        return _ce(x, y, z)
+
+
+def _distrib_fresh(rng, alg, sampler):
+    x, y = sampler.element(rng), sampler.element(rng)
+    a = sampler.atom_fresh_for(rng, alg.support(x))
+    if not alg.equal(alg.join(x, alg.freshmeet(a, y)),
+                     alg.freshmeet(a, alg.join(x, y))):
+        return _ce(x, a, y)
+
+
+def _double_neg(rng, alg, sampler):
+    x = sampler.element(rng)
+    if not alg.equal(alg.neg(alg.neg(x)), x):
+        return _ce(x)
+
+
+def _complement(rng, alg, sampler):
+    x = sampler.element(rng)
+    if not alg.equal(alg.meet(x, alg.neg(x)), alg.bot):
+        return _ce(x)
+    if not alg.equal(alg.join(x, alg.neg(x)), alg.top):
+        return _ce(x)
+
+
+def _nu_alpha(rng, alg, sampler):
+    x = sampler.element(rng)
+    a = sampler.atom(rng)
+    b = sampler.atom_fresh_for(rng, alg.support(x), {a})
+    if not alg.equal(alg.freshmeet(b, alg.act(swap(b, a), x)), alg.freshmeet(a, x)):
+        return _ce(x, a, b)
+
+
+def _nu_meet(rng, alg, sampler):
+    x, y = sampler.element(rng), sampler.element(rng)
+    a = sampler.atom(rng)
+    if not alg.equal(alg.freshmeet(a, alg.meet(x, y)),
+                     alg.meet(alg.freshmeet(a, x), alg.freshmeet(a, y))):
+        return _ce(a, x, y)
+
+
+def _nu_join(rng, alg, sampler):
+    x, y = sampler.element(rng), sampler.element(rng)
+    a = sampler.atom_fresh_for(rng, alg.support(y))
+    if not alg.equal(alg.freshmeet(a, alg.join(x, y)),
+                     alg.join(alg.freshmeet(a, x), y)):
+        return _ce(a, x, y)
+
+
+def _nu_leq(rng, alg, sampler):
+    x = sampler.element(rng)
+    a = sampler.atom(rng)
+    if not alg.leq(alg.freshmeet(a, x), x):
+        return _ce(a, x)
+
+
+def _nu_fresh(rng, alg, sampler):
+    x = sampler.element(rng)
+    a = sampler.atom_fresh_for(rng, alg.support(x))
+    if not alg.equal(alg.freshmeet(a, x), x):
+        return _ce(a, x)
+
+
+def _sub_meet(rng, alg, sampler):
+    x, y = sampler.element(rng), sampler.element(rng)
+    a = sampler.atom(rng)
+    u = sampler.termlike(rng)
+    if not alg.equal(alg.subst(alg.meet(x, y), a, u),
+                     alg.meet(alg.subst(x, a, u), alg.subst(y, a, u))):
+        return _ce(x, y, a, u)
+
+
+def _sub_neg(rng, alg, sampler):
+    x = sampler.element(rng)
+    a = sampler.atom(rng)
+    u = sampler.termlike(rng)
+    if not alg.equal(alg.subst(alg.neg(x), a, u), alg.neg(alg.subst(x, a, u))):
+        return _ce(x, a, u)
+
+
+def _sub_nu(rng, alg, sampler):
+    y = sampler.element(rng)
+    a = sampler.atom(rng)
+    u = sampler.termlike(rng)
+    b = sampler.atom_fresh_for(rng, alg.terms.support(u), {a})
+    if not alg.equal(alg.subst(alg.freshmeet(b, y), a, u),
+                     alg.freshmeet(b, alg.subst(y, a, u))):
+        return _ce(y, a, u, b)
+
+
+def _sub_eq(rng, alg, sampler):
+    u1, u2, w = (sampler.termlike(rng) for _ in range(3))
+    a = sampler.atom(rng)
+    lhs = alg.subst(alg.eq(u1, u2), a, w)
+    rhs = alg.eq(alg.terms.subst(u1, a, w), alg.terms.subst(u2, a, w))
+    if not alg.equal(lhs, rhs):
+        return _ce(u1, u2, a, w)
+
+
+def _sub_top(rng, alg, sampler):
+    a = sampler.atom(rng)
+    u = sampler.termlike(rng)
+    if not alg.equal(alg.subst(alg.top, a, u), alg.top):
+        return _ce(a, u)
+
+
+def _eq_refl(rng, alg, sampler):
+    u = sampler.termlike(rng)
+    if not alg.equal(alg.eq(u, u), alg.top):
+        return _ce(u)
+
+
+def _eq_subst(rng, alg, sampler):
+    u, v = sampler.termlike(rng), sampler.termlike(rng)
+    z = sampler.element(rng)
+    a = sampler.atom(rng)
+    e = alg.eq(u, v)
+    if not alg.equal(alg.meet(e, alg.subst(z, a, u)), alg.meet(e, alg.subst(z, a, v))):
+        return _ce(u, v, z, a)
+
+
+# Each law is ``case(rng, alg, sampler)``: None, or a counterexample string.
+FOLEQ_LAWS = {
+    "lattice": _lattice, "distrib": _distrib, "distrib-freshmeet": _distrib_fresh,
+    "double-negation": _double_neg, "complement": _complement,
+    "nu-alpha": _nu_alpha, "nu-meet": _nu_meet, "nu-join": _nu_join,
+    "nu-leq": _nu_leq, "nu-#": _nu_fresh, "sub-meet": _sub_meet,
+    "sub-neg": _sub_neg, "sub-freshmeet": _sub_nu, "sub-eq": _sub_eq,
+    "sub-top": _sub_top, "eq-refl": _eq_refl, "eq-subst": _eq_subst,
+}
+
+
 def foleq_axiom_suite(alg: FoleqAlgebra, sampler: Sampler, n: int,
                       seed: int = 0) -> SuiteReport:
     """Lattice, distributivity, quantifier, compatibility and equality laws."""
-    rng = random.Random(seed)
-    rep = SuiteReport()
-    eq, sup = alg.equal, alg.support
-    tsup = alg.terms.support
-
-    def elems(k):
-        return [sampler.element(rng) for _ in range(k)]
-
-    def ce(*parts):
-        return " ".join(repr(p) for p in parts)
-
-    def lattice():
-        x, y, z = elems(3)
-        checks = [
-            (eq(alg.meet(alg.meet(x, y), z), alg.meet(x, alg.meet(y, z))), "meet-assoc"),
-            (eq(alg.meet(x, y), alg.meet(y, x)), "meet-comm"),
-            (eq(alg.meet(x, x), x), "meet-idem"),
-            (eq(alg.meet(x, alg.top), x), "meet-top"),
-            (eq(alg.join(alg.join(x, y), z), alg.join(x, alg.join(y, z))), "join-assoc"),
-            (eq(alg.join(x, y), alg.join(y, x)), "join-comm"),
-            (eq(alg.join(x, x), x), "join-idem"),
-            (eq(alg.join(x, alg.bot), x), "join-bot"),
-            (eq(alg.meet(x, alg.join(x, y)), x), "absorb-1"),
-            (eq(alg.join(x, alg.meet(x, y)), x), "absorb-2"),
-        ]
-        for ok, tag in checks:
-            if not ok:
-                return f"{tag} {ce(x, y, z)}"
-    run_law(rep, "lattice", n, lattice)
-
-    def distrib():
-        x, y, z = elems(3)
-        if not eq(alg.join(x, alg.meet(y, z)), alg.meet(alg.join(x, y), alg.join(x, z))):
-            return ce(x, y, z)
-        if not eq(alg.meet(x, alg.join(y, z)), alg.join(alg.meet(x, y), alg.meet(x, z))):
-            return ce(x, y, z)
-    run_law(rep, "distrib", n, distrib)
-
-    def distrib_fresh():
-        x, y = elems(2)
-        a = sampler.atom_fresh_for(rng, sup(x))
-        if not eq(alg.join(x, alg.freshmeet(a, y)), alg.freshmeet(a, alg.join(x, y))):
-            return ce(x, a, y)
-    run_law(rep, "distrib-freshmeet", n, distrib_fresh)
-
-    def double_neg():
-        (x,) = elems(1)
-        if not eq(alg.neg(alg.neg(x)), x):
-            return ce(x)
-    run_law(rep, "double-negation", n, double_neg)
-
-    def complement():
-        (x,) = elems(1)
-        if not eq(alg.meet(x, alg.neg(x)), alg.bot):
-            return ce(x)
-        if not eq(alg.join(x, alg.neg(x)), alg.top):
-            return ce(x)
-    run_law(rep, "complement", n, complement)
-
-    def nu_alpha():
-        (x,) = elems(1)
-        a = sampler.atom(rng)
-        b = sampler.atom_fresh_for(rng, sup(x), {a})
-        if not eq(alg.freshmeet(b, alg.act(swap(b, a), x)), alg.freshmeet(a, x)):
-            return ce(x, a, b)
-    run_law(rep, "nu-alpha", n, nu_alpha)
-
-    def nu_meet():
-        x, y = elems(2)
-        a = sampler.atom(rng)
-        if not eq(alg.freshmeet(a, alg.meet(x, y)),
-                  alg.meet(alg.freshmeet(a, x), alg.freshmeet(a, y))):
-            return ce(a, x, y)
-    run_law(rep, "nu-meet", n, nu_meet)
-
-    def nu_join():
-        x, y = elems(2)
-        a = sampler.atom_fresh_for(rng, sup(y))
-        if not eq(alg.freshmeet(a, alg.join(x, y)), alg.join(alg.freshmeet(a, x), y)):
-            return ce(a, x, y)
-    run_law(rep, "nu-join", n, nu_join)
-
-    def nu_leq():
-        (x,) = elems(1)
-        a = sampler.atom(rng)
-        if not alg.leq(alg.freshmeet(a, x), x):
-            return ce(a, x)
-    run_law(rep, "nu-leq", n, nu_leq)
-
-    def nu_fresh():
-        (x,) = elems(1)
-        a = sampler.atom_fresh_for(rng, sup(x))
-        if not eq(alg.freshmeet(a, x), x):
-            return ce(a, x)
-    run_law(rep, "nu-#", n, nu_fresh)
-
-    def sub_meet():
-        x, y = elems(2)
-        a = sampler.atom(rng)
-        u = sampler.termlike(rng)
-        if not eq(alg.subst(alg.meet(x, y), a, u),
-                  alg.meet(alg.subst(x, a, u), alg.subst(y, a, u))):
-            return ce(x, y, a, u)
-    run_law(rep, "sub-meet", n, sub_meet)
-
-    def sub_neg():
-        (x,) = elems(1)
-        a = sampler.atom(rng)
-        u = sampler.termlike(rng)
-        if not eq(alg.subst(alg.neg(x), a, u), alg.neg(alg.subst(x, a, u))):
-            return ce(x, a, u)
-    run_law(rep, "sub-neg", n, sub_neg)
-
-    def sub_nu():
-        (y,) = elems(1)
-        a = sampler.atom(rng)
-        u = sampler.termlike(rng)
-        b = sampler.atom_fresh_for(rng, tsup(u), {a})
-        if not eq(alg.subst(alg.freshmeet(b, y), a, u),
-                  alg.freshmeet(b, alg.subst(y, a, u))):
-            return ce(y, a, u, b)
-    run_law(rep, "sub-freshmeet", n, sub_nu)
-
-    def sub_eq():
-        u1, u2, w = (sampler.termlike(rng) for _ in range(3))
-        a = sampler.atom(rng)
-        lhs = alg.subst(alg.eq(u1, u2), a, w)
-        rhs = alg.eq(alg.terms.subst(u1, a, w), alg.terms.subst(u2, a, w))
-        if not eq(lhs, rhs):
-            return ce(u1, u2, a, w)
-    run_law(rep, "sub-eq", n, sub_eq)
-
-    def sub_top():
-        a = sampler.atom(rng)
-        u = sampler.termlike(rng)
-        if not eq(alg.subst(alg.top, a, u), alg.top):
-            return ce(a, u)
-    run_law(rep, "sub-top", n, sub_top)
-
-    def eq_refl():
-        u = sampler.termlike(rng)
-        if not eq(alg.eq(u, u), alg.top):
-            return ce(u)
-    run_law(rep, "eq-refl", n, eq_refl)
-
-    def eq_subst():
-        u, v = sampler.termlike(rng), sampler.termlike(rng)
-        (z,) = elems(1)
-        a = sampler.atom(rng)
-        e = alg.eq(u, v)
-        if not eq(alg.meet(e, alg.subst(z, a, u)), alg.meet(e, alg.subst(z, a, v))):
-            return ce(u, v, z, a)
-    run_law(rep, "eq-subst", n, eq_subst)
-
-    return rep
+    return run_laws(FOLEQ_LAWS, n, seed, alg, sampler)

@@ -1,6 +1,7 @@
 """Line-oriented reports for the axiom suites and checkers."""
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 
@@ -38,20 +39,27 @@ class SuiteReport:
         return [r.line() for r in self.results]
 
 
-def run_law(report: SuiteReport, name: str, n: int, case) -> None:
-    """Run one named law on n sampled cases; record the first failure.
+def run_laws(laws: dict, n: int, seed: int, *args) -> SuiteReport:
+    """Run each named law on n sampled cases; record its first failure.
 
-    ``case()`` returns None on success or a counterexample string.  A
-    StopIteration from the sampler marks the law as not exercised.
+    ``laws`` maps a name to ``case(rng, *args)``, which returns None on
+    success or a counterexample string.  Each law draws from its own rng,
+    seeded from the seed and the law's name alone, so its samples do not
+    depend on which other laws run.  A StopIteration from the sampler marks
+    the law as not exercised.
     """
-    result = AxiomResult(name)
-    try:
-        for _ in range(n):
-            ce = case()
-            if ce is not None:
-                result.counterexample = ce
-                break
-            result.passed += 1
-    except StopIteration:
-        result.exercised = result.passed > 0
-    report.add(result)
+    report = SuiteReport()
+    for name, case in laws.items():
+        rng = random.Random(f"{name} {seed}")
+        result = AxiomResult(name)
+        try:
+            for _ in range(n):
+                ce = case(rng, *args)
+                if ce is not None:
+                    result.counterexample = ce
+                    break
+                result.passed += 1
+        except StopIteration:
+            result.exercised = result.passed > 0
+        report.add(result)
+    return report

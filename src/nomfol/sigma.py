@@ -6,13 +6,14 @@ with a declared support, compared only on caller-supplied probe sets.
 """
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from . import nominal
-from .nominal import Atom, Perm, compose, fresh, fresh_distinct, swap
-from .report import SuiteReport, run_law
+from .nominal import (Atom, FinCofinAtomSet, Perm, atoms, compose, fresh,
+                      fresh_distinct, swap)
+from .report import AxiomResult, SuiteReport, run_laws
 
 
 @dataclass(frozen=True)
@@ -221,84 +222,109 @@ class Sampler:
         return fresh(avoid)
 
 
+def _sigma_a(rng, alg, sampler):
+    a = sampler.atom(rng)
+    u = sampler.termlike(rng)
+    lhs = alg.subst(alg.atm(a), a, u)
+    if not alg.equal(lhs, u):
+        return f"a={a} u={u!r} got {lhs!r}"
+
+
+def _sigma_id(rng, alg, sampler):
+    x = sampler.element(rng)
+    a = sampler.atom(rng)
+    lhs = alg.subst(x, a, alg.terms.atm(a))
+    if not alg.equal(lhs, x):
+        return f"x={x!r} a={a} got {lhs!r}"
+
+
+def _sigma_fresh(rng, alg, sampler):
+    x = sampler.element(rng)
+    u = sampler.termlike(rng)
+    a = sampler.atom_fresh_for(rng, alg.support(x))
+    lhs = alg.subst(x, a, u)
+    if not alg.equal(lhs, x):
+        return f"x={x!r} a={a} u={u!r} got {lhs!r}"
+
+
+def _sigma_alpha(rng, alg, sampler):
+    x = sampler.element(rng)
+    u = sampler.termlike(rng)
+    a = sampler.atom(rng)
+    b = sampler.atom_fresh_for(rng, alg.support(x), {a})
+    lhs = alg.subst(x, a, u)
+    rhs = alg.subst(alg.act(swap(b, a), x), b, u)
+    if not alg.equal(lhs, rhs):
+        return f"x={x!r} a={a} b={b} u={u!r}"
+
+
+def _sigma_sigma(rng, alg, sampler):
+    x = sampler.element(rng)
+    u = sampler.termlike(rng)
+    v = sampler.termlike(rng)
+    a = sampler.atom_fresh_for(rng, alg.terms.support(v))
+    b = sampler.atom_fresh_for(rng, {a})
+    lhs = alg.subst(alg.subst(x, a, u), b, v)
+    rhs = alg.subst(alg.subst(x, b, v), a, alg.terms.subst(u, b, v))
+    if not alg.equal(lhs, rhs):
+        return f"x={x!r} a={a} u={u!r} b={b} v={v!r}"
+
+
+# Each law is ``case(rng, alg, sampler)``: None, or a counterexample string.
+SIGMA_LAWS = {"sigma-a": _sigma_a, "sigma-id": _sigma_id, "sigma-#": _sigma_fresh,
+              "sigma-alpha": _sigma_alpha, "sigma-sigma": _sigma_sigma}
+
+
 def sigma_axiom_suite(alg: Carrier, sampler: Sampler, n: int, seed: int = 0) -> SuiteReport:
     """Check the five substitution axioms on n random cases each.
 
     sigma-a runs only on termlike carriers; side-conditions (distinctness
     and freshness) are enforced by construction on every case.
     """
-    rng = random.Random(seed)
-    rep = SuiteReport()
-    terms = alg.terms
-    sup, tsup = alg.support, terms.support
+    laws = {name: case for name, case in SIGMA_LAWS.items()
+            if alg.is_termlike or name != "sigma-a"}
+    return run_laws(laws, n, seed, alg, sampler)
 
-    if alg.is_termlike:
-        def case_a():
-            a = sampler.atom(rng)
-            u = sampler.termlike(rng)
-            lhs = alg.subst(alg.atm(a), a, u)
-            if not alg.equal(lhs, u):
-                return f"a={a} u={u!r} got {lhs!r}"
-        run_law(rep, "sigma-a", n, case_a)
 
-    def case_id():
-        x = sampler.element(rng)
-        a = sampler.atom(rng)
-        lhs = alg.subst(x, a, terms.atm(a))
-        if not alg.equal(lhs, x):
-            return f"x={x!r} a={a} got {lhs!r}"
-    run_law(rep, "sigma-id", n, case_id)
+def _amgis_sigma(rng, P, sampler, probes):
+    p = sampler.element(rng)
+    u = sampler.termlike(rng)
+    v = sampler.termlike(rng)
+    a = sampler.atom_fresh_for(rng, P.terms.support(v))
+    b = sampler.atom_fresh_for(rng, {a})
+    lhs = P.amgis(P.amgis(p, v, b), u, a)
+    rhs = P.amgis(P.amgis(p, P.terms.subst(u, b, v), a), v, b)
+    if not P.agree(lhs, rhs, probes):
+        return f"p={p!r} u={u!r} v={v!r} a={a} b={b}"
 
-    def case_fresh():
-        x = sampler.element(rng)
-        u = sampler.termlike(rng)
-        a = sampler.atom_fresh_for(rng, sup(x))
-        lhs = alg.subst(x, a, u)
-        if not alg.equal(lhs, x):
-            return f"x={x!r} a={a} u={u!r} got {lhs!r}"
-    run_law(rep, "sigma-#", n, case_fresh)
 
-    def case_alpha():
-        x = sampler.element(rng)
-        u = sampler.termlike(rng)
-        a = sampler.atom(rng)
-        b = sampler.atom_fresh_for(rng, sup(x), {a})
-        lhs = alg.subst(x, a, u)
-        rhs = alg.subst(alg.act(swap(b, a), x), b, u)
-        if not alg.equal(lhs, rhs):
-            return f"x={x!r} a={a} b={b} u={u!r}"
-    run_law(rep, "sigma-alpha", n, case_alpha)
-
-    def case_sigma():
-        x = sampler.element(rng)
-        u = sampler.termlike(rng)
-        v = sampler.termlike(rng)
-        a = sampler.atom_fresh_for(rng, tsup(v))
-        b = sampler.atom_fresh_for(rng, {a})
-        lhs = alg.subst(alg.subst(x, a, u), b, v)
-        rhs = alg.subst(alg.subst(x, b, v), a, terms.subst(u, b, v))
-        if not alg.equal(lhs, rhs):
-            return f"x={x!r} a={a} u={u!r} b={b} v={v!r}"
-    run_law(rep, "sigma-sigma", n, case_sigma)
-    return rep
+# Each law is ``case(rng, P, sampler, probes)``: None, or a counterexample string.
+AMGIS_LAWS = {"amgis-sigma": _amgis_sigma}
 
 
 def amgis_axiom_suite(P: AmgisAlgebra, sampler: Sampler, n: int,
                       probes: Sequence = (), seed: int = 0) -> SuiteReport:
     """Check amgis-sigma; membership-level over probes for CharSet carriers."""
-    rng = random.Random(seed)
-    rep = SuiteReport()
-    ts = P.terms
+    return run_laws(AMGIS_LAWS, n, seed, P, sampler, probes)
 
-    def case():
-        p = sampler.element(rng)
-        u = sampler.termlike(rng)
-        v = sampler.termlike(rng)
-        a = sampler.atom_fresh_for(rng, ts.support(v))
-        b = sampler.atom_fresh_for(rng, {a})
-        lhs = P.amgis(P.amgis(p, v, b), u, a)
-        rhs = P.amgis(P.amgis(p, ts.subst(u, b, v), a), v, b)
-        if not P.agree(lhs, rhs, probes):
-            return f"p={p!r} u={u!r} v={v!r} a={a} b={b}"
-    run_law(rep, "amgis-sigma", n, case)
-    return rep
+
+def precedent_suite() -> SuiteReport:
+    """Exhaustive check that removing a fresh atom's members reflects equality.
+
+    Runs over every finite and cofinite atom set supported inside the
+    universe a0..a3, with the witness atom a4 fresh for all of them.
+    """
+    base = atoms(0, 1, 2, 3)
+    a = Atom(4)
+    sets = []
+    for r in range(len(base) + 1):
+        for combo in itertools.combinations(base, r):
+            sets.append(FinCofinAtomSet(frozenset(combo), False))
+            sets.append(FinCofinAtomSet(frozenset(combo), True))
+    result = AxiomResult("precedent")
+    for x, y in itertools.product(sets, repeat=2):
+        if (x == y) != (x.remove(a) == y.remove(a)):
+            result.counterexample = f"{x!r} vs {y!r}"
+            break
+        result.passed += 1
+    return SuiteReport([result])

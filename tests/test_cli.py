@@ -269,14 +269,38 @@ def test_proof_at_the_nesting_limit_is_checked(tmp_path):
     assert code == 64 and out == "error: proof nesting deeper than 100\n"
 
 
+SIGMA_NAMES = ["sigma-a", "sigma-id", "sigma-#", "sigma-alpha", "sigma-sigma"]
+FOLEQ_NAMES = ["lattice", "distrib", "distrib-freshmeet", "double-negation",
+               "complement", "nu-alpha", "nu-meet", "nu-join", "nu-leq", "nu-#",
+               "sub-meet", "sub-neg", "sub-freshmeet", "sub-eq", "sub-top",
+               "eq-refl", "eq-subst"]
+EQ_NAMES = ["sub-eq", "eq-refl", "eq-subst"]
+
+
 def test_axioms_suites_small():
-    for suite, n in [("sigma-terms", 40), ("sigma-tarski", 40),
-                     ("amgis-pow", 15), ("foleq-tarski", 20),
-                     ("eq-laws", 20), ("precedent", 1)]:
+    # names, order and counts of every suite's lines
+    expected = {
+        ("sigma-terms", 40): [(name, 40) for name in SIGMA_NAMES],
+        ("sigma-tarski", 40): [(name, 40) for name in SIGMA_NAMES] * 2,
+        ("amgis-pow", 15): [("amgis-sigma", 15)],
+        ("foleq-tarski", 20): [(name, 20) for name in FOLEQ_NAMES] * 3,
+        ("eq-laws", 20): [(name, 20) for name in EQ_NAMES] * 2,
+        ("precedent", 1): [("precedent", 1024)],
+    }
+    for (suite, n), lines in expected.items():
         code, out = go("axioms", suite, "--n", str(n), "--seed", "1")
         assert code == 0, (suite, out)
-        assert all(line.startswith("AXIOM ") for line in out.strip().splitlines())
-        assert " FAIL " not in out
+        assert out == "".join(f"AXIOM {name} PASS {k}\n" for name, k in lines)
+
+
+def test_eq_laws_are_the_foleq_lines_for_k2_and_k3():
+    for n, seed in (("7", "11"), ("3", "7919")):
+        _, foleq = go("axioms", "foleq-tarski", "--n", n, "--seed", seed)
+        code, out = go("axioms", "eq-laws", "--n", n, "--seed", seed)
+        lines = foleq.splitlines()[len(FOLEQ_NAMES):]  # drop the k = 1 block
+        assert code == 0
+        assert out.splitlines() == [line for line in lines
+                                    if line.split()[1] in EQ_NAMES]
 
 
 def test_axioms_deterministic():

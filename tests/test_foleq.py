@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import random
 
-from nomfol.nominal import Perm, act, atoms, fresh, support, swap
-from nomfol.foleq import (foleq_axiom_suite, freshmeet_char_check,
+from nomfol.nominal import Atom, Perm, act, atoms, fresh, support, swap
+from nomfol.foleq import (FOLEQ_LAWS, foleq_axiom_suite, freshmeet_char_check,
                           interpret, interpret_term, sequent_valid)
+from nomfol.report import run_laws
 from nomfol.samplers import tarski_foleq_sampler
 from nomfol.sigma import sigma_axiom_suite, sim_subst
 from nomfol.syntax import (All, And, BOT, Eq, Neg, Pred, Signature, Var,
@@ -11,7 +13,7 @@ from nomfol.syntax import (All, And, BOT, Eq, Neg, Pred, Signature, Var,
                            random_term, subst_formula)
 from nomfol.tarski import (OrdinaryModel, TableFun, lift_interpretation,
                            random_model, random_tablefun, tarski_algebra,
-                           tf_atm, tf_const, tf_eq, tf_subst)
+                           tf_atm, tf_const, tf_eq, tf_meet, tf_subst)
 
 a, b, c3, d = atoms(0, 1, 2, 3)
 sig1 = Signature((), (("P", 1),))
@@ -41,6 +43,30 @@ def test_foleq_suite_all_k():
         rep = foleq_axiom_suite(tarski_algebra(k), tarski_foleq_sampler(k),
                                 200, seed=30 + k)
         assert rep.ok, f"k={k}\n" + "\n".join(rep.lines())
+
+
+def test_law_results_do_not_depend_on_the_other_laws():
+    # meet is wrong only when both sides depend on a4, so several laws fail
+    # after some passing cases; each must fail identically when run alone
+    a4 = Atom(4)
+
+    def meet(f, g):
+        return f if a4 in f.deps and a4 in g.deps else tf_meet(f, g)
+    bad = dataclasses.replace(tarski_algebra(2), meet=meet)
+    sampler = tarski_foleq_sampler(2)
+    full = foleq_axiom_suite(bad, sampler, 60, seed=7)
+    failing = [r for r in full.results if not r.ok]
+    assert {r.name for r in failing} >= {"lattice", "sub-meet", "eq-subst"}
+    for r in failing:
+        (alone,) = run_laws({r.name: FOLEQ_LAWS[r.name]}, 60, 7, bad, sampler).results
+        assert (alone.passed, alone.counterexample) == (r.passed, r.counterexample)
+
+
+def test_law_rng_is_seeded_from_seed_and_name():
+    # a literal, so that a seeding that differs between Python versions shows
+    draws = []
+    run_laws({"eq-refl": lambda rng: draws.append(rng.random())}, 1, 1)
+    assert draws == [0.3365759117774286]
 
 
 def test_foleq_algebra_is_a_sigma_algebra():
