@@ -13,7 +13,7 @@ import sys
 from . import filters, samplers
 from .foleq import FOLEQ_LAWS, foleq_axiom_suite, interpret
 from .nominal import support
-from .report import SuiteReport, run_laws
+from .report import run_laws
 from .sequent import (ProverBudget, SearchRefused, check_proof,
                       find_countermodel, format_proof, parse_proof,
                       parse_sequent, prove)
@@ -52,12 +52,6 @@ def _load_signature(path: str | None) -> Signature:
         return default_signature()
     with open(path) as fh:
         return parse_signature(fh.read())
-
-
-def _print_report(rep: SuiteReport, out) -> int:
-    for line in rep.lines():
-        print(line, file=out)
-    return 0 if rep.ok else 1
 
 
 def cmd_eval(args, out) -> int:
@@ -133,7 +127,9 @@ def cmd_axioms(args, out) -> int:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     code = 0
     for rep in SUITES[args.suite](args.n, args.seed):
-        if _print_report(rep, out) != 0:
+        for line in rep.lines():
+            print(line, file=out)
+        if not rep.ok:
             code = 1
     return code
 

@@ -53,27 +53,14 @@ class Perm:
     def domain(self) -> frozenset[Atom]:
         return frozenset(self._map)
 
-    def graph(self) -> frozenset[tuple[Atom, Atom]]:
-        return frozenset(self._map.items())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self._map == other._map
-
-    def __hash__(self) -> int:
-        return hash(self.graph())
 
     def __repr__(self) -> str:
         if not self._map:
             return "id"
         pairs = sorted(self._map.items())
         return "(" + " ".join(f"{a}>{b}" for a, b in pairs) + ")"
-
-    def _act_(self, pi: "Perm") -> "Perm":
-        # conjugation: pi . self . pi^-1
-        return Perm({pi(a): pi(b) for a, b in self._map.items()})
-
-    def _support_(self) -> frozenset[Atom]:
-        return frozenset(self._map)
 
 
 IDENTITY = Perm()
@@ -101,12 +88,8 @@ def act(pi: Perm, x):
         return meth(pi)
     if isinstance(x, frozenset):
         return frozenset(act(pi, y) for y in x)
-    if isinstance(x, set):
-        return {act(pi, y) for y in x}
     if isinstance(x, tuple):
         return tuple(act(pi, y) for y in x)
-    if isinstance(x, list):
-        return [act(pi, y) for y in x]
     if isinstance(x, (int, bool, str, float, type(None))):
         return x
     raise TypeError(f"no permutation action for {type(x).__name__}")
@@ -115,15 +98,15 @@ def act(pi: Perm, x):
 def support(x) -> frozenset[Atom]:
     """The least finite supporting atom set, computed per type.
 
-    Finite sets, tuples and lists are treated as strictly supported, so
-    their support is the union of their elements' supports.
+    Frozensets and tuples are treated as strictly supported, so their
+    support is the union of their elements' supports.
     """
     if isinstance(x, Atom):
         return frozenset((x,))
     meth = getattr(x, "_support_", None)
     if meth is not None:
         return meth()
-    if isinstance(x, (frozenset, set, tuple, list)):
+    if isinstance(x, (frozenset, tuple)):
         out: frozenset[Atom] = frozenset()
         for y in x:
             out |= support(y)

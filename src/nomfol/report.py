@@ -10,15 +10,12 @@ class AxiomResult:
     name: str
     passed: int = 0
     counterexample: str | None = None
-    exercised: bool = True
 
     @property
     def ok(self) -> bool:
         return self.counterexample is None
 
     def line(self) -> str:
-        if not self.exercised:
-            return f"AXIOM {self.name} NOT-EXERCISED"
         if self.ok:
             return f"AXIOM {self.name} PASS {self.passed}"
         return f"AXIOM {self.name} FAIL {self.counterexample}"
@@ -45,21 +42,17 @@ def run_laws(laws: dict, n: int, seed: int, *args) -> SuiteReport:
     ``laws`` maps a name to ``case(rng, *args)``, which returns None on
     success or a counterexample string.  Each law draws from its own rng,
     seeded from the seed and the law's name alone, so its samples do not
-    depend on which other laws run.  A StopIteration from the sampler marks
-    the law as not exercised.
+    depend on which other laws run.
     """
     report = SuiteReport()
     for name, case in laws.items():
         rng = random.Random(f"{name} {seed}")
         result = AxiomResult(name)
-        try:
-            for _ in range(n):
-                ce = case(rng, *args)
-                if ce is not None:
-                    result.counterexample = ce
-                    break
-                result.passed += 1
-        except StopIteration:
-            result.exercised = result.passed > 0
+        for _ in range(n):
+            ce = case(rng, *args)
+            if ce is not None:
+                result.counterexample = ce
+                break
+            result.passed += 1
         report.add(result)
     return report

@@ -21,6 +21,12 @@ class LimitExceeded(SyntaxError_):
     """Input refused because it is nested too deeply or expands too far."""
 
 
+# Symbol names are identifiers that are neither keywords nor atom names.
+_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_KEYWORDS = ("forall", "bottom", "top")
+_ATOM_NAME = re.compile(r"a(\d+)")
+
+
 @dataclass(frozen=True)
 class Signature:
     functions: tuple[tuple[str, int], ...]
@@ -33,6 +39,12 @@ class Signature:
         for n, ar in self.functions + self.predicates:
             if ar < 0:
                 raise ValueError(f"negative arity for {n}")
+            if not _IDENT.fullmatch(n):
+                raise ValueError(f"symbol {n!r} is not an identifier {_IDENT.pattern}")
+            if n in _KEYWORDS:
+                raise ValueError(f"symbol {n!r} is a keyword")
+            if _ATOM_NAME.fullmatch(n):
+                raise ValueError(f"symbol {n!r} is a canonical atom name")
 
     def fun_arity(self, name: str) -> int | None:
         for n, ar in self.functions:
@@ -416,10 +428,8 @@ def pretty(phi: Formula) -> str:
 _TOKEN = re.compile(
     r"(?P<space>\s+)|(?P<lpar>\()|(?P<rpar>\))|(?P<comma>,)|(?P<dot>\.)"
     r"|(?P<turnstile>\|-)|(?P<and>/\\)|(?P<or>\\/)|(?P<iff><->)|(?P<imp>->)"
-    r"|(?P<neg>~)|(?P<eq>=)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<bad>.)"
+    rf"|(?P<neg>~)|(?P<eq>=)|(?P<ident>{_IDENT.pattern})|(?P<bad>.)"
 )
-
-_KEYWORDS = ("forall", "bottom", "top")
 
 
 def _tokens(text: str) -> list[tuple[str, str, int]]:
@@ -446,7 +456,7 @@ def _atom_map(toks: Iterable[tuple[str, str, int]], sig: Signature) -> dict[str,
     mapping: dict[str, int] = {}
     used: set[int] = set()
     for n in names:
-        m = re.fullmatch(r"a(\d+)", n)
+        m = _ATOM_NAME.fullmatch(n)
         if m and n not in mapping:
             mapping[n] = int(m.group(1))
             used.add(int(m.group(1)))

@@ -240,6 +240,19 @@ def test_model_values_are_checked(tmp_path):
         assert (code, out) == (64, f"error: {err}\n")
 
 
+def test_signature_names_are_checked(tmp_path):
+    # an atom name would clash with the binders of printed proofs, and a
+    # keyword or non-identifier could never be written in a formula
+    sig = tmp_path / "bad.sig"
+    for decl, err in [("fun a0 0", "symbol 'a0' is a canonical atom name"),
+                      ("fun forall 0", "symbol 'forall' is a keyword"),
+                      ("fun f( 1", "symbol 'f(' is not an identifier "
+                                   "[A-Za-z][A-Za-z0-9_]*")]:
+        sig.write_text("pred P 1\n" + decl + "\n")
+        code, out = go("prove", "|- forall x. (P(x) \\/ ~P(x))", "--sig", str(sig))
+        assert (code, out) == (64, f"error: {err}\n"), decl
+
+
 def _negation_chain(levels):
     """A proof file of nested negL/negR nodes ending in hyp; levels is even."""
     text, phi = '(hyp "P(a0) |- P(a0)")', "P(a0)"

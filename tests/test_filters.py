@@ -8,7 +8,7 @@ from nomfol.filters import (PredSet, downset, enumerate_pairs,
                             grow_ideal, point_sketch, points_amgis, prime_check,
                             upset)
 from nomfol.sequent import ProverBudget
-from nomfol.syntax import (BOT, Pred, Var, alpha_eq, default_signature,
+from nomfol.syntax import (All, BOT, Pred, Var, alpha_eq, default_signature,
                            parse_formula, random_formula, subst_formula)
 
 sig = default_signature()
@@ -57,12 +57,20 @@ def test_filter_check_flags_bot_and_gaps():
     rep = filter_check(everything, [BOT], B, sig)
     assert not rep.ok and any("condition-1" in v for v in rep.violations)
 
-    # contains P(a) and its negation's conjunction partner but no meet
-    broken = PredSet(lambda phi: alpha_eq(phi, pf("P(a)")) or
-                     alpha_eq(phi, pf("Q(a, b)")), "broken", (), B, sig)
-    rep2 = filter_check(broken, [pf("P(a)"), pf("Q(a, b)"),
-                                 pf("P(a) /\\ Q(a, b)")], B, sig)
-    assert any("condition-3" in v for v in rep2.violations)
+    # every atomic predicate and nothing else: it has every fresh instance
+    # of P(a) but no compound consequence, conjunction or universal
+    broken = PredSet(lambda phi: isinstance(phi, Pred), "broken", (), B, sig)
+    rep2 = filter_check(broken, [pf("P(a)"), pf("Q(a, b)"), pf("P(a) /\\ Q(a, b)"),
+                                 pf("P(a) \\/ Q(a, b)")], B, sig)
+    assert rep2.lines() == [
+        "CHECK broken depth=6",
+        "VIOLATION condition-2: P(a0) |- ~(~P(a0) /\\ ~Q(a0, a1)) but consequence missing",
+        "VIOLATION condition-2: Q(a0, a1) |- ~(~P(a0) /\\ ~Q(a0, a1)) but consequence missing",
+        "VIOLATION condition-3: conjunction of P(a0) and Q(a0, a1) missing",
+        "VIOLATION condition-4: fresh instances of P(a0) present but forall a0 missing",
+        "VIOLATION condition-4: fresh instances of Q(a0, a1) present but forall a0 missing",
+        "VIOLATION condition-4: fresh instances of Q(a0, a1) present but forall a1 missing",
+    ]
 
 
 def test_grow_filter():
@@ -184,6 +192,13 @@ def test_forall_membership():
     p2 = upset(pf("P(c)"), B, sig)
     rep2 = forall_membership_check(p2, a, pf("P(a)"), [const_c], B)
     assert rep2.ok
+    # a set of universals alone misses every instance
+    universals = PredSet(lambda phi: isinstance(phi, All), "universals", (), B, sig)
+    rep3 = forall_membership_check(universals, a, pf("P(a)"), [const_c], B)
+    assert rep3.lines() == ["CHECK forall-membership depth=6",
+                            "VIOLATION instance at candidate term missing: c",
+                            "VIOLATION instance at fresh atom a1 missing",
+                            "VIOLATION instance at fresh atom a2 missing"]
 
 
 def test_prime_check():
@@ -194,6 +209,11 @@ def test_prime_check():
     rep2 = prime_check(p, [], dichotomy_samples=[pf("Q(a, b)")])
     assert not rep2.ok and "dichotomy" in rep2.violations[0]
     assert prime_check(p, []).ok  # vacuous
+    disj = pf("P(a) \\/ Q(a, b)")
+    only_disj = PredSet(lambda phi: alpha_eq(phi, disj), "only-disj", (), B, sig)
+    rep3 = prime_check(only_disj, [(pf("P(a)"), pf("Q(a, b)"))])
+    assert rep3.lines() == ["CHECK prime depth=6",
+                            "VIOLATION prime: has ~(~P(a0) /\\ ~Q(a0, a1)) but neither disjunct"]
 
 
 def test_point_sketch_trivial():

@@ -2,12 +2,16 @@ import dataclasses
 import itertools
 import random
 
+import pytest
+
 from nomfol.nominal import Atom, Perm, act, atoms, fresh, support, swap
 from nomfol.foleq import (FOLEQ_LAWS, foleq_axiom_suite, freshmeet_char_check,
                           interpret, interpret_term, sequent_valid)
 from nomfol.report import run_laws
-from nomfol.samplers import tarski_foleq_sampler
-from nomfol.sigma import sigma_axiom_suite, sim_subst
+from nomfol.samplers import (charset_sampler, probe_terms, tarski_foleq_sampler,
+                             term_carrier, term_sampler)
+from nomfol.sigma import (AMGIS_LAWS, SIGMA_LAWS, amgis_axiom_suite, pow_amgis,
+                          sigma_axiom_suite, sim_subst)
 from nomfol.syntax import (All, And, BOT, Eq, Neg, Pred, Signature, Var,
                            default_signature, free_atoms, random_formula,
                            random_term, subst_formula)
@@ -62,6 +66,31 @@ def test_law_results_do_not_depend_on_the_other_laws():
         assert (alone.passed, alone.counterexample) == (r.passed, r.counterexample)
 
 
+def _never(x, y):
+    return False
+
+
+NEVER_EQUAL_SUITES = {
+    "sigma": (SIGMA_LAWS, lambda: sigma_axiom_suite(
+        dataclasses.replace(term_carrier(), equal=_never), term_sampler(sig), 3)),
+    "amgis": (AMGIS_LAWS, lambda: amgis_axiom_suite(
+        dataclasses.replace(pow_amgis(term_carrier()), equal=_never),
+        charset_sampler(sig), 3, probe_terms(sig)[:10])),
+    "foleq": (FOLEQ_LAWS, lambda: foleq_axiom_suite(
+        dataclasses.replace(tarski_algebra(2), equal=_never), tarski_foleq_sampler(2), 3)),
+}
+
+
+@pytest.mark.parametrize("suite", NEVER_EQUAL_SUITES)
+def test_every_law_fails_when_equality_never_holds(suite):
+    laws, run = NEVER_EQUAL_SUITES[suite]
+    rep = run()
+    assert [r.name for r in rep.results] == list(laws)
+    for r, line in zip(rep.results, rep.lines()):
+        assert r.passed == 0 and r.counterexample
+        assert line == f"AXIOM {r.name} FAIL {r.counterexample}"
+
+
 def test_law_rng_is_seeded_from_seed_and_name():
     # a literal, so that a seeding that differs between Python versions shows
     draws = []
@@ -92,6 +121,13 @@ def test_freshmeet_char_check():
     assert freshmeet_char_check(alg, x, a, consts, exact=True)
     y = random_tablefun(2, rng, (b,), outputs=None)
     assert freshmeet_char_check(alg, y, a, consts, exact=True)  # a # y
+    # no instance is above the limit when nothing is ever equal
+    never = dataclasses.replace(alg, equal=_never)
+    assert not freshmeet_char_check(never, x, a, [tf_atm(2, a)])
+    # bottom is below every instance but is not the meet of top's instances
+    low = dataclasses.replace(alg, freshmeet=lambda q, z: alg.bot)
+    assert freshmeet_char_check(low, alg.top, a, consts)
+    assert not freshmeet_char_check(low, alg.top, a, consts, exact=True)
 
 
 def test_sub_commute_300():

@@ -151,6 +151,11 @@ def test_powsigma_conditions_validator():
     us = [Var(b), fterm(Var(b)), App("c", ())]
     bad = powsigma_conditions(P, X, us, probes_p, atom_samples=(a, b))
     assert bad == []
+    # the same set with a0 left out of its declared support breaks both
+    undeclared = CharSet(X.member, frozenset(), "undeclared-a")
+    bad = powsigma_conditions(P, undeclared, [Var(b)], probes_p, atom_samples=(b,))
+    assert bad == ["condition-1 u=a1 p=CharSet(unit, supp=[a0])",
+                   "condition-2 a=a1 p=CharSet(unit, supp=[a0])"]
 
 
 def test_exactness():
@@ -331,25 +336,3 @@ def test_powsigma_action_commutes_with_boolean_structure():
         for p in probes_p:
             assert via_meet.member(p) == (powsigma_action(P, X, a, u).member(p)
                                           and powsigma_action(P, Y, a, u).member(p))
-
-
-def test_suite_marks_unexercised_axioms():
-    # a sampler that dries up marks the law as not exercised
-    class Dry:
-        pool = (a, b)
-
-        def element(self, rng):
-            raise StopIteration
-
-        def termlike(self, rng):
-            raise StopIteration
-
-        def atom(self, rng):
-            return a
-
-        def atom_fresh_for(self, rng, *xs):
-            return b
-
-    rep = sigma_axiom_suite(terms, Dry(), 10, seed=0)
-    assert not rep.ok or all(not r.exercised for r in rep.results)
-    assert any(line.endswith("NOT-EXERCISED") for line in rep.lines())

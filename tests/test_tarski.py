@@ -172,6 +172,12 @@ def test_model_file_roundtrip():
                       {"P": (True, False, True)})
     M2 = parse_model(M.format(), sig2)
     assert M2.k == 3 and M2.funcs == M.funcs and M2.preds == M.preds
+    # blank lines, whole-line and trailing comments are skipped
+    commented = "# a model of z and s\n\n" + M.format().replace("\n", "  # row\n", 1) + "\n#"
+    M3 = parse_model(commented, sig2)
+    assert M3.k == 3 and M3.funcs == M.funcs and M3.preds == M.preds
+    with pytest.raises(SyntaxError_, match="line 3: bad domain size 'x'"):
+        parse_model("# header\n\ndomain x  # trailing", sig2)
     with pytest.raises(SyntaxError_):
         parse_model("fun z : 0", sig2)
     with pytest.raises(SyntaxError_):
