@@ -69,7 +69,9 @@ class Sequent:
 
 
 def sequent(left, right) -> Sequent:
-    return Sequent(Side(left), Side(right))
+    """The sequent left |- right; a side that is already a Side is kept as is."""
+    return Sequent(left if isinstance(left, Side) else Side(left),
+                   right if isinstance(right, Side) else Side(right))
 
 
 def format_sequent(s: Sequent) -> str:
@@ -320,11 +322,42 @@ def _check_node(p: Proof) -> None:
 
 def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
           sig: Signature | None = None) -> Proof | None:
-    """Bounded backward search over the rules; sound by construction."""
+    """Bounded backward search over the rules; sound by construction.
+
+    allL instances, eqR equations and eqL rewrites are built once per
+    principal and witness and reused at every node that offers the move
+    again.  These tables are locals of the call and live and die with it.
+    They are keyed by the principals' identities, not their alpha keys,
+    so that a principal's own binder names print, and they hold the
+    principals, so that no id is reused while the call runs.
+    """
     sig = sig or Signature((), ())
     universe = default_universe(s, sig)
     memo_ok: dict[tuple, Proof] = {}
     memo_fail: dict[tuple, int] = {}
+    refls: list[tuple[Term, Eq]] = []
+    instances: dict[int, tuple[All, list[Formula]]] = {}
+    rewrites: dict[tuple[int, int, Atom], tuple[Eq, Formula, list]] = {}
+
+    def allL_instances(f: All) -> list[Formula]:
+        got = instances.get(id(f))
+        if got is None:
+            got = instances[id(f)] = (f, [subst_formula(f.body, f.binder, r)
+                                          for r in universe])
+        return got[1]
+
+    def eqL_rewrites(e: Eq, target: Formula, hole: Atom) -> list[tuple[Formula, Formula]]:
+        """(template, rewritten target) pairs, the hole standing for e.rhs."""
+        got = rewrites.get((id(e), id(target), hole))
+        if got is None:
+            every, total = _safe_abstract(target, e.rhs, hole, None)
+            # every safe occurrence; from two on, also the first and second alone
+            templates = [every] if total else []
+            templates += (_safe_abstract(target, e.rhs, hole, {i})[0]
+                          for i in range(2 if total >= 2 else 0))
+            got = rewrites[id(e), id(target), hole] = (e, target, [
+                (t, subst_formula(t, hole, e.lhs)) for t in templates])
+        return got[2]
 
     def closing(sq: Sequent) -> Proof | None:
         if not sq.right.key_set.isdisjoint(sq.left.keys):
@@ -355,34 +388,26 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
                                      sequent(sq.left, rest + (f.rhs,))]
         for f in sq.left:
             if isinstance(f, All):
-                for r in universe:
-                    inst = subst_formula(f.body, f.binder, r)
+                for r, inst in zip(universe, allL_instances(f)):
                     if not sq.left.has(inst):
                         yield "allL", (f, r), [sequent(sq.left + (inst,), sq.right)]
         if not any(isinstance(f, Eq) for f in sq.left + sq.right):
             return
-        for r in universe:
-            refl = Eq(r, r)
+        if not refls:
+            refls.extend((r, Eq(r, r)) for r in universe)
+        for r, refl in refls:
             if not sq.left.has(refl):
                 yield "eqR", (r,), [sequent(sq.left + (refl,), sq.right)]
         sq_atoms = sq.free_atoms()
         for e in sq.left:
             if not isinstance(e, Eq) or e.lhs == e.rhs:
                 continue
-            r_new, r_old = e.lhs, e.rhs
-            blocked = sq_atoms | free_atoms_term(r_old) | free_atoms_term(r_new)
+            blocked = sq_atoms | free_atoms_term(e.rhs) | free_atoms_term(e.lhs)
             for target in sq.left:
                 if target is e:
                     continue
                 hole = fresh(blocked | all_atoms(target))
-                every, total = _safe_abstract(target, r_old, hole, None)
-                if total == 0:
-                    continue
-                # every safe occurrence; from two on, also the first and second alone
-                singles = (_safe_abstract(target, r_old, hole, {i})[0]
-                           for i in range(2 if total >= 2 else 0))
-                for template in itertools.chain([every], singles):
-                    inst_new = subst_formula(template, hole, r_new)
+                for template, inst_new in eqL_rewrites(e, target, hole):
                     if not sq.left.has(inst_new):
                         yield "eqL", (e, template, hole), [sequent(
                             sq.left.without(target) + (inst_new,), sq.right)]
@@ -412,7 +437,11 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
         memo_fail[key] = depth
         return None
 
-    return search(sequent(s.left, s.right), budget.max_depth)
+    proof = search(sequent(s.left, s.right), budget.max_depth)
+    # search refers to itself, so the call's tables would wait for the cycle
+    # collector; dropping the name frees them now
+    del search
+    return proof
 
 
 COUNTERMODEL_SPACE_LIMIT = 10 ** 6

@@ -229,7 +229,7 @@ def test_point_sketch_runs_and_stays_disjoint():
         assert len(sk.transcript) == 5
         for line in sk.transcript:
             assert line.startswith("STEP ")
-            assert line.rsplit("SIDE ", 1)[1] in ("filter", "ideal", "undecided")
+            assert line.rsplit("SIDE ", 1)[1] in ("filter", "ideal")
         assert sk.disjoint_on_queries()
 
 

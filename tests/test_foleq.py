@@ -91,6 +91,26 @@ def test_every_law_fails_when_equality_never_holds(suite):
         assert line == f"AXIOM {r.name} FAIL {r.counterexample}"
 
 
+def test_second_halves_of_distrib_and_complement_fail_alone():
+    # with a constant negation every join is constant too.  With ~x = top,
+    # x \/ (y /\ z) and (x \/ y) /\ (x \/ z) are both top, but x /\ (y \/ z)
+    # is x; with ~x = bottom, x /\ ~x is bottom, but so is x \/ ~x
+    alg, sampler = tarski_algebra(2), tarski_foleq_sampler(2)
+    top_neg = dataclasses.replace(alg, neg=lambda x: alg.top)
+    bot_neg = dataclasses.replace(alg, neg=lambda x: alg.bot)
+    rng = random.Random(5)
+    for _ in range(20):
+        x, y, z = (sampler.element(rng) for _ in range(3))
+        assert top_neg.equal(top_neg.join(x, top_neg.meet(y, z)),
+                             top_neg.meet(top_neg.join(x, y), top_neg.join(x, z)))
+        assert bot_neg.equal(bot_neg.meet(x, bot_neg.neg(x)), bot_neg.bot)
+    # so each law fails at its second check
+    assert run_laws({"distrib": FOLEQ_LAWS["distrib"]}, 5, 1, top_neg, sampler).lines() == [
+        "AXIOM distrib FAIL TF[a0 a1 a3](0 0 0 0 0 0 0 1) TF[a1 a3](0 0 1 0) TF[](0)"]
+    assert run_laws({"complement": FOLEQ_LAWS["complement"]}, 5, 1, bot_neg,
+                    sampler).lines() == ["AXIOM complement FAIL TF[](0)"]
+
+
 def test_law_rng_is_seeded_from_seed_and_name():
     # a literal, so that a seeding that differs between Python versions shows
     draws = []

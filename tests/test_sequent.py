@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -13,9 +14,9 @@ from nomfol.sequent import (Proof, ProverBudget, SearchRefused, Side, _RULES,
                             format_proof, format_sequent, generate_derivable,
                             herbrand_equiv, parse_proof, parse_sequent, prove,
                             sequent)
-from nomfol.syntax import (All, And, LimitExceeded, Neg, Pred, Signature, Var,
-                           all_atoms, alpha_eq, alpha_key, default_signature,
-                           parse_formula, random_formula)
+from nomfol.syntax import (All, And, Eq, LimitExceeded, Neg, Pred, Signature,
+                           Var, all_atoms, alpha_eq, alpha_key, default_signature,
+                           parse_formula, random_formula, random_term)
 from nomfol.tarski import (Valuation, all_valuations, iter_models,
                            lift_interpretation, random_model, standard_eval)
 
@@ -568,6 +569,75 @@ def test_prove_classics():
         p = prove(ps(text), ProverBudget(depth), sig)
         assert p is not None, text
         assert check_proof(p)[0], text
+
+
+# the default signature less its constant c, so default_universe has no c
+SIG_NO_C = Signature((("f", 1), ("g", 2)), sig.predicates)
+
+# SHA-256 of the format_proof text (or "none") of every _golden_corpus
+# sequent, one per line, pinned while the prover still rebuilt its allL,
+# eqR and eqL formulas at every search node
+PROVER_GOLDEN = "8e74d714957ab0b6501cd7ca47166afb0bd171ac1cbe55402eda82a4512d6ad6"
+
+
+def _golden_corpus():
+    """(sequent, depth) pairs: random sequents with equations and quantifiers
+    on both sides, plus the last two sequents of generate_derivable trails."""
+    rng = random.Random(13)
+    pool = atoms(0, 1, 2)
+    out = []
+    for i in range(240):
+        gen = sig if i % 4 == 0 else SIG_NO_C
+        left = [random_formula(gen, rng, pool, rng.randint(0, 2))
+                for _ in range(rng.randint(0, 2))]
+        right = [random_formula(gen, rng, pool, rng.randint(0, 2))
+                 for _ in range(rng.randint(1, 2))]
+        if i % 2:
+            left.append(Eq(random_term(gen, rng, pool, 1), random_term(gen, rng, pool, 1)))
+        if i % 3 == 0:
+            left.append(All(rng.choice(pool), random_formula(gen, rng, pool, 1)))
+        out.append((sequent(left, right), 4 if i % 2 else 5))
+    for seed in range(40):
+        out += ((s, 5) for s, _ in generate_derivable(SIG_NO_C, seed, 6)[-2:])
+    return out
+
+
+def _answer_text(s, depth, signature):
+    p = prove(s, ProverBudget(depth), signature)
+    if p is None:
+        return "none"
+    assert check_proof(p) == (True, "ok"), s
+    return format_proof(p)
+
+
+def test_prover_output_is_pinned_and_keeps_no_state_between_calls():
+    corpus = _golden_corpus()
+    texts = [_answer_text(s, depth, sig) for s, depth in corpus]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == PROVER_GOLDEN
+    assert sum(t != "none" for t in texts) == 188
+
+    # whether c is in the universe decides these proofs' allL instances
+    apart = [(ps(t), 4) for t in ("forall a1. P(a1), forall a1. R |- R",
+                                  "forall a0. Q(g(a1, a0), a0) |- a1 = a1",
+                                  "forall a0. P(g(a0, a0)) |- ~(forall a1. bottom)")]
+    first = {(i, sig): t for i, t in enumerate(texts)}
+    cases = list(enumerate(corpus))[::10] + list(enumerate(apart, len(corpus)))
+    # calls on the two signatures alternate, and each call must give that
+    # (sequent, signature)'s first answer
+    for i, (s, depth) in cases + cases[::-1]:
+        for signature in (SIG_NO_C, sig):
+            got = _answer_text(s, depth, signature)
+            assert first.setdefault((i, signature), got) == got, (s, signature)
+    assert all(first[i, sig] != first[i, SIG_NO_C] != "none"
+               for i in range(len(corpus), len(corpus) + len(apart)))
+
+    # alpha-equivalent principals under other binder names keep their own
+    # instances: the second branch instantiates forall a2, not forall a1
+    text = _answer_text(ps("~Q(c, c) |- ~(forall a0. forall a1. Q(a0, a1)) "
+                           "/\\ ~(~P(c) /\\ forall a0. forall a2. Q(a0, a2))"), 8, sig)
+    assert text.endswith('"forall a2. Q(c, a2)" "c" (hyp "Q(c, c), forall a2. Q(c, a2), '
+                         'forall a2. Q(a0, a2), forall a0. forall a2. Q(a0, a2) |- '
+                         'P(c), Q(c, c)")))))))))')
 
 
 def test_backward_proofs_sound_in_lift():
