@@ -140,9 +140,8 @@ def cmd_sketch(args, out) -> int:
     sig = _load_signature(args.sig)
     phi = parse_formula(args.formula, sig)
     budget = ProverBudget(max_depth=args.depth)
-    sk = filters.point_sketch(phi, args.steps, budget, sig)
-    for line in sk.transcript:
-        print(line, file=out)
+    filters.point_sketch(phi, args.steps, budget, sig,
+                         on_line=functools.partial(print, file=out, flush=True))
     return 0
 
 

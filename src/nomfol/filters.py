@@ -227,13 +227,16 @@ def enumerate_pairs(sig: Signature, count: int) -> list[tuple[Atom, Formula]]:
 
 
 def point_sketch(seed_formula: Formula, steps: int, b: ProverBudget,
-                 sig: Signature) -> PointSketch:
+                 sig: Signature,
+                 on_line: Callable[[str], object] | None = None) -> PointSketch:
     """Run the first steps of the filter-ideal chain, prover-bounded.
 
     A clash between the tentative filter and the ideal side diverts the
     pair to the ideal, which grows by finitely many fresh alpha-copies;
     the bounded prover may misclassify, so the sketch is approximate by
-    design and each step is labelled in the transcript.
+    design and each step is labelled in the transcript.  ``on_line``, if
+    given, is called with each transcript line as soon as its step is
+    decided.
     """
     if prove(sequent([seed_formula], [BOT]), b, sig) is not None:
         raise ValueError("seed formula is inconsistent under the budget")
@@ -251,11 +254,14 @@ def point_sketch(seed_formula: Formula, steps: int, b: ProverBudget,
                     for g in tentative.generators)
         if not clash:
             flt = tentative
-            transcript.append(f"{label} SIDE filter")
+            side = "filter"
         else:
             bs = fresh_distinct(free_atoms(phi) | flt.support | {a}, 3)
             family = [act(swap(bb, a), phi) for bb in bs]
             idl = grow_ideal(idl, family)
             queried.extend(family)
-            transcript.append(f"{label} SIDE ideal")
+            side = "ideal"
+        transcript.append(f"{label} SIDE {side}")
+        if on_line is not None:
+            on_line(transcript[-1])
     return PointSketch(flt, idl, pairs, steps, b, transcript, queried)

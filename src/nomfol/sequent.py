@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -29,7 +30,9 @@ class Side(tuple):
     It is a tuple of one formula per alpha class, the first one seen, in
     key order.  ``keys`` holds their alpha keys in that order and
     ``key_set`` the same keys as a set, so membership up to alpha and the
-    memo key are lookups, not walks.
+    memo key are lookups, not walks.  ``Side(formulas)`` keys every
+    formula; ``plus`` and ``without`` build a side from this one's keys,
+    keying only the formulas they add or drop.
     """
 
     def __new__(cls, formulas: Iterable[Formula]) -> "Side":
@@ -37,23 +40,45 @@ class Side(tuple):
         for f in formulas:
             seen.setdefault(alpha_key(f), f)
         keys = tuple(sorted(seen))
-        side = tuple.__new__(cls, [seen[k] for k in keys])
-        side.keys, side.key_set = keys, frozenset(keys)
-        return side
+        return _side([seen[k] for k in keys], keys)
 
     def has(self, phi: Formula) -> bool:
         """Whether phi is on this side, up to alpha."""
         return alpha_key(phi) in self.key_set
 
-    def without(self, phi: Formula) -> tuple[Formula, ...]:
-        """This side's formulas less phi, up to alpha."""
-        k = alpha_key(phi)
-        return tuple(f for f, fk in zip(self, self.keys) if fk != k)
+    def plus(self, *formulas: Formula) -> "Side":
+        """This side with formulas added, up to alpha, as Side(self + formulas)."""
+        side = self
+        for f in formulas:
+            k, keys = alpha_key(f), side.keys
+            i = bisect_left(keys, k)
+            if i == len(keys) or keys[i] != k:
+                side = _side(side[:i] + (f,) + side[i:], keys[:i] + (k,) + keys[i:])
+        return side
+
+    def without(self, phi: Formula) -> "Side":
+        """This side less phi, up to alpha."""
+        k, keys = alpha_key(phi), self.keys
+        i = bisect_left(keys, k)
+        if i == len(keys) or keys[i] != k:
+            return self
+        return _side(self[:i] + self[i + 1:], keys[:i] + keys[i + 1:])
+
+
+def _side(formulas, keys: tuple[str, ...]) -> Side:
+    """The Side of formulas already deduplicated and sorted by their keys."""
+    side = tuple.__new__(Side, formulas)
+    side.keys, side.key_set = keys, frozenset(keys)
+    return side
 
 
 @dataclass(frozen=True)
 class Sequent:
-    """Build with ``sequent``, which makes each side a Side."""
+    """Build with ``sequent``, which makes each side a Side.
+
+    ``prove`` builds its premises as ``Sequent`` values directly, from the
+    sides of their conclusion.
+    """
 
     left: Side
     right: Side
@@ -112,6 +137,8 @@ _KINDS = {"f": (Formula, pretty, "formula"),
           "t": (Term, pretty_term, "term"),
           "a": (Atom, lambda a: a.name, None)}
 
+
+_BOT_KEY = alpha_key(BOT)
 
 MAX_BRANCHING = 64  # moves tried per sequent, in rule order
 
@@ -233,37 +260,41 @@ _PRINCIPALS = {And: "principal conjunction", Neg: "principal negation",
                All: "principal quantifier", Eq: "equation"}
 
 
-def _principal(p: Proof, cls: type, on_left: bool) -> Formula:
-    """The first witness, which must be a cls on the given side."""
-    f, s = p.witnesses[0], p.conclusion
+def _from_formulas(s: Sequent) -> Sequent:
+    """s keyed afresh from its formulas, so the checker reads no stored key."""
+    return sequent(tuple(s.left), tuple(s.right))
+
+
+def _principal(p: Proof, s: Sequent, cls: type, on_left: bool) -> Formula:
+    """The first witness, which must be a cls on the given side of s."""
+    f = p.witnesses[0]
     if not isinstance(f, cls) or not (s.left if on_left else s.right).has(f):
         _fail(p, f"{_PRINCIPALS[cls]} is not on the {'left' if on_left else 'right'}")
     return f
 
 
-def _expect_premises(p: Proof, principal: Formula, on_left: bool, *adds,
-                     why: str = "") -> None:
-    """Premise i is the conclusion plus adds[i], a (left, right) pair.
+def _expect_premises(p: Proof, s: Sequent, principal: Formula, on_left: bool,
+                     *adds, why: str = "") -> None:
+    """Premise i is the conclusion s plus adds[i], a (left, right) pair.
 
     The principal may also occur in the context, so the premise may keep
-    it or drop it: both are instances of the literal rule.
+    it or drop it: both are instances of the literal rule.  Both are built
+    from scratch by ``sequent``, sharing no code with the prover's moves.
     """
-    s = p.conclusion
-    if on_left:
-        drop = (s.left.without(principal), s.right)
-    else:
-        drop = (s.left, s.right.without(principal))
+    k = alpha_key(principal)
+    ctx = tuple(f for f in (s.left if on_left else s.right) if alpha_key(f) != k)
+    drop = (ctx, s.right) if on_left else (s.left, ctx)
     for i, (left, right) in enumerate(adds):
         wants = [sequent(ctx_l + left, ctx_r + right)
                  for ctx_l, ctx_r in (drop, (s.left, s.right))]
-        got = p.premises[i].conclusion
+        got = _from_formulas(p.premises[i].conclusion)
         if got.key() not in (wants[0].key(), wants[1].key()):
             _fail(p, why or f"premise {i + 1} should be '{format_sequent(wants[0])}', "
                             f"got '{format_sequent(got)}'")
 
 
 def _check_node(p: Proof) -> None:
-    s = p.conclusion
+    s = _from_formulas(p.conclusion)
     if p.rule not in _RULES:
         _fail(p, "unknown rule")
     arity, kinds = _RULES[p.rule]
@@ -282,37 +313,37 @@ def _check_node(p: Proof) -> None:
     elif p.rule == "eqR":
         refl = Eq(p.witnesses[0], p.witnesses[0])
         # no principal: naming refl makes the drop variant the keep variant
-        _expect_premises(p, refl, True, ((refl,), ()))
+        _expect_premises(p, s, refl, True, ((refl,), ()))
     elif p.rule == "andL":
-        f = _principal(p, And, True)
-        _expect_premises(p, f, True, ((f.lhs, f.rhs), ()))
+        f = _principal(p, s, And, True)
+        _expect_premises(p, s, f, True, ((f.lhs, f.rhs), ()))
     elif p.rule == "andR":
-        f = _principal(p, And, False)
-        _expect_premises(p, f, False, ((), (f.lhs,)), ((), (f.rhs,)))
+        f = _principal(p, s, And, False)
+        _expect_premises(p, s, f, False, ((), (f.lhs,)), ((), (f.rhs,)))
     elif p.rule == "negL":
-        f = _principal(p, Neg, True)
-        _expect_premises(p, f, True, ((), (f.body,)))
+        f = _principal(p, s, Neg, True)
+        _expect_premises(p, s, f, True, ((), (f.body,)))
     elif p.rule == "negR":
-        f = _principal(p, Neg, False)
-        _expect_premises(p, f, False, ((f.body,), ()))
+        f = _principal(p, s, Neg, False)
+        _expect_premises(p, s, f, False, ((f.body,), ()))
     elif p.rule == "allL":
-        f, r = _principal(p, All, True), p.witnesses[1]
-        _expect_premises(p, f, True, ((subst_formula(f.body, f.binder, r),), ()),
+        f, r = _principal(p, s, All, True), p.witnesses[1]
+        _expect_premises(p, s, f, True, ((subst_formula(f.body, f.binder, r),), ()),
                          why=f"premise should instantiate with {pretty_term(r)}")
     elif p.rule == "allR":
-        f, c = _principal(p, All, False), p.witnesses[1]
+        f, c = _principal(p, s, All, False), p.witnesses[1]
         if c in _allR_context(s, f):
             _fail(p, f"witness atom {c} is free in the context")
         if c in free_atoms(f):
             _fail(p, f"witness atom {c} is free in the quantified body")
-        _expect_premises(p, f, False, ((), (act(swap(c, f.binder), f.body),)))
+        _expect_premises(p, s, f, False, ((), (act(swap(c, f.binder), f.body),)))
     elif p.rule == "eqL":
         _, template, a = p.witnesses
-        e = _principal(p, Eq, True)
+        e = _principal(p, s, Eq, True)
         inst_old = subst_formula(template, a, e.rhs)
         if not s.left.has(inst_old):
             _fail(p, "rewritten formula is not on the left")
-        _expect_premises(p, inst_old, True, ((subst_formula(template, a, e.lhs),), ()),
+        _expect_premises(p, s, inst_old, True, ((subst_formula(template, a, e.lhs),), ()),
                          why="premise does not match the rewrite")
     for q in p.premises:
         _check_node(q)
@@ -324,30 +355,44 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
           sig: Signature | None = None) -> Proof | None:
     """Bounded backward search over the rules; sound by construction.
 
-    allL instances, eqR equations and eqL rewrites are built once per
-    principal and witness and reused at every node that offers the move
-    again.  These tables are locals of the call and live and die with it.
-    They are keyed by the principals' identities, not their alpha keys,
-    so that a principal's own binder names print, and they hold the
-    principals, so that no id is reused while the call runs.
+    Only the root's sides are keyed from scratch: each premise's sides are
+    built from its conclusion's with ``Side.plus`` and ``Side.without``,
+    which key just the formulas they add or drop.
+
+    allL instances, eqR equations and eqL rewrites are built and keyed once
+    per principal and witness and reused at every node that offers the
+    move again; the atoms of each eqL target are gathered once too.  These
+    tables are locals of the call and live and die with it.  They are
+    keyed by the formulas' identities, not their alpha keys, so that a
+    principal's own binder names print, and they hold the formulas, so
+    that no id is reused while the call runs.
     """
     sig = sig or Signature((), ())
     universe = default_universe(s, sig)
     memo_ok: dict[tuple, Proof] = {}
     memo_fail: dict[tuple, int] = {}
-    refls: list[tuple[Term, Eq]] = []
-    instances: dict[int, tuple[All, list[Formula]]] = {}
+    refls: list[tuple[Term, Eq, str]] = []
+    instances: dict[int, tuple[All, list[tuple[Formula, str]]]] = {}
     rewrites: dict[tuple[int, int, Atom], tuple[Eq, Formula, list]] = {}
+    target_atoms: dict[int, tuple[Formula, frozenset[Atom]]] = {}
 
-    def allL_instances(f: All) -> list[Formula]:
+    def allL_instances(f: All) -> list[tuple[Formula, str]]:
+        """(instance, its key) for each universe term, in universe order."""
         got = instances.get(id(f))
         if got is None:
-            got = instances[id(f)] = (f, [subst_formula(f.body, f.binder, r)
-                                          for r in universe])
+            insts = [subst_formula(f.body, f.binder, r) for r in universe]
+            got = instances[id(f)] = (f, [(i, alpha_key(i)) for i in insts])
         return got[1]
 
-    def eqL_rewrites(e: Eq, target: Formula, hole: Atom) -> list[tuple[Formula, Formula]]:
-        """(template, rewritten target) pairs, the hole standing for e.rhs."""
+    def eqL_hole(blocked: frozenset[Atom], target: Formula) -> Atom:
+        """An atom fresh for blocked and for every atom of target."""
+        got = target_atoms.get(id(target))
+        if got is None:
+            got = target_atoms[id(target)] = (target, all_atoms(target))
+        return fresh(blocked | got[1])
+
+    def eqL_rewrites(e: Eq, target: Formula, hole: Atom) -> list[tuple[Formula, Formula, str]]:
+        """(template, rewritten target, its key) triples, the hole standing for e.rhs."""
         got = rewrites.get((id(e), id(target), hole))
         if got is None:
             every, total = _safe_abstract(target, e.rhs, hole, None)
@@ -355,62 +400,65 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
             templates = [every] if total else []
             templates += (_safe_abstract(target, e.rhs, hole, {i})[0]
                           for i in range(2 if total >= 2 else 0))
+            insts = [subst_formula(t, hole, e.lhs) for t in templates]
             got = rewrites[id(e), id(target), hole] = (e, target, [
-                (t, subst_formula(t, hole, e.lhs)) for t in templates])
+                (t, i, alpha_key(i)) for t, i in zip(templates, insts)])
         return got[2]
 
     def closing(sq: Sequent) -> Proof | None:
         if not sq.right.key_set.isdisjoint(sq.left.keys):
             return Proof("hyp", sq)
-        if sq.left.has(BOT):
+        if _BOT_KEY in sq.left.key_set:
             return Proof("botL", sq)
         return None
 
     def moves(sq: Sequent):
         """Each move as (rule, witnesses, premises), in rule order, built lazily."""
-        for f in sq.left:
+        left, right = sq.left, sq.right
+        for f in left:
             if isinstance(f, And):
-                yield "andL", (f,), [sequent(sq.left.without(f) + (f.lhs, f.rhs),
-                                             sq.right)]
+                yield "andL", (f,), [Sequent(left.without(f).plus(f.lhs, f.rhs), right)]
             elif isinstance(f, Neg):
-                yield "negL", (f,), [sequent(sq.left.without(f), sq.right + (f.body,))]
-        for f in sq.right:
+                yield "negL", (f,), [Sequent(left.without(f), right.plus(f.body))]
+        for f in right:
             if isinstance(f, Neg):
-                yield "negR", (f,), [sequent(sq.left + (f.body,), sq.right.without(f))]
+                yield "negR", (f,), [Sequent(left.plus(f.body), right.without(f))]
             elif isinstance(f, All):
                 c = _allR_witness(sq, f)
                 body = act(swap(c, f.binder), f.body)
-                yield "allR", (f, c), [sequent(sq.left, sq.right.without(f) + (body,))]
-        for f in sq.right:
+                yield "allR", (f, c), [Sequent(left, right.without(f).plus(body))]
+        for f in right:
             if isinstance(f, And):
-                rest = sq.right.without(f)
-                yield "andR", (f,), [sequent(sq.left, rest + (f.lhs,)),
-                                     sequent(sq.left, rest + (f.rhs,))]
-        for f in sq.left:
+                rest = right.without(f)
+                yield "andR", (f,), [Sequent(left, rest.plus(f.lhs)),
+                                     Sequent(left, rest.plus(f.rhs))]
+        for f in left:
             if isinstance(f, All):
-                for r, inst in zip(universe, allL_instances(f)):
-                    if not sq.left.has(inst):
-                        yield "allL", (f, r), [sequent(sq.left + (inst,), sq.right)]
-        if not any(isinstance(f, Eq) for f in sq.left + sq.right):
+                for r, (inst, k) in zip(universe, allL_instances(f)):
+                    if k not in left.key_set:
+                        yield "allL", (f, r), [Sequent(left.plus(inst), right)]
+        if not any(isinstance(f, Eq) for f in left + right):
             return
         if not refls:
-            refls.extend((r, Eq(r, r)) for r in universe)
-        for r, refl in refls:
-            if not sq.left.has(refl):
-                yield "eqR", (r,), [sequent(sq.left + (refl,), sq.right)]
+            for r in universe:
+                refl = Eq(r, r)
+                refls.append((r, refl, alpha_key(refl)))
+        for r, refl, k in refls:
+            if k not in left.key_set:
+                yield "eqR", (r,), [Sequent(left.plus(refl), right)]
         sq_atoms = sq.free_atoms()
-        for e in sq.left:
+        for e in left:
             if not isinstance(e, Eq) or e.lhs == e.rhs:
                 continue
             blocked = sq_atoms | free_atoms_term(e.rhs) | free_atoms_term(e.lhs)
-            for target in sq.left:
+            for target in left:
                 if target is e:
                     continue
-                hole = fresh(blocked | all_atoms(target))
-                for template, inst_new in eqL_rewrites(e, target, hole):
-                    if not sq.left.has(inst_new):
-                        yield "eqL", (e, template, hole), [sequent(
-                            sq.left.without(target) + (inst_new,), sq.right)]
+                hole = eqL_hole(blocked, target)
+                for template, inst_new, k in eqL_rewrites(e, target, hole):
+                    if k not in left.key_set:
+                        yield "eqL", (e, template, hole), [Sequent(
+                            left.without(target).plus(inst_new), right)]
 
     def search(sq: Sequent, depth: int) -> Proof | None:
         key = sq.key()

@@ -4,6 +4,7 @@ import math
 import os
 import time
 
+from nomfol import filters
 from nomfol.cli import build_parser, run
 from nomfol.sequent import _count
 
@@ -328,6 +329,35 @@ def test_sketch_golden():
     assert out == ("STEP 0 PAIR (a0, P(a1)) SIDE filter\n"
                    "STEP 1 PAIR (a1, P(c)) SIDE filter\n"
                    "STEP 2 PAIR (a2, R) SIDE filter\n")
+
+
+def test_sketch_prints_each_step_before_the_next_is_queried(monkeypatch):
+    # a long sketch must show its progress: line i is written before any
+    # prover query of pair i + 1
+    queries, pair_starts, line_ends = [0], [], []
+    prove, grow_filter = filters.prove, filters.grow_filter
+
+    def counted_prove(*args):
+        queries[0] += 1
+        return prove(*args)
+
+    def pair_start(*args):
+        pair_starts.append(queries[0])
+        return grow_filter(*args)
+
+    class Out(io.StringIO):
+        def write(self, text):
+            if text.endswith("\n"):
+                line_ends.append(queries[0])
+            return super().write(text)
+
+    monkeypatch.setattr(filters, "prove", counted_prove)
+    monkeypatch.setattr(filters, "grow_filter", pair_start)
+    out = Out()
+    assert run(["sketch", "P(c)", "--steps", "3", "--depth", "5"], out) == 0
+    assert out.getvalue().count("\n") == len(line_ends) == len(pair_starts) == 3
+    assert line_ends == pair_starts[1:] + [queries[0]]
+    assert all(start < end for start, end in zip(pair_starts, line_ends))
 
 
 def test_usage_error():

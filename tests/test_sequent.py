@@ -94,6 +94,36 @@ def test_key_sets_match_alpha_eq_oracle():
     assert hits > 300
 
 
+def _assert_same_side(got, want):
+    assert isinstance(got, Side)
+    assert len(got) == len(want) and all(f is g for f, g in zip(got, want))
+    assert got.keys == want.keys and got.key_set == want.key_set
+
+
+def test_plus_and_without_match_a_side_built_from_scratch():
+    # the prover builds each premise's sides with plus and without; they
+    # must keep the same formula objects, in the same order, as Side does
+    rng = random.Random(23)
+    pool = atoms(0, 1, 2)
+    forms = [random_formula(sig, rng, pool, rng.randint(0, 3)) for _ in range(60)]
+    variants = duplicates = 0
+    for _ in range(400):
+        side = Side(rng.sample(forms, rng.randint(0, 5)))
+        fs = rng.sample(forms, rng.randint(0, 3))
+        # alpha-variants of formulas on the side, and repeats among fs
+        fs += [_rename_binders(f, frozenset(pool)) for f in side if rng.random() < 0.4]
+        fs += [rng.choice(fs) for _ in range(rng.randint(0, 2))] if fs else []
+        rng.shuffle(fs)
+        variants += any(f is not g and alpha_eq(f, g) for f in fs for g in side)
+        duplicates += len(fs) > len({alpha_key(f) for f in fs})
+        _assert_same_side(side.plus(*fs), Side(list(side) + fs))
+        for phi in rng.sample(forms, 3) + [_rename_binders(f, frozenset(pool))
+                                           for f in side]:
+            _assert_same_side(side.without(phi),
+                              Side(f for f in side if not alpha_eq(f, phi)))
+    assert variants > 50 and duplicates > 50
+
+
 def test_check_proof_examples():
     s = ps("P(a) |- P(a)")
     ok, diag = check_proof(Proof("hyp", s))
@@ -210,6 +240,23 @@ def test_prove_examples():
     p = prove(ps("|- c = c"), ProverBudget(4), sig)
     assert p is not None and check_proof(p)[0]
     assert prove(ps("|- P(a)"), ProverBudget(6), sig) is None
+
+
+def test_prove_keys_no_side_from_scratch(monkeypatch):
+    # premises are built from their conclusion's keys; this sequent's
+    # search builds premises by all eight rules that have them
+    s = ps("a = b, forall x. P(x) /\\ ~R |- ~~R, forall y. P(y) /\\ P(b)")
+    from_scratch = Side.__new__
+    calls = []
+
+    def counted(cls, formulas):
+        calls.append(formulas)
+        return from_scratch(cls, formulas)
+    monkeypatch.setattr(Side, "__new__", staticmethod(counted))
+    proof = prove(s, ProverBudget(max_depth=4), sig)
+    monkeypatch.undo()
+    assert proof is not None and check_proof(proof)[0]
+    assert calls == []
 
 
 def test_prove_quantifier_and_equality():
