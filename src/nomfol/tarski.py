@@ -3,12 +3,33 @@
 A TableFun is a function from valuations into a finite domain that reads
 only finitely many atoms; the canonical form stores exactly the atoms that
 are genuinely read, which makes support and equality decidable.
+
+Every re-indexing of a table goes through a row-index plan: the tuple of
+source rows for each output row, so moving a table onto other atoms, or
+joining two tables, copies rows with ``tuple(map(table.__getitem__, plan))``.
+A column is read iff pinning it to 0 changes the table, so canonicalising
+a table of up to PLAN_CACHE_ROWS rows is one such copy and compare per
+column; a longer table compares each column's blocks in place instead.
+Each operation canonicalises its result's (deps, table) pair and builds
+one TableFun.
+
+Plans depend only on the table's shape: k, the source width and the
+column map, never on atoms or contents.  ``_PLANS`` holds at most
+PLAN_CACHE_SIZE shapes, each a plan or a width's column pins, keeps no
+plan longer than PLAN_CACHE_ROWS rows and is emptied when full; a longer
+plan is made row by row as it is read, on each call.  The merged
+dependency order of a join is keyed by atoms and sits in a fixed-size
+``lru_cache``, which never keeps a join wider than MAX_DEPS atoms: that
+join is refused.  A re-indexing into more than MAX_ROWS rows is refused
+before any plan is looked up or built.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add, eq, not_
 from typing import Iterable, Iterator
 
 from .foleq import FoleqAlgebra, Interpretation, interpret
@@ -19,6 +40,11 @@ from .syntax import (All, And, Bot, Eq, Formula, Neg, Pred, Signature,
 
 MAX_DEPS = 6  # dependency width of a table; keep constructions bounded
 MAX_ROWS = 10 ** 6  # k**deps table rows, k = 10 at width MAX_DEPS
+PLAN_CACHE_ROWS = 3 ** MAX_DEPS  # longest plan kept: k = 3 at width MAX_DEPS
+PLAN_CACHE_SIZE = 1024  # shapes kept at once; the cache is emptied when full
+JOIN_CACHE_SIZE = 4096  # merged dependency orders kept, least recently used out
+# (k, source width, column map) -> its plan; (k, width) -> its column pins
+_PLANS: dict[tuple, tuple] = {}
 
 
 class Valuation:
@@ -67,7 +93,7 @@ class TableFun:
         return frozenset(self.deps)
 
     def _act_(self, pi: Perm) -> "TableFun":
-        return tablefun(self.k, map(pi, self.deps), self.table)
+        return _ordered(self.k, tuple(map(pi, self.deps)), self.table)
 
     def __call__(self, vs: Valuation):
         idx = 0
@@ -81,46 +107,133 @@ class TableFun:
         return f"TF{ds}({vals})"
 
 
-def _gather(f: TableFun, deps: tuple[Atom, ...]) -> tuple:
-    """f's table over the rows of deps: f's atoms outside deps read 0."""
+def _remember(key: tuple, value: tuple) -> tuple:
+    """Keep a shape's plans; none is longer than PLAN_CACHE_ROWS rows."""
+    if len(_PLANS) >= PLAN_CACHE_SIZE:
+        _PLANS.clear()
+    _PLANS[key] = value
+    return value
+
+
+def _plan(k: int, n: int, cols: tuple[int, ...]) -> Iterable[int]:
+    """The row-index plan re-indexing an n-column table over k values.
+
+    Output column j reads source column cols[j], or reads 0 where cols[j]
+    is -1; the plan holds the source row of each output row, row-major.
+    A plan longer than PLAN_CACHE_ROWS rows is not kept but read once, so
+    it is an iterator whose last column's rows are made as they are read.
+    """
+    plan = _PLANS.get((k, n, cols))
+    if plan is None:
+        strides = [k ** (n - 1 - c) if c >= 0 else 0 for c in cols]
+        long = k ** len(cols) > PLAN_CACHE_ROWS
+        rows = [0]
+        for s in strides[:-1] if long else strides:
+            rows = [r + v * s for r in rows for v in range(k)]
+        if long:
+            s = strides[-1]
+            return itertools.chain.from_iterable(
+                range(r, r + s * k, s) if s else itertools.repeat(r, k) for r in rows)
+        plan = _remember((k, n, cols), tuple(rows))
+    return plan
+
+
+def _pins(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """For each column of an n-column table, the plan pinning it to 0.
+
+    Asked only for tables of at most PLAN_CACHE_ROWS rows, whose plans are kept.
+    """
+    pins = _PLANS.get((k, n))
+    if pins is None:
+        every = tuple(range(n))
+        pins = _remember((k, n), tuple(_plan(k, n, every[:i] + (-1,) + every[i + 1:])
+                                       for i in every))
+    return pins
+
+
+def _narrow(deps: tuple[Atom, ...]) -> tuple[Atom, ...]:
+    """deps, refused if wider than MAX_DEPS atoms."""
     if len(deps) > MAX_DEPS:
         raise ValueError(f"dependency width {len(deps)} exceeds limit {MAX_DEPS}")
-    if deps == f.deps:
-        return f.table
-    if f.k ** len(deps) > MAX_ROWS:
-        raise ValueError(f"table of {f.k ** len(deps)} rows exceeds limit {MAX_ROWS}")
-    stride = {a: f.k ** (len(f.deps) - 1 - i) for i, a in enumerate(f.deps)}
-    idxs = [0]
-    for d in deps:
-        s = stride.get(d, 0)
-        idxs = [i + v * s for i in idxs for v in range(f.k)]
-    return tuple(f.table[i] for i in idxs)
+    return deps
+
+
+def _reindexes(k: int, src: tuple[Atom, ...], deps: tuple[Atom, ...]) -> bool:
+    """Whether a table over src must be re-indexed onto deps.
+
+    Refuses a result wider than MAX_DEPS atoms, and a re-indexed one of
+    more than MAX_ROWS rows, before any plan is looked up or built.
+    """
+    if _narrow(deps) == src:
+        return False
+    if k ** len(deps) > MAX_ROWS:
+        raise ValueError(f"table of {k ** len(deps)} rows exceeds limit {MAX_ROWS}")
+    return True
+
+
+def _gather(k: int, src: tuple[Atom, ...], table: tuple, deps: tuple[Atom, ...],
+            cols: tuple[int, ...]) -> tuple:
+    """A table over src on the rows of deps; column j of deps is src's cols[j]."""
+    if _reindexes(k, src, deps):
+        return tuple(map(table.__getitem__, _plan(k, len(src), cols)))
+    return table
 
 
 def _by_id(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     return tuple(sorted(atoms, key=lambda a: a.id))
 
 
+def _ordered(k: int, atoms: tuple[Atom, ...], table: tuple) -> TableFun:
+    """The canonical TableFun of a table over distinct atoms in any order."""
+    ids = [a.id for a in atoms]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"repeated atom in {atoms}")
+    cols = tuple(sorted(range(len(ids)), key=ids.__getitem__))
+    deps = tuple(map(atoms.__getitem__, cols))
+    return _canonical(k, deps, _gather(k, atoms, table, deps, cols))
+
+
+def _canonical(k: int, deps: tuple[Atom, ...], table: tuple) -> TableFun:
+    """The TableFun of a table over deps, less the columns it never reads.
+
+    A column is read iff pinning it to 0 changes the table.
+    """
+    n = len(deps)
+    if n:
+        kept = _read_columns(k, n, table)
+        if len(kept) < n:
+            read = tuple(map(deps.__getitem__, kept))
+            deps, table = read, _gather(k, deps, table, read, tuple(kept))
+    return TableFun(k, deps, table)
+
+
+def _read_columns(k: int, n: int, table: tuple) -> list[int]:
+    """The columns of an n-column table that pinning to 0 would change."""
+    if k ** n <= PLAN_CACHE_ROWS:
+        get = table.__getitem__
+        return [i for i, pin in enumerate(_pins(k, n)) if table != tuple(map(get, pin))]
+    # a longer table's pins are never kept, so each block of a column's
+    # stride times k rows is compared in place with its first stride rows
+    # pinned, stopping at the first block that differs
+    kept = []
+    for i in range(n):
+        stride = k ** (n - 1 - i)
+        block = stride * k
+        if any(table[j:j + block] != table[j:j + stride] * k
+               for j in range(0, len(table), block)):
+            kept.append(i)
+    return kept
+
+
 def tablefun(k: int, atoms: Iterable[Atom], values: Iterable) -> TableFun:
-    """The canonical TableFun of row-major values over atoms, in any order."""
+    """The canonical TableFun of row-major values over distinct atoms, in any order."""
     raw = TableFun(k, tuple(atoms), tuple(values))
-    deps = _by_id(raw.deps)
-    return tf_canonicalise(TableFun(k, deps, _gather(raw, deps)))
-
-
-def _reads(f: TableFun, i: int) -> bool:
-    # the column reads its atom iff some block's k sub-slices differ
-    t, k = f.table, f.k
-    stride = k ** (len(f.deps) - 1 - i)
-    block = stride * k
-    return any(t[base + v * stride:base + (v + 1) * stride] != t[base:base + stride]
-               for base in range(0, len(t), block) for v in range(1, k))
+    return _ordered(k, raw.deps, raw.table)
 
 
 def tf_canonicalise(f: TableFun) -> TableFun:
     """Prune dependencies the table never reads; idempotent."""
-    deps = tuple(a for i, a in enumerate(f.deps) if _reads(f, i))
-    return f if deps == f.deps else TableFun(f.k, deps, _gather(f, deps))
+    return _canonical(f.k, f.deps, f.table)
 
 
 def tf_const(k: int, v) -> TableFun:
@@ -132,46 +245,85 @@ def tf_atm(k: int, a: Atom) -> TableFun:
     return TableFun(k, (a,), tuple(range(k)))
 
 
+def _columns(src: tuple[Atom, ...], deps: tuple[Atom, ...]) -> tuple[int, ...]:
+    return tuple(src.index(d) if d in src else -1 for d in deps)
+
+
+@lru_cache(maxsize=JOIN_CACHE_SIZE)
+def _join(fdeps: tuple[Atom, ...], gdeps: tuple[Atom, ...]):
+    """The atoms either table reads, in order, and each table's column map.
+
+    A join wider than MAX_DEPS atoms is refused, so it is never kept.
+    """
+    deps = _narrow(_by_id(set(fdeps) | set(gdeps)))
+    return deps, _columns(fdeps, deps), _columns(gdeps, deps)
+
+
+def _joined(f: TableFun, g: TableFun):
+    """Both tables over the atoms either reads: (deps, f's rows, g's rows)."""
+    if f.k != g.k:
+        raise ValueError("mismatched domains")
+    deps, fcols, gcols = _join(f.deps, g.deps)
+    return (deps, _gather(f.k, f.deps, f.table, deps, fcols),
+            _gather(g.k, g.deps, g.table, deps, gcols))
+
+
+@lru_cache(maxsize=JOIN_CACHE_SIZE)
+def _subst_join(fdeps: tuple[Atom, ...], a: Atom, udeps: tuple[Atom, ...]):
+    """The atoms of f[a := u], and f's (a read as 0) and u's column maps.
+
+    A result wider than MAX_DEPS atoms is refused, so it is never kept.
+    """
+    rest = tuple(d for d in fdeps if d != a)
+    deps = _narrow(_by_id(set(rest) | set(udeps)))
+    fcols = tuple(-1 if d == a else c for d, c in zip(deps, _columns(fdeps, deps)))
+    return rest, deps, fcols, _columns(udeps, deps)
+
+
 def tf_subst(f: TableFun, a: Atom, u: TableFun) -> TableFun:
     """(f[a := u])(vs) = f(vs[a |-> u(vs)]); exact on canonical tables."""
     if f.k != u.k:
         raise ValueError("mismatched domains")
     if a not in f.deps:
         return f
-    k, rest = f.k, tuple(d for d in f.deps if d != a)
-    deps = _by_id(set(rest) | set(u.deps))
-    # f's row index with a read as 0, spread onto the output rows; u may
+    k, n = f.k, len(f.deps)
+    rest, deps, fcols, ucols = _subst_join(f.deps, a, u.deps)
+    _reindexes(k, rest, deps)  # the row refusal of moving f's rows over rest onto deps
+    # the row of f with a read as 0, plus a's stride times u's value; u may
     # read a itself, so a's column of deps is never f's
-    base = TableFun(k, rest, _gather(TableFun(k, f.deps, range(len(f.table))), rest))
-    stride = k ** (len(rest) - f.deps.index(a))
-    return tablefun(k, deps, [f.table[i + x * stride] for i, x in
-                              zip(_gather(base, deps), _gather(u, deps))])
+    base = _plan(k, n, fcols)
+    stride = k ** (n - 1 - f.deps.index(a))
+    values = _gather(k, u.deps, u.table, deps, ucols)
+    return _canonical(k, deps, tuple(map(f.table.__getitem__, map(
+        add, base, map(stride.__mul__, values)))))
 
 
 def tf_meet(f: TableFun, g: TableFun) -> TableFun:
-    deps = _by_id(set(f.deps) | set(g.deps))
-    return tablefun(f.k, deps, [x and y for x, y in zip(_gather(f, deps), _gather(g, deps))])
+    deps, x, y = _joined(f, g)
+    return _canonical(f.k, deps, tuple([p and q for p, q in zip(x, y)]))
 
 
 def tf_neg(f: TableFun) -> TableFun:
-    return TableFun(f.k, f.deps, tuple(not v for v in f.table))
+    return TableFun(f.k, f.deps, tuple(map(not_, f.table)))
 
 
 def tf_eq(u: TableFun, v: TableFun) -> TableFun:
     """Pointwise equality table; the lift's equality element applied to u, v."""
-    if u.k != v.k:
-        raise ValueError("mismatched domains")
-    deps = _by_id(set(u.deps) | set(v.deps))
-    return tablefun(u.k, deps, [x == y for x, y in zip(_gather(u, deps), _gather(v, deps))])
+    deps, x, y = _joined(u, v)
+    return _canonical(u.k, deps, tuple(map(eq, x, y)))
 
 
 def tf_freshmeet(a: Atom, f: TableFun) -> TableFun:
     """Meet of f over all domain values at a; the fresh-finite limit."""
     if a not in f.deps:
         return f
-    k, deps = f.k, tuple(d for d in f.deps if d != a)
-    t = _gather(f, deps + (a,))
-    return tablefun(k, deps, [all(t[i:i + k]) for i in range(0, len(t), k)])
+    k, n, i = f.k, len(f.deps), f.deps.index(a)
+    deps = f.deps[:i] + f.deps[i + 1:]
+    every = tuple(range(n))
+    # f's rows with a's column moved last: each output row's k values are
+    # one stride-1 run, and column x of the runs is t[x::k]
+    t = _gather(k, f.deps, f.table, deps + (a,), every[:i] + every[i + 1:] + (i,))
+    return _canonical(k, deps, tuple(map(all, zip(*(t[x::k] for x in range(k))))))
 
 
 # ----------------------------------------------------- ordinary models

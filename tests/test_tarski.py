@@ -1,3 +1,5 @@
+import hashlib
+import io
 import itertools
 import random
 import time
@@ -5,13 +7,17 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nomfol import tarski
+from nomfol.cli import run
+from nomfol.foleq import interpret
 from nomfol.nominal import Perm, act, atoms, fresh, support, swap
 from nomfol.samplers import tarski_sampler
 from nomfol.sigma import sigma_axiom_suite
 from nomfol.syntax import (All, BOT, Eq, Neg, Or, Pred, Signature,
-                           SyntaxError_, Var, default_signature)
-from nomfol.tarski import (MAX_DEPS, OrdinaryModel, TableFun, Valuation,
-                           agreement_check, all_valuations, iter_models,
+                           SyntaxError_, Var, default_signature, random_formula)
+from nomfol.tarski import (MAX_DEPS, PLAN_CACHE_ROWS, PLAN_CACHE_SIZE,
+                           OrdinaryModel, TableFun, Valuation, agreement_check,
+                           all_valuations, iter_models,
                            lift_interpretation, parse_model, random_model,
                            random_tablefun, standard_eval, tablefun,
                            tarski_termlike, tf_atm,
@@ -204,7 +210,7 @@ def test_valuation_action_renames_keys_only():
 
 
 # ------------------------------------------------------------------
-# The closure kernel that the stride kernel replaced, kept as a reference:
+# The closure kernel that the row-index plans replaced, kept as a reference:
 # every table is built by calling a function once per row, on a dict.
 
 def _ref_rows(k, deps):
@@ -304,24 +310,23 @@ def _canonical(k, raw):
     return ref_tablefun(k, ds, lambda m: values[_row(k, ds, m)])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_stride_kernel_matches_closure_kernel(data):
-    k = data.draw(st.sampled_from((1, 2, 3)))
-    ds, values = raw = data.draw(raw_tables(k))
+def _matches_closure_kernel(data, k, pool, width):
+    """Every table operation on raw tables over at most width atoms of pool."""
+    deps = st.lists(st.sampled_from(pool), unique=True, max_size=width)
+    ds, values = raw = data.draw(raw_tables(k, deps=deps))
     assert tablefun(k, ds, values) == _canonical(k, raw)
     order = tuple(sorted(ds, key=lambda q: q.id))
     uncanonical = TableFun(k, order, tuple(values[_row(k, ds, dict(zip(order, c)))]
                                            for c in itertools.product(range(k), repeat=len(ds))))
     assert tf_canonicalise(uncanonical) == ref_canonicalise(uncanonical)
-    f, g = _canonical(k, raw), _canonical(k, data.draw(raw_tables(k)))
-    u, v = (_canonical(k, data.draw(raw_tables(k, outputs=k))) for _ in range(2))
-    q = data.draw(st.sampled_from(POOL))
+    f, g = _canonical(k, raw), _canonical(k, data.draw(raw_tables(k, deps=deps)))
+    u, v = (_canonical(k, data.draw(raw_tables(k, outputs=k, deps=deps))) for _ in range(2))
+    q = data.draw(st.sampled_from(pool))
     # a term that may read q itself, as in f[q := g(q)]
-    reads_q = st.lists(st.sampled_from(POOL), unique=True, min_size=1, max_size=3).map(
-        lambda xs: [q] + [x for x in xs if x != q][:2])
+    reads_q = st.lists(st.sampled_from(pool), unique=True, min_size=1, max_size=width).map(
+        lambda xs: [q] + [x for x in xs if x != q][:width - 1])
     uq = _canonical(k, data.draw(raw_tables(k, outputs=k, deps=reads_q)))
-    pi = Perm(dict(zip(POOL, data.draw(st.permutations(POOL)))))
+    pi = Perm(dict(zip(pool, data.draw(st.permutations(pool)))))
     assert act(pi, f) == ref_act(pi, f)
     assert act(pi, u) == ref_act(pi, u)
     assert tf_meet(f, g) == ref_meet(f, g)
@@ -330,6 +335,20 @@ def test_stride_kernel_matches_closure_kernel(data):
     assert tf_subst(f, q, uq) == ref_subst(f, q, uq)
     assert tf_subst(u, q, uq) == ref_subst(u, q, uq)
     assert tf_freshmeet(q, f) == ref_freshmeet(q, f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_stride_kernel_matches_closure_kernel(data):
+    _matches_closure_kernel(data, data.draw(st.sampled_from((1, 2, 3))), POOL, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_plans_of_every_width_match_closure_kernel(data):
+    # a pool of MAX_DEPS atoms keeps every join, substitution and
+    # permutation within the width limit, up to plans over MAX_DEPS columns
+    _matches_closure_kernel(data, 2, atoms(*range(MAX_DEPS)), MAX_DEPS)
 
 
 def test_subst_of_a_term_reading_the_substituted_atom():
@@ -358,6 +377,59 @@ def test_lift_tables_and_random_tables_match_closure_kernel():
             ref_random_tablefun(k, random.Random(seed), POOL, outputs)
 
 
+def test_meet_and_tablefun_refuse_what_is_not_a_table():
+    with pytest.raises(ValueError, match="mismatched domains"):
+        tf_meet(tablefun(2, (a,), (0, 1)), tablefun(3, (a,), (0, 1, 1)))
+    with pytest.raises(ValueError, match="repeated atom"):
+        tablefun(2, (a, a), (False, True, True, True))
+
+
+def test_tables_longer_than_kept_plans_match_closure_kernel():
+    # k = 4 over 5 atoms is 1024 rows, more than PLAN_CACHE_ROWS: such
+    # plans are made as they are read and such columns are tested in place
+    rng = random.Random(53)
+    k, wide = 4, atoms(*range(5))
+
+    def raw(outputs, width):
+        # values over width atoms in any order that read only some of them
+        ds = tuple(rng.sample(wide, width))
+        read = rng.sample(ds, rng.randint(1, width))
+        vals = {c: rng.randrange(outputs) for c in itertools.product(range(k), repeat=len(read))}
+        return ds, [vals[tuple(m[q] for q in read)] for m in _ref_rows(k, ds)]
+
+    for _ in range(12):
+        ds, values = raw(2, 5)
+        order = tuple(sorted(ds, key=lambda q: q.id))
+        uncanonical = TableFun(k, order, tuple(values[_row(k, ds, dict(zip(order, c)))]
+                                               for c in itertools.product(range(k), repeat=5)))
+        assert tablefun(k, ds, values) == _canonical(k, (ds, values))
+        assert tf_canonicalise(uncanonical) == ref_canonicalise(uncanonical)
+        f, g = (_canonical(k, raw(2, rng.randint(3, 5))) for _ in range(2))
+        u, v = (_canonical(k, raw(k, rng.randint(3, 5))) for _ in range(2))
+        q = rng.choice(wide)
+        pi = Perm(dict(zip(wide, rng.sample(wide, len(wide)))))
+        assert act(pi, f) == ref_act(pi, f)
+        assert tf_meet(f, g) == ref_meet(f, g)
+        assert tf_eq(u, v) == ref_eq(u, v)
+        assert tf_subst(f, q, u) == ref_subst(f, q, u)
+        assert tf_freshmeet(q, f) == ref_freshmeet(q, f)
+
+
+def test_plan_cache_stays_bounded():
+    # a k = 10, width-4 table is re-indexed through a 10**4-row plan, which
+    # may not be kept, and its columns are tested in place
+    parity = [sum(c) % 2 == 0 for c in itertools.product(range(10), repeat=4)]
+    assert len(tablefun(10, atoms(3, 1, 0, 2), parity).table) == 10 ** 4
+    tablefun(3, (b, a), range(9))
+    # a (k, width) key holds that shape's column pins, a longer key one plan
+    plans = [p for key, v in tarski._PLANS.items() for p in (v if len(key) == 2 else [v])]
+    assert 9 in map(len, plans) and max(map(len, plans)) <= PLAN_CACHE_ROWS
+    # one shape per domain size: the cache is emptied, not grown, when full
+    for k in range(1, PLAN_CACHE_ROWS + 1):
+        tablefun(k, (a,), range(k))
+        assert len(tarski._PLANS) <= PLAN_CACHE_SIZE
+
+
 def test_width_is_refused_before_rows_are_enumerated():
     # two disjoint width-4 tables at k = 10: their meet would have 10**8 rows
     parity = [sum(c) % 2 == 0 for c in itertools.product(range(10), repeat=4)]
@@ -368,3 +440,55 @@ def test_width_is_refused_before_rows_are_enumerated():
         with pytest.raises(ValueError, match="dependency width 8 exceeds limit 6"):
             op(f, g)
     assert time.perf_counter() - start < 1.0
+
+
+def test_refused_joins_are_not_kept():
+    parity = [sum(c) % 2 == 0 for c in itertools.product(range(10), repeat=4)]
+    f, g = tablefun(10, atoms(0, 1, 2, 3), parity), tablefun(10, atoms(4, 5, 6, 7), parity)
+    tarski._join.cache_clear()
+    tarski._subst_join.cache_clear()
+    for op, args in ((tf_meet, (f, g)), (tf_eq, (f, g)), (tf_subst, (f, f.deps[0], g))):
+        with pytest.raises(ValueError, match="dependency width [78] exceeds limit 6"):
+            op(*args)
+    assert tarski._join.cache_info().currsize == tarski._subst_join.cache_info().currsize == 0
+
+
+# SHA-256 of the lift's answers, one per line: interpreted formulas, the
+# table operations on seeded random tables up to MAX_DEPS atoms wide, and
+# the axiom suites that run over the lift; pinned while every table
+# operation still re-indexed its inputs by stride loops
+LIFT_GOLDEN = "c74f712dd22aee9289af240ec24c42ab5487ef5b20cd95e9ab04f90781258779"
+
+
+def _lift_answers():
+    rng = random.Random(41)
+    sig = default_signature()
+    texts = []
+    for i in range(240):
+        k = 1 + i % 3
+        phi = random_formula(sig, rng, POOL[:3], 4)
+        texts.append(repr(interpret(phi, lift_interpretation(random_model(sig, k, rng)))))
+    wide = atoms(*range(MAX_DEPS))
+
+    def table(k, outputs):
+        ds = rng.sample(wide, rng.randint(0, 3))
+        return tablefun(k, ds, [rng.randrange(outputs) for _ in range(k ** len(ds))])
+    for i in range(600):
+        k = 1 + i % 3
+        f, g = table(k, 2), table(k, 2)
+        u, v = table(k, k), table(k, k)
+        q = rng.choice(wide)
+        pi = Perm(dict(zip(wide, rng.sample(wide, len(wide)))))
+        texts += map(repr, (tf_meet(f, g), tf_eq(u, v), tf_subst(f, q, u),
+                            tf_subst(u, q, v), tf_freshmeet(q, f), act(pi, f), act(pi, u)))
+    for suite, n in (("sigma-tarski", 20), ("foleq-tarski", 4), ("eq-laws", 8)):
+        for seed in (5, 7919):
+            out = io.StringIO()
+            code = run(["axioms", suite, "--n", str(n), "--seed", str(seed)], out)
+            texts.append(f"{code}|{out.getvalue()}")
+    return texts
+
+
+def test_lift_output_is_pinned():
+    digest = hashlib.sha256("\n".join(_lift_answers()).encode()).hexdigest()
+    assert digest == LIFT_GOLDEN
