@@ -8,20 +8,18 @@ Every re-indexing of a table goes through a row-index plan: the tuple of
 source rows for each output row, so moving a table onto other atoms, or
 joining two tables, copies rows with ``tuple(map(table.__getitem__, plan))``.
 A column is read iff pinning it to 0 changes the table, so canonicalising
-a table of up to PLAN_CACHE_ROWS rows is one such copy and compare per
-column; a longer table compares each column's blocks in place instead.
-Each operation canonicalises its result's (deps, table) pair and builds
-one TableFun.
+compares each column's blocks in place with their first rows, stopping at
+the first block that differs.  Each operation canonicalises its result's
+(deps, table) pair and builds one TableFun.
 
 Plans depend only on the table's shape: k, the source width and the
-column map, never on atoms or contents.  ``_PLANS`` holds at most
-PLAN_CACHE_SIZE shapes, each a plan or a width's column pins, keeps no
-plan longer than PLAN_CACHE_ROWS rows and is emptied when full; a longer
-plan is made row by row as it is read, on each call.  The merged
-dependency order of a join is keyed by atoms and sits in a fixed-size
-``lru_cache``, which never keeps a join wider than MAX_DEPS atoms: that
-join is refused.  A re-indexing into more than MAX_ROWS rows is refused
-before any plan is looked up or built.
+column map, never on atoms or contents.  ``_PLANS`` holds the plans of at
+most PLAN_CACHE_SIZE shapes, keeps no plan longer than PLAN_CACHE_ROWS
+rows and is emptied when full; a longer plan is made row by row as it is
+read, on each call.  The merged dependency order of a join is keyed by
+atoms and sits in a fixed-size ``lru_cache``, which never keeps a join
+wider than MAX_DEPS atoms: that join is refused.  A re-indexing into more
+than MAX_ROWS rows is refused before any plan is looked up or built.
 """
 from __future__ import annotations
 
@@ -43,8 +41,7 @@ MAX_ROWS = 10 ** 6  # k**deps table rows, k = 10 at width MAX_DEPS
 PLAN_CACHE_ROWS = 3 ** MAX_DEPS  # longest plan kept: k = 3 at width MAX_DEPS
 PLAN_CACHE_SIZE = 1024  # shapes kept at once; the cache is emptied when full
 JOIN_CACHE_SIZE = 4096  # merged dependency orders kept, least recently used out
-# (k, source width, column map) -> its plan; (k, width) -> its column pins
-_PLANS: dict[tuple, tuple] = {}
+_PLANS: dict[tuple, tuple] = {}  # (k, source width, column map) -> its plan
 
 
 class Valuation:
@@ -86,7 +83,7 @@ class TableFun:
     table: tuple
 
     def __post_init__(self):
-        if len(self.table) != self.k ** len(self.deps):
+        if len(self.table) != self.k ** len(_narrow(self.deps)):
             raise ValueError("table size does not match dependency count")
 
     def _support_(self) -> frozenset[Atom]:
@@ -105,14 +102,6 @@ class TableFun:
         ds = "[" + " ".join(a.name for a in self.deps) + "]"
         vals = " ".join(str(int(v)) if isinstance(v, bool) else str(v) for v in self.table)
         return f"TF{ds}({vals})"
-
-
-def _remember(key: tuple, value: tuple) -> tuple:
-    """Keep a shape's plans; none is longer than PLAN_CACHE_ROWS rows."""
-    if len(_PLANS) >= PLAN_CACHE_SIZE:
-        _PLANS.clear()
-    _PLANS[key] = value
-    return value
 
 
 def _plan(k: int, n: int, cols: tuple[int, ...]) -> Iterable[int]:
@@ -134,21 +123,10 @@ def _plan(k: int, n: int, cols: tuple[int, ...]) -> Iterable[int]:
             s = strides[-1]
             return itertools.chain.from_iterable(
                 range(r, r + s * k, s) if s else itertools.repeat(r, k) for r in rows)
-        plan = _remember((k, n, cols), tuple(rows))
+        if len(_PLANS) >= PLAN_CACHE_SIZE:
+            _PLANS.clear()
+        plan = _PLANS[k, n, cols] = tuple(rows)
     return plan
-
-
-def _pins(k: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """For each column of an n-column table, the plan pinning it to 0.
-
-    Asked only for tables of at most PLAN_CACHE_ROWS rows, whose plans are kept.
-    """
-    pins = _PLANS.get((k, n))
-    if pins is None:
-        every = tuple(range(n))
-        pins = _remember((k, n), tuple(_plan(k, n, every[:i] + (-1,) + every[i + 1:])
-                                       for i in every))
-    return pins
 
 
 def _narrow(deps: tuple[Atom, ...]) -> tuple[Atom, ...]:
@@ -161,10 +139,12 @@ def _narrow(deps: tuple[Atom, ...]) -> tuple[Atom, ...]:
 def _reindexes(k: int, src: tuple[Atom, ...], deps: tuple[Atom, ...]) -> bool:
     """Whether a table over src must be re-indexed onto deps.
 
-    Refuses a result wider than MAX_DEPS atoms, and a re-indexed one of
-    more than MAX_ROWS rows, before any plan is looked up or built.
+    deps is at most MAX_DEPS atoms wide: it is a TableFun's, a subset of
+    one, or a join's, which refuses a wider result itself.  A re-indexed
+    table of more than MAX_ROWS rows is refused before any plan is looked
+    up or built.
     """
-    if _narrow(deps) == src:
+    if deps == src:
         return False
     if k ** len(deps) > MAX_ROWS:
         raise ValueError(f"table of {k ** len(deps)} rows exceeds limit {MAX_ROWS}")
@@ -196,25 +176,12 @@ def _ordered(k: int, atoms: tuple[Atom, ...], table: tuple) -> TableFun:
 def _canonical(k: int, deps: tuple[Atom, ...], table: tuple) -> TableFun:
     """The TableFun of a table over deps, less the columns it never reads.
 
-    A column is read iff pinning it to 0 changes the table.
+    A column is read iff pinning it to 0 changes the table: iff some block
+    of the column's stride times k rows differs from its first stride rows
+    repeated k times.  Blocks are compared in place, up to the first that
+    differs.
     """
     n = len(deps)
-    if n:
-        kept = _read_columns(k, n, table)
-        if len(kept) < n:
-            read = tuple(map(deps.__getitem__, kept))
-            deps, table = read, _gather(k, deps, table, read, tuple(kept))
-    return TableFun(k, deps, table)
-
-
-def _read_columns(k: int, n: int, table: tuple) -> list[int]:
-    """The columns of an n-column table that pinning to 0 would change."""
-    if k ** n <= PLAN_CACHE_ROWS:
-        get = table.__getitem__
-        return [i for i, pin in enumerate(_pins(k, n)) if table != tuple(map(get, pin))]
-    # a longer table's pins are never kept, so each block of a column's
-    # stride times k rows is compared in place with its first stride rows
-    # pinned, stopping at the first block that differs
     kept = []
     for i in range(n):
         stride = k ** (n - 1 - i)
@@ -222,7 +189,10 @@ def _read_columns(k: int, n: int, table: tuple) -> list[int]:
         if any(table[j:j + block] != table[j:j + stride] * k
                for j in range(0, len(table), block)):
             kept.append(i)
-    return kept
+    if len(kept) < n:
+        read = tuple(map(deps.__getitem__, kept))
+        deps, table = read, _gather(k, deps, table, read, tuple(kept))
+    return TableFun(k, deps, table)
 
 
 def tablefun(k: int, atoms: Iterable[Atom], values: Iterable) -> TableFun:
@@ -506,8 +476,11 @@ def random_model(sig: Signature, k: int, rng: random.Random) -> OrdinaryModel:
 
 def random_tablefun(k: int, rng: random.Random, pool: tuple[Atom, ...],
                     outputs: int | None = None) -> TableFun:
-    """Random canonical TableFun on at most 3 atoms; outputs=None gives truth values."""
+    """Random canonical TableFun on at most 3 atoms; outputs=None gives truth values.
+
+    pool holds distinct atoms, so the sampled deps are distinct.
+    """
     n = rng.randint(0, min(3, len(pool)))
     deps = _by_id(rng.sample(pool, n))
-    return tablefun(k, deps, [rng.randrange(outputs) if outputs is not None
-                              else rng.random() < 0.5 for _ in range(k ** n)])
+    return _canonical(k, deps, tuple([rng.randrange(outputs) if outputs is not None
+                                      else rng.random() < 0.5 for _ in range(k ** n)]))

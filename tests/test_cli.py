@@ -7,10 +7,14 @@ import time
 from nomfol import filters
 from nomfol.cli import build_parser, run
 from nomfol.sequent import _count
+from nomfol.syntax import free_atoms, parse_formula, parse_signature
+from nomfol.tarski import all_valuations, parse_model, standard_eval
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SIG = os.path.join(DATA, "p1.sig")
 MODEL = os.path.join(DATA, "p1k2.model")
+PQ_SIG = os.path.join(DATA, "pq.sig")
+PQ_MODEL = os.path.join(DATA, "pqk4.model")
 
 
 def go(*argv):
@@ -36,6 +40,28 @@ def test_eval_errors():
     assert code == 64 and out.startswith("error:")
     code, out = go("eval", "P(a)", "--sig", SIG, "--model", "/nonexistent")
     assert code == 64
+
+
+def test_eval_of_a_long_table_matches_standard_eval():
+    # five free atoms at k = 4: the meet and its result have 4**5 = 1,024 rows
+    text = "(P(a,b) \\/ P(c,d)) /\\ ~Q(e)"
+    code, out = go("eval", text, "--sig", PQ_SIG, "--model", PQ_MODEL, "--machine")
+    assert code == 0
+    lines = dict(line.split(" ", 1) for line in out.splitlines())
+    with open(PQ_SIG) as fh:
+        sig = parse_signature(fh.read())
+    with open(PQ_MODEL) as fh:
+        model = parse_model(fh.read(), sig)
+    phi = parse_formula(text, sig)
+    by_name = {x.name: x for x in free_atoms(phi)}
+    deps = [by_name[name] for name in lines["DEPS"].split()]
+    rows = lines["TABLE"].split()
+    assert len(deps) == 5 and len(rows) == 4 ** 5
+    for vs in all_valuations(deps, model.k):
+        row = 0
+        for x in deps:
+            row = row * model.k + vs.lookup(x)
+        assert rows[row] == str(int(standard_eval(phi, model, vs)))
 
 
 def test_directory_arguments_are_usage_errors(tmp_path):

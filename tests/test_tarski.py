@@ -382,11 +382,14 @@ def test_meet_and_tablefun_refuse_what_is_not_a_table():
         tf_meet(tablefun(2, (a,), (0, 1)), tablefun(3, (a,), (0, 1, 1)))
     with pytest.raises(ValueError, match="repeated atom"):
         tablefun(2, (a, a), (False, True, True, True))
+    parity = tuple(sum(c) % 2 == 0 for c in itertools.product(range(2), repeat=7))
+    with pytest.raises(ValueError, match="dependency width 7 exceeds limit 6"):
+        TableFun(2, atoms(*range(7)), parity)
 
 
 def test_tables_longer_than_kept_plans_match_closure_kernel():
     # k = 4 over 5 atoms is 1024 rows, more than PLAN_CACHE_ROWS: such
-    # plans are made as they are read and such columns are tested in place
+    # plans are made as they are read and never kept
     rng = random.Random(53)
     k, wide = 4, atoms(*range(5))
 
@@ -417,17 +420,24 @@ def test_tables_longer_than_kept_plans_match_closure_kernel():
 
 def test_plan_cache_stays_bounded():
     # a k = 10, width-4 table is re-indexed through a 10**4-row plan, which
-    # may not be kept, and its columns are tested in place
+    # may not be kept
     parity = [sum(c) % 2 == 0 for c in itertools.product(range(10), repeat=4)]
     assert len(tablefun(10, atoms(3, 1, 0, 2), parity).table) == 10 ** 4
     tablefun(3, (b, a), range(9))
-    # a (k, width) key holds that shape's column pins, a longer key one plan
-    plans = [p for key, v in tarski._PLANS.items() for p in (v if len(key) == 2 else [v])]
+    # every key is one shape, (k, source width, column map), holding its plan
+    for (k, n, cols), plan in tarski._PLANS.items():
+        assert len(plan) == k ** len(cols) and all(-1 <= c < n for c in cols)
+    plans = list(tarski._PLANS.values())
     assert 9 in map(len, plans) and max(map(len, plans)) <= PLAN_CACHE_ROWS
-    # one shape per domain size: the cache is emptied, not grown, when full
-    for k in range(1, PLAN_CACHE_ROWS + 1):
-        tablefun(k, (a,), range(k))
-        assert len(tarski._PLANS) <= PLAN_CACHE_SIZE
+    # one shape per order of six atoms at k = 2 and k = 3, 1,438 in all:
+    # the cache is emptied, not grown, when full
+    tarski._PLANS.clear()
+    sizes = []
+    for k in (2, 3):
+        for order in itertools.permutations(atoms(*range(6))):
+            tablefun(k, order, range(k ** 6))
+            sizes.append(len(tarski._PLANS))
+    assert max(sizes) == PLAN_CACHE_SIZE and sizes[-1] < PLAN_CACHE_SIZE
 
 
 def test_width_is_refused_before_rows_are_enumerated():
