@@ -2,8 +2,10 @@
 
 Sequents are finite alpha-aware sets, so contraction is implicit.  The
 prover is sound by construction and bounded; not-found is never read as a
-refutation.  Countermodels are exhaustive up to the size bound, so a
-found model is a certificate.
+refutation.  Before it searches, ``prove`` looks for a countermodel of
+size 1 and gives up at once on a sequent that has one, which no depth
+could prove; that None is still "not found".  Countermodels are
+exhaustive up to the size bound, so a found model is a certificate.
 """
 from __future__ import annotations
 
@@ -355,6 +357,40 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
           sig: Signature | None = None) -> Proof | None:
     """Bounded backward search over the rules; sound by construction.
 
+    A countermodel of size 1 is looked for first, over the symbols the
+    sequent uses (sig may lack them).  A sequent that has one is not
+    valid, so no search could prove it, and None is returned without
+    searching.  The check is made at the root only: a model that falsifies
+    a premise falsifies its conclusion, so if the root has no size-1
+    countermodel, no node below it has one.  None is still "not found",
+    not a refutation: the model is not reported.
+    """
+    if _refuted_at_size_1(s):
+        return None
+    return _search(s, budget, sig)
+
+
+def _refuted_at_size_1(s: Sequent) -> bool:
+    """Whether s has a countermodel of size 1 over the symbols s uses.
+
+    False, without a search, when those symbols make no Signature (a name
+    at two arities, or as both a function and a predicate) or when
+    find_countermodel refuses the size; prove then just searches.
+    """
+    funcs, preds = _symbols(s)
+    try:
+        used = Signature(tuple(sorted(funcs)), tuple(sorted(preds)))
+    except ValueError:
+        return False
+    try:
+        return find_countermodel(s, used, 1) is not None
+    except SearchRefused:
+        return False
+
+
+def _search(s: Sequent, budget: ProverBudget, sig: Signature | None) -> Proof | None:
+    """The bounded backward search of prove, without its countermodel check.
+
     Only the root's sides are keyed from scratch: each premise's sides are
     built from its conclusion's with ``Side.plus`` and ``Side.without``,
     which key just the formulas they add or drop.
@@ -495,9 +531,10 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
 COUNTERMODEL_SPACE_LIMIT = 10 ** 6
 
 
-def _used_signature(s: Sequent, sig: Signature) -> Signature:
-    """The symbols of sig that occur in s, in signature order."""
-    used: set[str] = set()
+def _symbols(s: Sequent) -> tuple[set[tuple[str, int]], set[tuple[str, int]]]:
+    """The (name, arity) pairs of the functions and of the predicates in s."""
+    funcs: set[tuple[str, int]] = set()
+    preds: set[tuple[str, int]] = set()
     todo = list(s.left + s.right)
     while todo:
         f = todo.pop()
@@ -507,8 +544,15 @@ def _used_signature(s: Sequent, sig: Signature) -> Signature:
             todo.append(f.body)
         else:
             if isinstance(f, Pred):
-                used.add(f.name)
-            used.update(t.fn for t in formula_terms(f) if isinstance(t, App))
+                preds.add((f.name, len(f.args)))
+            funcs.update((t.fn, len(t.args)) for t in formula_terms(f) if isinstance(t, App))
+    return funcs, preds
+
+
+def _used_signature(s: Sequent, sig: Signature) -> Signature:
+    """The symbols of sig that occur in s, in signature order."""
+    funcs, preds = _symbols(s)
+    used = {name for name, _ in funcs | preds}
     return Signature(tuple(x for x in sig.functions if x[0] in used),
                      tuple(x for x in sig.predicates if x[0] in used))
 

@@ -15,8 +15,8 @@ from nomfol.foleq import foleq_axiom_suite, interpret, interpret_term, sequent_v
 from nomfol.filters import point_sketch, points_amgis, upset, filter_check
 from nomfol.samplers import (charset_sampler, probe_terms, tarski_foleq_sampler,
                              tarski_sampler, term_carrier, term_sampler)
-from nomfol.sequent import (ProverBudget, check_proof, find_countermodel,
-                            generate_derivable, prove, sequent)
+from nomfol.sequent import (ProverBudget, _search, check_proof,
+                            find_countermodel, generate_derivable, sequent)
 from nomfol.sigma import amgis_axiom_suite, pow_amgis, sigma_axiom_suite
 from nomfol.syntax import (Signature, alpha_eq, default_signature, free_atoms,
                            parse_formula, random_formula, random_term,
@@ -152,7 +152,8 @@ def test_criterion_08_prover_countermodel_consistency():
             nl = rng.randint(0, 1)
             s = sequent([random_formula(sigP, rng, pool, 2) for _ in range(nl)],
                         [random_formula(sigP, rng, pool, 2)])
-        p = prove(s, budget, sigP)
+        # the unguarded search, so that a proof of a refuted sequent shows
+        p = _search(s, budget, sigP)
         cm = find_countermodel(s, sigP, 2)
         if p is not None:
             proved += 1

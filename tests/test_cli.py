@@ -239,6 +239,15 @@ def test_long_conclusion_is_refused_quickly(tmp_path):
     assert code == 64 and out.startswith("error: nesting deeper than 100")
 
 
+def test_prove_gives_up_at_once_on_a_refuted_sequent():
+    # a size-1 model refutes it; the depth-8 search alone takes more than 10 s
+    start = time.perf_counter()
+    code, out = go("prove", "a1 = a0, g(a0, a2) = a2, forall a1. a1 = a2 |- Q(a0, a0)",
+                   "--depth", "8")
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (2, "UNKNOWN\n")
+
+
 def test_table_rows_are_bounded(tmp_path):
     # Q reads both arguments, so the conjunction's table reads four atoms:
     # 40**4 rows, refused before they are built

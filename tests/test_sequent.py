@@ -5,11 +5,13 @@ import random
 
 import pytest
 
+from nomfol import sequent as sequent_module
 from nomfol import syntax
 from nomfol.nominal import act, atoms, fresh, swap
 from nomfol.foleq import sequent_valid
 from nomfol.sequent import (Proof, ProverBudget, SearchRefused, Side, _RULES,
-                            _sexpr_tokens, _size_space, _used_signature,
+                            _refuted_at_size_1, _search, _sexpr_tokens,
+                            _size_space, _symbols, _used_signature,
                             check_proof, default_universe, find_countermodel,
                             format_proof, format_sequent, generate_derivable,
                             herbrand_equiv, parse_proof, parse_sequent, prove,
@@ -444,7 +446,8 @@ def test_prove_and_countermodel_exclusive():
         s = sequent([random_formula(sigP, rng, pool, 2)
                      for _ in range(rng.randint(0, 1))],
                     [random_formula(sigP, rng, pool, 2)])
-        p = prove(s, ProverBudget(6), sigP)
+        # the unguarded search, so that a proof of a refuted sequent shows
+        p = _search(s, ProverBudget(6), sigP)
         cm = find_countermodel(s, sigP, 2)
         if p is not None:
             proved += 1
@@ -687,10 +690,56 @@ def test_prover_output_is_pinned_and_keeps_no_state_between_calls():
                          'P(c), Q(c, c)")))))))))')
 
 
+def test_guard_changes_no_answer_on_the_golden_corpus():
+    # prove's size-1 countermodel check only skips searches that fail
+    refuted = 0
+    for s, depth in _golden_corpus():
+        refuted += _refuted_at_size_1(s)
+        for signature in (sig, SIG_NO_C):
+            guarded = prove(s, ProverBudget(depth), signature)
+            plain = _search(s, ProverBudget(depth), signature)
+            assert (guarded is None) == (plain is None), (s, signature)
+            if plain is not None:
+                assert format_proof(guarded) == format_proof(plain), (s, signature)
+    assert refuted > 0
+
+
+def P(*args):
+    """P applied to atoms, at any arity, built without a signature."""
+    return Pred("P", tuple(Var(x) for x in args))
+
+
+def test_guard_needs_no_signature(monkeypatch):
+    # the guard's model interprets the sequent's own symbols, so a call
+    # without sig refutes P(a0) at size 1 and never searches
+    monkeypatch.setattr(sequent_module, "_search", None)
+    assert prove(sequent([], [P(a)])) is None
+
+
+def test_guard_falls_through_to_the_search():
+    # P at two arities makes no signature
+    assert _symbols(sequent([P(a)], [P(a, b)]))[1] == {("P", 1), ("P", 2)}
+    mixed = sequent([P(a), P(a, b)], [P(a)])
+    assert not _refuted_at_size_1(mixed)
+    assert prove(mixed).rule == "hyp"
+    assert prove(sequent([P(a)], [P(a, b)]), ProverBudget(3)) is None
+    # P as a function and as a predicate
+    assert not _refuted_at_size_1(sequent([], [Pred("P", (syntax.App("P", ()),))]))
+    # 21 nullary predicates: 2**21 size-1 models, more than the limit
+    wide = [Pred(f"P{i}", ()) for i in range(21)]
+    with pytest.raises(SearchRefused):
+        find_countermodel(sequent(wide, [wide[0]]),
+                          Signature((), tuple((f.name, 0) for f in wide)), 1)
+    assert not _refuted_at_size_1(sequent(wide, [Pred("Q", ())]))
+    p = prove(sequent(wide, [wide[7]]), ProverBudget(2))
+    assert p.rule == "hyp" and check_proof(p)[0]
+
+
 def test_backward_proofs_sound_in_lift():
     # sequents the backward prover settles are valid in random lifted
     # models and under brute-force evaluation: soundness checked on the
-    # search itself, independent of the proof checker
+    # search itself, independent of the proof checker and of prove's
+    # countermodel check, which would keep a refuted sequent from the search
     rng = random.Random(44)
     pool = atoms(0, 1)
     settled = 0
@@ -698,7 +747,7 @@ def test_backward_proofs_sound_in_lift():
         s = sequent([random_formula(sigP, rng, pool, 2)
                      for _ in range(rng.randint(0, 2))],
                     [random_formula(sigP, rng, pool, 2)])
-        p = prove(s, ProverBudget(6), sigP)
+        p = _search(s, ProverBudget(6), sigP)
         if p is None:
             continue
         settled += 1
