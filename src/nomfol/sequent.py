@@ -2,10 +2,14 @@
 
 Sequents are finite alpha-aware sets, so contraction is implicit.  The
 prover is sound by construction and bounded; not-found is never read as a
-refutation.  Before it searches, ``prove`` looks for a countermodel of
-size 1 and gives up at once on a sequent that has one, which no depth
-could prove; that None is still "not found".  Countermodels are
-exhaustive up to the size bound, so a found model is a certificate.
+refutation.  Before it searches, ``prove`` proves a root that hyp or
+botL closes, and otherwise looks for a countermodel of size 1, or of
+size 2 for a small sequent with an equation, and gives up at once on a
+sequent that has one, which no depth could prove; that None is still
+"not found".  Countermodels are exhaustive up to the size bound, so a
+found model is a certificate.  The countermodel search fixes one
+symbol's table at a time and skips every completion of a prefix under
+which each valuation already has a false left or a true right part.
 """
 from __future__ import annotations
 
@@ -357,35 +361,57 @@ def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
           sig: Signature | None = None) -> Proof | None:
     """Bounded backward search over the rules; sound by construction.
 
-    A countermodel of size 1 is looked for first, over the symbols the
-    sequent uses (sig may lack them).  A sequent that has one is not
-    valid, so no search could prove it, and None is returned without
-    searching.  The check is made at the root only: a model that falsifies
-    a premise falsifies its conclusion, so if the root has no size-1
-    countermodel, no node below it has one.  None is still "not found",
-    not a refutation: the model is not reported.
+    A root that hyp or botL closes is proved at once, as the search would
+    prove it.  Otherwise a small countermodel is looked for first, over the
+    symbols the sequent uses (sig may lack them): of size 1, and of size 2
+    when ``_refuted_by_small_model`` finds that affordable.  A sequent that
+    has one is not valid, so no search could prove it, and None is
+    returned without searching.  The check is made at the root only: a
+    model that falsifies a premise falsifies its conclusion, so if the root
+    has no small countermodel, no node below it has one.  None is still
+    "not found", not a refutation: the model is not reported.
     """
-    if _refuted_at_size_1(s):
+    leaf = _closing(s)
+    if leaf is not None:
+        return leaf
+    if _refuted_by_small_model(s):
         return None
     return _search(s, budget, sig)
 
 
-def _refuted_at_size_1(s: Sequent) -> bool:
-    """Whether s has a countermodel of size 1 over the symbols s uses.
+def _refuted_by_small_model(s: Sequent) -> bool:
+    """Whether s has a countermodel of size 1, or of size 2, over the symbols s uses.
 
-    False, without a search, when those symbols make no Signature (a name
-    at two arities, or as both a function and a predicate) or when
-    find_countermodel refuses the size; prove then just searches.
+    Size 2 is searched only when s has an equation, since every equation
+    holds in a model of size 1, and when its size-2 space holds at most
+    GUARD_SIZE_2_LIMIT (model, valuation) pairs.  False, without a search,
+    when those symbols make no Signature (a name at two arities, or as both
+    a function and a predicate) or when find_countermodel refuses the size;
+    prove then just searches.
     """
     funcs, preds = _symbols(s)
     try:
         used = Signature(tuple(sorted(funcs)), tuple(sorted(preds)))
     except ValueError:
         return False
+    max_k = 1
+    if any(isinstance(f, Eq) for f in _atomic(s.left + s.right)):
+        n = _size_space(used, len(s.free_atoms()), 2)
+        if isinstance(n, int) and n <= GUARD_SIZE_2_LIMIT:
+            max_k = 2
     try:
-        return find_countermodel(s, used, 1) is not None
+        return find_countermodel(s, used, max_k) is not None
     except SearchRefused:
         return False
+
+
+def _closing(sq: Sequent) -> Proof | None:
+    """The hyp or botL leaf that closes sq, if one does."""
+    if not sq.right.key_set.isdisjoint(sq.left.keys):
+        return Proof("hyp", sq)
+    if _BOT_KEY in sq.left.key_set:
+        return Proof("botL", sq)
+    return None
 
 
 def _search(s: Sequent, budget: ProverBudget, sig: Signature | None) -> Proof | None:
@@ -441,13 +467,6 @@ def _search(s: Sequent, budget: ProverBudget, sig: Signature | None) -> Proof | 
                 (t, i, alpha_key(i)) for t, i in zip(templates, insts)])
         return got[2]
 
-    def closing(sq: Sequent) -> Proof | None:
-        if not sq.right.key_set.isdisjoint(sq.left.keys):
-            return Proof("hyp", sq)
-        if _BOT_KEY in sq.left.key_set:
-            return Proof("botL", sq)
-        return None
-
     def moves(sq: Sequent):
         """Each move as (rule, witnesses, premises), in rule order, built lazily."""
         left, right = sq.left, sq.right
@@ -501,7 +520,7 @@ def _search(s: Sequent, budget: ProverBudget, sig: Signature | None) -> Proof | 
         if key in memo_ok:
             p = memo_ok[key]
             return Proof(p.rule, sq, p.witnesses, p.premises)
-        leaf = closing(sq)
+        leaf = _closing(sq)
         if leaf is not None:
             memo_ok[key] = leaf
             return leaf
@@ -529,13 +548,12 @@ def _search(s: Sequent, budget: ProverBudget, sig: Signature | None) -> Proof | 
 
 
 COUNTERMODEL_SPACE_LIMIT = 10 ** 6
+GUARD_SIZE_2_LIMIT = 4096  # size-2 (model, valuation) pairs prove's guard may search
 
 
-def _symbols(s: Sequent) -> tuple[set[tuple[str, int]], set[tuple[str, int]]]:
-    """The (name, arity) pairs of the functions and of the predicates in s."""
-    funcs: set[tuple[str, int]] = set()
-    preds: set[tuple[str, int]] = set()
-    todo = list(s.left + s.right)
+def _atomic(formulas: Iterable[Formula]) -> Iterator[Formula]:
+    """The atomic subformulas of formulas: equations, predicates and bottom."""
+    todo = list(formulas)
     while todo:
         f = todo.pop()
         if isinstance(f, And):
@@ -543,18 +561,28 @@ def _symbols(s: Sequent) -> tuple[set[tuple[str, int]], set[tuple[str, int]]]:
         elif isinstance(f, (Neg, All)):
             todo.append(f.body)
         else:
-            if isinstance(f, Pred):
-                preds.add((f.name, len(f.args)))
-            funcs.update((t.fn, len(t.args)) for t in formula_terms(f) if isinstance(t, App))
+            yield f
+
+
+def _symbols(s: Sequent) -> tuple[set[tuple[str, int]], set[tuple[str, int]]]:
+    """The (name, arity) pairs of the functions and of the predicates in s."""
+    funcs: set[tuple[str, int]] = set()
+    preds: set[tuple[str, int]] = set()
+    for f in _atomic(s.left + s.right):
+        if isinstance(f, Pred):
+            preds.add((f.name, len(f.args)))
+        funcs.update((t.fn, len(t.args)) for t in formula_terms(f) if isinstance(t, App))
     return funcs, preds
 
 
-def _used_signature(s: Sequent, sig: Signature) -> Signature:
-    """The symbols of sig that occur in s, in signature order."""
-    funcs, preds = _symbols(s)
-    used = {name for name, _ in funcs | preds}
-    return Signature(tuple(x for x in sig.functions if x[0] in used),
-                     tuple(x for x in sig.predicates if x[0] in used))
+def _reads(f: Formula) -> set[str]:
+    """The names of the functions and predicates f reads."""
+    names = set()
+    for atom in _atomic((f,)):
+        if isinstance(atom, Pred):
+            names.add(atom.name)
+        names.update(t.fn for t in formula_terms(atom) if isinstance(t, App))
+    return names
 
 
 def _size_space(used: Signature, n_free: int, k: int) -> int | float:
@@ -601,6 +629,24 @@ class SearchRefused(Exception):
         self.k, self.count = k, count
 
 
+def _parts(s: Sequent) -> Iterator[tuple[int, Formula]]:
+    """The (side, formula) parts s splits into by andL, negL and negR; side 0 is left.
+
+    A model and valuation make every left part true and every right part
+    false exactly when they make every left formula of s true and every
+    right formula false.
+    """
+    todo = [(0, f) for f in s.left] + [(1, f) for f in s.right]
+    while todo:
+        side, f = todo.pop()
+        if isinstance(f, Neg):
+            todo.append((1 - side, f.body))
+        elif isinstance(f, And) and side == 0:
+            todo += ((0, f.lhs), (0, f.rhs))
+        else:
+            yield side, f
+
+
 def find_countermodel(s: Sequent, sig: Signature, max_k: int
                       ) -> tuple[OrdinaryModel, Valuation] | None:
     """Exhaustive deterministic search for a falsifying model and valuation.
@@ -611,9 +657,27 @@ def find_countermodel(s: Sequent, sig: Signature, max_k: int
     every other symbol keeps its first table in iter_models order (all 0,
     all false).  Such a symbol cannot change the verdict, so the result is
     the first countermodel of an enumeration of the whole signature.
+
+    The search is cut symbol by symbol.  iter_models fixes the used symbols
+    one at a time, and each of the parts of s (``_parts``) is tested, by
+    standard_eval, once the last symbol it reads is fixed (a part that
+    reads none, before any is).  A valuation is closed when a left part is
+    false or a right part is true; a prefix that leaves no valuation open
+    is skipped with every completion of it.  A model that is reached has
+    an open valuation, and the first one in valuation order is returned,
+    so the answer is the first pair of the unpruned model-by-valuation
+    loop.
     """
-    used = _used_signature(s, sig)
+    parts = [(side, f, _reads(f)) for side, f in _parts(s)]
+    names = set().union(*(reads for _, _, reads in parts))
+    used = Signature(tuple(x for x in sig.functions if x[0] in names),
+                     tuple(x for x in sig.predicates if x[0] in names))
     free = tuple(sorted(s.free_atoms(), key=lambda a: a.id))
+    # tests[i]: the left and right parts whose last symbol is the i-th
+    order = {name: i for i, (name, _) in enumerate(used.functions + used.predicates, 1)}
+    tests = [([], []) for _ in range(len(order) + 1)]
+    for side, f, reads in parts:
+        tests[max(map(order.__getitem__, reads), default=0)][side].append(f)
     total = 0
     for k in range(1, max_k + 1):
         n = _size_space(used, len(free), k)
@@ -621,15 +685,24 @@ def find_countermodel(s: Sequent, sig: Signature, max_k: int
         total = n if isinstance(n, float) else total + n
         if isinstance(total, float) or total > COUNTERMODEL_SPACE_LIMIT:
             raise SearchRefused(k, total)
-        for model in iter_models(used, k):
-            for combo in itertools.product(range(k), repeat=len(free)):
-                vs = Valuation(dict(zip(free, combo)), 0)
-                if all(standard_eval(f, model, vs) for f in s.left) and \
-                        not any(standard_eval(f, model, vs) for f in s.right):
-                    funcs = {name: (0,) * k ** ar for name, ar in sig.functions}
-                    preds = {name: (False,) * k ** ar for name, ar in sig.predicates}
-                    return OrdinaryModel(sig, k, {**funcs, **model.funcs},
-                                         {**preds, **model.preds}), vs
+        # opens[i]: the valuations no part tested so far closes
+        opens = [[Valuation(dict(zip(free, combo)), 0)
+                  for combo in itertools.product(range(k), repeat=len(free))]]
+
+        def cut(i: int, part: OrdinaryModel) -> bool:
+            left, right = tests[i]
+            del opens[i + 1:]
+            opens.append([vs for vs in opens[i]
+                          if all(standard_eval(f, part, vs) for f in left)
+                          and not any(standard_eval(f, part, vs) for f in right)]
+                         if left or right else opens[i])
+            return not opens[-1]
+
+        for model in iter_models(used, k, cut):
+            funcs = {name: (0,) * k ** ar for name, ar in sig.functions}
+            preds = {name: (False,) * k ** ar for name, ar in sig.predicates}
+            return OrdinaryModel(sig, k, {**funcs, **model.funcs},
+                                 {**preds, **model.preds}), opens[-1][0]
     return None
 
 

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, eq, not_
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .foleq import FoleqAlgebra, Interpretation, interpret
 from .nominal import Atom, Perm
@@ -453,17 +453,49 @@ def agreement_check(phi: Formula, model: OrdinaryModel) -> bool:
                for vs in all_valuations(free_atoms(phi), model.k))
 
 
-def iter_models(sig: Signature, k: int) -> Iterator[OrdinaryModel]:
-    """All models of size k, tables in lexicographic order."""
-    fun_spaces = [list(itertools.product(range(k), repeat=k ** ar))
-                  for _, ar in sig.functions]
-    pred_spaces = [list(itertools.product((False, True), repeat=k ** ar))
-                   for _, ar in sig.predicates]
-    for fun_choice in itertools.product(*fun_spaces):
-        for pred_choice in itertools.product(*pred_spaces):
-            funcs = {name: tab for (name, _), tab in zip(sig.functions, fun_choice)}
-            preds = {name: tab for (name, _), tab in zip(sig.predicates, pred_choice)}
-            yield OrdinaryModel(sig, k, funcs, preds)
+_NO_SYMBOLS = Signature((), ())
+
+
+def iter_models(sig: Signature, k: int,
+                cut: Callable[[int, OrdinaryModel], bool] | None = None
+                ) -> Iterator[OrdinaryModel]:
+    """All models of size k, tables in lexicographic order.
+
+    Symbols are fixed one at a time, the functions and then the
+    predicates, each in signature order, trying each symbol's tables in
+    lexicographic order; the models come in the order of their tables.
+    Given cut, ``cut(i, part)`` is called once before any symbol is fixed
+    (i = 0) and again each time the i-th symbol is fixed, with ``part`` a
+    model of size k whose tables are those of the i symbols fixed so far.
+    When it returns true, every completion of those tables is skipped.
+    """
+    funcs: dict[str, tuple] = {}
+    preds: dict[str, tuple] = {}
+    symbols = ([(name, funcs, list(itertools.product(range(k), repeat=k ** ar)))
+                for name, ar in sig.functions]
+               + [(name, preds, list(itertools.product((False, True), repeat=k ** ar)))
+                  for name, ar in sig.predicates])
+    part = OrdinaryModel(_NO_SYMBOLS, k, funcs, preds)
+    if cut is not None and cut(0, part):
+        return
+    if not symbols:
+        yield OrdinaryModel(sig, k, {}, {})
+        return
+    tables = [iter(symbols[0][2])]  # the tables left to try, per fixed symbol
+    while tables:
+        i = len(tables)
+        name, store, _ = symbols[i - 1]
+        for table in tables[-1]:
+            store[name] = table
+            if cut is not None and cut(i, part):
+                continue
+            if i < len(symbols):
+                tables.append(iter(symbols[i][2]))
+                break
+            yield OrdinaryModel(sig, k, dict(funcs), dict(preds))
+        else:
+            del store[name]
+            tables.pop()
 
 
 def random_model(sig: Signature, k: int, rng: random.Random) -> OrdinaryModel:

@@ -4,21 +4,22 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nomfol import sequent as sequent_module
 from nomfol import syntax
 from nomfol.nominal import act, atoms, fresh, swap
 from nomfol.foleq import sequent_valid
 from nomfol.sequent import (Proof, ProverBudget, SearchRefused, Side, _RULES,
-                            _refuted_at_size_1, _search, _sexpr_tokens,
-                            _size_space, _symbols, _used_signature,
-                            check_proof, default_universe, find_countermodel,
-                            format_proof, format_sequent, generate_derivable,
-                            herbrand_equiv, parse_proof, parse_sequent, prove,
-                            sequent)
-from nomfol.syntax import (All, And, Eq, LimitExceeded, Neg, Pred, Signature,
-                           Var, all_atoms, alpha_eq, alpha_key, default_signature,
-                           parse_formula, random_formula, random_term)
+                            _refuted_by_small_model, _search, _sexpr_tokens,
+                            _size_space, _symbols, check_proof, default_universe,
+                            find_countermodel, format_proof, format_sequent,
+                            generate_derivable, herbrand_equiv, parse_proof,
+                            parse_sequent, prove, sequent)
+from nomfol.syntax import (All, And, App, BOT, Eq, LimitExceeded, Neg, Or, Pred,
+                           Signature, Var, all_atoms, alpha_eq, alpha_key,
+                           default_signature, parse_formula, random_formula,
+                           random_term)
 from nomfol.tarski import (Valuation, all_valuations, iter_models,
                            lift_interpretation, random_model, standard_eval)
 
@@ -378,9 +379,70 @@ def test_countermodel_matches_full_signature_search():
     assert _differential(sig, _random_sequents(sig, random.Random(46), 6), 2) > 0
 
 
+# (signature, largest size): sizes 1-2 on up to four symbols, size 3 on one or two
+DIFFERENTIAL_SIGNATURES = [
+    (Signature((("c", 0), ("f", 1)), (("P", 1), ("R", 0))), 2),
+    (Signature((), (("Q", 2),)), 2),
+    (Signature((("f", 1),), ()), 3),
+    (Signature((), (("P", 1),)), 3),
+    (Signature((("c", 0),), (("P", 1),)), 3),
+    (Signature((("f", 1),), (("R", 0),)), 3),
+]
+
+
+@st.composite
+def _countermodel_cases(draw):
+    """A signature, a largest size and the two sides of a sequent over it.
+
+    Terms may be bare atoms, so some formulas read no symbol at all.
+    """
+    signature, max_k = draw(st.sampled_from(DIFFERENTIAL_SIGNATURES))
+    pool = atoms(0, 1, 2)
+    terms = st.one_of(st.sampled_from(pool).map(Var),
+                      *(st.just(App(n, ())) for n, ar in signature.functions if ar == 0))
+    unary = [n for n, ar in signature.functions if ar == 1]
+    if unary:
+        terms = st.recursive(terms, lambda t: st.tuples(st.sampled_from(unary), t).map(
+            lambda p: App(p[0], (p[1],))), max_leaves=3)
+    atomic = st.one_of(st.just(BOT), st.tuples(terms, terms).map(lambda p: Eq(*p)),
+                       *(st.lists(terms, min_size=ar, max_size=ar).map(
+                           lambda args, n=n: Pred(n, tuple(args)))
+                         for n, ar in signature.predicates))
+    formulas = st.recursive(atomic, lambda f: st.one_of(
+        f.map(Neg), st.tuples(f, f).map(lambda p: And(*p)),
+        st.tuples(st.sampled_from(pool), f).map(lambda p: All(*p))), max_leaves=5)
+    sides = st.lists(formulas, max_size=3)
+    return signature, max_k, draw(sides), draw(sides)
+
+
+# three distinct elements are needed, so the first countermodels are of size 3
+_DISTINCT = And(Neg(Eq(Var(a), Var(b))), Neg(Eq(Var(b), Var(c3))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_countermodel_cases())
+@example((DIFFERENTIAL_SIGNATURES[2][0], 3, [_DISTINCT], [Eq(Var(a), Var(c3))]))
+@example((DIFFERENTIAL_SIGNATURES[4][0], 3, [_DISTINCT, Pred("P", (App("c", ()),))],
+          [Eq(Var(a), Var(c3)), Pred("P", (Var(a),))]))
+def test_pruned_search_finds_the_flat_loops_first_countermodel(case):
+    signature, max_k, left, right = case
+    s = sequent(left, right)
+    assert _answer(find_countermodel(s, signature, max_k)) == \
+        _answer(reference_countermodel(s, signature, max_k))
+
+
+def _used(s):
+    """The symbols s uses, as the guard's signature."""
+    funcs, preds = _symbols(s)
+    return Signature(tuple(sorted(funcs)), tuple(sorted(preds)))
+
+
 def _space(s, sig, max_k):
     """The (model, valuation) pairs find_countermodel may try at sizes 1 to max_k."""
-    used = _used_signature(s, sig)
+    funcs, preds = _symbols(s)
+    names = {name for name, _ in funcs | preds}
+    used = Signature(tuple(x for x in sig.functions if x[0] in names),
+                     tuple(x for x in sig.predicates if x[0] in names))
     return sum(_size_space(used, len(s.free_atoms()), k) for k in range(1, max_k + 1))
 
 
@@ -691,17 +753,19 @@ def test_prover_output_is_pinned_and_keeps_no_state_between_calls():
 
 
 def test_guard_changes_no_answer_on_the_golden_corpus():
-    # prove's size-1 countermodel check only skips searches that fail
-    refuted = 0
+    # prove's small countermodel check only skips searches that fail
+    refuted = refuted_at_2 = 0
     for s, depth in _golden_corpus():
-        refuted += _refuted_at_size_1(s)
+        small = _refuted_by_small_model(s)
+        refuted += small
+        refuted_at_2 += small and find_countermodel(s, _used(s), 1) is None
         for signature in (sig, SIG_NO_C):
             guarded = prove(s, ProverBudget(depth), signature)
             plain = _search(s, ProverBudget(depth), signature)
             assert (guarded is None) == (plain is None), (s, signature)
             if plain is not None:
                 assert format_proof(guarded) == format_proof(plain), (s, signature)
-    assert refuted > 0
+    assert refuted > 0 and refuted_at_2 > 0
 
 
 def P(*args):
@@ -720,19 +784,59 @@ def test_guard_falls_through_to_the_search():
     # P at two arities makes no signature
     assert _symbols(sequent([P(a)], [P(a, b)]))[1] == {("P", 1), ("P", 2)}
     mixed = sequent([P(a), P(a, b)], [P(a)])
-    assert not _refuted_at_size_1(mixed)
+    assert not _refuted_by_small_model(mixed)
     assert prove(mixed).rule == "hyp"
     assert prove(sequent([P(a)], [P(a, b)]), ProverBudget(3)) is None
     # P as a function and as a predicate
-    assert not _refuted_at_size_1(sequent([], [Pred("P", (syntax.App("P", ()),))]))
+    assert not _refuted_by_small_model(sequent([], [Pred("P", (syntax.App("P", ()),))]))
     # 21 nullary predicates: 2**21 size-1 models, more than the limit
     wide = [Pred(f"P{i}", ()) for i in range(21)]
     with pytest.raises(SearchRefused):
         find_countermodel(sequent(wide, [wide[0]]),
                           Signature((), tuple((f.name, 0) for f in wide)), 1)
-    assert not _refuted_at_size_1(sequent(wide, [Pred("Q", ())]))
+    assert not _refuted_by_small_model(sequent(wide, [Pred("Q", ())]))
     p = prove(sequent(wide, [wide[7]]), ProverBudget(2))
     assert p.rule == "hyp" and check_proof(p)[0]
+
+
+def test_guard_searches_size_2_only_for_small_equational_sequents(monkeypatch):
+    searched = []
+    monkeypatch.setattr(sequent_module, "_search",
+                        lambda s, budget, sig: searched.append(s))
+    Qs = [Pred(f"Q{i}", (Var(a), Var(b))) for i in range(3)]
+    # a = b holds in every model of size 1 but not of size 2: with two
+    # binary predicates the size-2 space is 2**4 * 2**4 * 2**2 = 1,024
+    # pairs, refuted without a search
+    assert prove(sequent(Qs[:2], [Eq(Var(a), Var(b))])) is None
+    assert searched == []
+    # with three it is 16,384, over the guard's limit of 4,096: searched
+    over = sequent(Qs, [Eq(Var(a), Var(b))])
+    assert _size_space(_used(over), 2, 2) == 16384 > sequent_module.GUARD_SIZE_2_LIMIT
+    assert find_countermodel(over, _used(over), 2) is not None
+    assert not _refuted_by_small_model(over)
+    prove(over)
+    assert searched == [over]
+    # no equation: size 2 is not searched either, though it refutes s
+    split = sequent([], [Or(All(a, P(a)), All(a, Neg(P(a))))])
+    assert find_countermodel(split, _used(split), 2) is not None
+    assert not _refuted_by_small_model(split)
+
+
+def test_guard_cuts_a_wide_hyp_sequent(monkeypatch):
+    # 19 nullary predicates: 2**19 size-1 models, closed by hyp at the root
+    wide = [Pred(f"P{i}", ()) for i in range(19)]
+    s = sequent(wide, [wide[3]])
+    monkeypatch.setattr(sequent_module, "_refuted_by_small_model", None)
+    p = prove(s, ProverBudget(2))
+    assert p.rule == "hyp" and check_proof(p)[0]
+    # the guard itself fixes one predicate at a time and cuts each prefix
+    # at the first predicate made false, or at P3 made true
+    monkeypatch.undo()
+    calls = []
+    monkeypatch.setattr(sequent_module, "standard_eval",
+                        lambda f, m, vs: calls.append(f) or standard_eval(f, m, vs))
+    assert not _refuted_by_small_model(s)
+    assert 0 < len(calls) < 100
 
 
 def test_backward_proofs_sound_in_lift():
