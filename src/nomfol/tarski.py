@@ -10,7 +10,16 @@ joining two tables, copies rows with ``tuple(map(table.__getitem__, plan))``.
 A column is read iff pinning it to 0 changes the table, so canonicalising
 compares each column's blocks in place with their first rows, stopping at
 the first block that differs.  Each operation canonicalises its result's
-(deps, table) pair and builds one TableFun.
+(deps, table) pair and builds one TableFun, without the public
+constructor's checks, which that result passes already.
+
+The operations are exact on canonical operands, and may return an operand
+unchanged.  Three cases skip the column scan, since their result's columns
+are known: a meet with an operand over no atoms is the other operand or
+that constant; a negation reads its operand's columns, and so does a
+permutation of it; and a table over no atoms, or at k = 1, reads none.  So
+a hand-built ``TableFun(...)`` that lists atoms it does not read should go
+through ``tf_canonicalise`` first.
 
 Plans depend only on the table's shape: k, the source width and the
 column map, never on atoms or contents.  ``_PLANS`` holds the plans of at
@@ -42,6 +51,7 @@ PLAN_CACHE_ROWS = 3 ** MAX_DEPS  # longest plan kept: k = 3 at width MAX_DEPS
 PLAN_CACHE_SIZE = 1024  # shapes kept at once; the cache is emptied when full
 JOIN_CACHE_SIZE = 4096  # merged dependency orders kept, least recently used out
 _PLANS: dict[tuple, tuple] = {}  # (k, source width, column map) -> its plan
+_new = object.__new__  # a TableFun without __init__, for _made
 
 
 class Valuation:
@@ -76,7 +86,15 @@ class Valuation:
 
 @dataclass(frozen=True)
 class TableFun:
-    """Canonical finite-dependency function: every dep atom is genuinely read."""
+    """Canonical finite-dependency function: every dep atom is genuinely read.
+
+    ``tablefun`` and the operations build canonical tables.  The
+    constructor checks only the width and the table's size, so a table
+    built by hand that lists atoms it does not read should go through
+    ``tf_canonicalise`` before any operation: ``tf_meet`` with a constant,
+    ``tf_neg`` and the permutation action do not scan its columns, and
+    ``tf_subst`` and ``tf_freshmeet`` may return it unchanged.
+    """
 
     k: int
     deps: tuple[Atom, ...]
@@ -90,7 +108,8 @@ class TableFun:
         return frozenset(self.deps)
 
     def _act_(self, pi: Perm) -> "TableFun":
-        return _ordered(self.k, tuple(map(pi, self.deps)), self.table)
+        # a permutation of a canonical table reads every column: no scan
+        return _made(self.k, *_ordered(self.k, tuple(map(pi, self.deps)), self.table))
 
     def __call__(self, vs: Valuation):
         idx = 0
@@ -163,14 +182,26 @@ def _by_id(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     return tuple(sorted(atoms, key=lambda a: a.id))
 
 
-def _ordered(k: int, atoms: tuple[Atom, ...], table: tuple) -> TableFun:
-    """The canonical TableFun of a table over distinct atoms in any order."""
+def _ordered(k: int, atoms: tuple[Atom, ...],
+             table: tuple) -> tuple[tuple[Atom, ...], tuple]:
+    """A table over distinct atoms in any order, on those atoms by id: (deps, rows)."""
     ids = [a.id for a in atoms]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"repeated atom in {atoms}")
     cols = tuple(sorted(range(len(ids)), key=ids.__getitem__))
     deps = tuple(map(atoms.__getitem__, cols))
-    return _canonical(k, deps, _gather(k, atoms, table, deps, cols))
+    return deps, _gather(k, atoms, table, deps, cols)
+
+
+def _made(k: int, deps: tuple[Atom, ...], table: tuple) -> TableFun:
+    """A TableFun built without the constructor's checks.
+
+    Only for a deps at most MAX_DEPS atoms wide and a table of k ** len(deps)
+    rows: a TableFun's own deps or fewer, a join's, which ``_join`` and
+    ``_subst_join`` have narrowed, or a plan's k ** n rows.
+    """
+    f = _new(TableFun)
+    fields = f.__dict__
+    fields["k"], fields["deps"], fields["table"] = k, deps, table
+    return f
 
 
 def _canonical(k: int, deps: tuple[Atom, ...], table: tuple) -> TableFun:
@@ -178,27 +209,33 @@ def _canonical(k: int, deps: tuple[Atom, ...], table: tuple) -> TableFun:
 
     A column is read iff pinning it to 0 changes the table: iff some block
     of the column's stride times k rows differs from its first stride rows
-    repeated k times.  Blocks are compared in place, up to the first that
-    differs.
+    repeated k times.  The first block is compared on its own, and the
+    others in place, up to the first that differs, only when it does not.
+    A table over no atoms, or at k = 1, reads nothing and is not scanned.
     """
     n = len(deps)
+    if not n or k == 1:
+        return _made(k, (), table)
     kept = []
     for i in range(n):
         stride = k ** (n - 1 - i)
         block = stride * k
-        if any(table[j:j + block] != table[j:j + stride] * k
-               for j in range(0, len(table), block)):
+        if table[:block] != table[:stride] * k or any(
+                table[j:j + block] != table[j:j + stride] * k
+                for j in range(block, len(table), block)):
             kept.append(i)
     if len(kept) < n:
         read = tuple(map(deps.__getitem__, kept))
         deps, table = read, _gather(k, deps, table, read, tuple(kept))
-    return TableFun(k, deps, table)
+    return _made(k, deps, table)
 
 
 def tablefun(k: int, atoms: Iterable[Atom], values: Iterable) -> TableFun:
     """The canonical TableFun of row-major values over distinct atoms, in any order."""
     raw = TableFun(k, tuple(atoms), tuple(values))
-    return _ordered(k, raw.deps, raw.table)
+    if len(set(raw.deps)) != len(raw.deps):
+        raise ValueError(f"repeated atom in {raw.deps}")
+    return _canonical(k, *_ordered(k, raw.deps, raw.table))
 
 
 def tf_canonicalise(f: TableFun) -> TableFun:
@@ -207,12 +244,15 @@ def tf_canonicalise(f: TableFun) -> TableFun:
 
 
 def tf_const(k: int, v) -> TableFun:
-    return TableFun(k, (), (v,))
+    return _made(k, (), (v,))
 
 
 def tf_atm(k: int, a: Atom) -> TableFun:
-    """The projection reading one atom; the atom injection of the lift."""
-    return TableFun(k, (a,), tuple(range(k)))
+    """The projection reading one atom; the atom injection of the lift.
+
+    At k = 1 it reads nothing: it is the constant 0.
+    """
+    return _canonical(k, (a,), tuple(range(k)))
 
 
 def _columns(src: tuple[Atom, ...], deps: tuple[Atom, ...]) -> tuple[int, ...]:
@@ -230,9 +270,10 @@ def _join(fdeps: tuple[Atom, ...], gdeps: tuple[Atom, ...]):
 
 
 def _joined(f: TableFun, g: TableFun):
-    """Both tables over the atoms either reads: (deps, f's rows, g's rows)."""
-    if f.k != g.k:
-        raise ValueError("mismatched domains")
+    """Both tables over the atoms either reads: (deps, f's rows, g's rows).
+
+    The callers have checked that f and g share one domain.
+    """
     deps, fcols, gcols = _join(f.deps, g.deps)
     return (deps, _gather(f.k, f.deps, f.table, deps, fcols),
             _gather(g.k, g.deps, g.table, deps, gcols))
@@ -269,16 +310,26 @@ def tf_subst(f: TableFun, a: Atom, u: TableFun) -> TableFun:
 
 
 def tf_meet(f: TableFun, g: TableFun) -> TableFun:
+    """Pointwise ``p and q``; a constant operand gives one of the operands."""
+    if f.k != g.k:
+        raise ValueError("mismatched domains")
+    if not f.deps:
+        return g if f.table[0] else f
+    if not g.deps:
+        return f if g.table[0] else g
     deps, x, y = _joined(f, g)
     return _canonical(f.k, deps, tuple([p and q for p, q in zip(x, y)]))
 
 
 def tf_neg(f: TableFun) -> TableFun:
-    return TableFun(f.k, f.deps, tuple(map(not_, f.table)))
+    # a truth table and its negation read the same columns: no scan
+    return _made(f.k, f.deps, tuple(map(not_, f.table)))
 
 
 def tf_eq(u: TableFun, v: TableFun) -> TableFun:
     """Pointwise equality table; the lift's equality element applied to u, v."""
+    if u.k != v.k:
+        raise ValueError("mismatched domains")
     deps, x, y = _joined(u, v)
     return _canonical(u.k, deps, tuple(map(eq, x, y)))
 

@@ -1,8 +1,11 @@
 import argparse
+import functools
 import io
 import math
 import os
 import time
+
+from hypothesis import given, settings, strategies as st
 
 from nomfol import filters
 from nomfol.cli import build_parser, run
@@ -432,3 +435,80 @@ def test_cli_options_are_pinned():
     options = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
                for name, p in sub.choices.items()}
     assert options == CLI_OPTIONS
+
+
+# Golden command lines whose inputs are mutated below.  An argument "@name"
+# is the file of that name in tests/data, and "@proof" a proof file of
+# "|- forall a. (P(a) \\/ ~ P(a))"; numeric options stay small and fixed.
+FUZZ_CASES = [
+    ["eval", "forall a. P(a)", "--sig", "@p1.sig", "--model", "@p1k2.model"],
+    ["eval", "bottom", "--sig", "@p1.sig", "--model", "@p1k2.model", "--machine"],
+    ["eval", "forall a. P(a) \\/ ~P(b)", "--sig", "@p1.sig", "--model", "@p1k2.model"],
+    ["eval", "(P(a,b) \\/ P(c,d)) /\\ ~Q(e)", "--sig", "@pq.sig", "--model", "@pqk4.model"],
+    ["prove", "|- forall a. (P(a) \\/ ~ P(a))", "--sig", "@p1.sig", "--depth", "3"],
+    ["prove", "a = b, P(a) |- P(b)", "--depth", "3"],
+    ["prove", ", ".join(f"P{i}" for i in range(19)) + " |- P3", "--sig", "@p19.sig",
+     "--depth", "3"],
+    ["check", "@proof", "--sig", "@p1.sig"],
+    ["countermodel", "|- P(a)", "--sig", "@p1.sig", "--max-k", "1"],
+    ["countermodel", "P(c), Q(f(a), g(a, a)) |- R", "--max-k", "1"],
+    ["sketch", "P(c)", "--steps", "2", "--depth", "3"],
+]
+
+
+@functools.cache
+def _golden_file(name):
+    if name == "proof":
+        code, out = go("prove", "|- forall a. (P(a) \\/ ~ P(a))", "--sig", SIG, "--depth", "6")
+        assert code == 0
+        return out
+    with open(os.path.join(DATA, name)) as fh:
+        return fh.read()
+
+
+def _mutate(text, edits):
+    """text with each (kind, i, j) edit applied: delete or duplicate the
+    character at i, or swap the characters at i and j (modulo its length)."""
+    for kind, i, j in edits:
+        if not text:
+            break
+        i, j = i % len(text), j % len(text)
+        if kind == "delete":
+            text = text[:i] + text[i + 1:]
+        elif kind == "duplicate":
+            text = text[:i] + text[i] + text[i:]
+        else:
+            chars = list(text)
+            chars[i], chars[j] = chars[j], chars[i]
+            text = "".join(chars)
+    return text
+
+
+EDITS = st.lists(st.tuples(st.sampled_from(("delete", "duplicate", "swap")),
+                           st.integers(0, 999), st.integers(0, 999)), min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_inputs_get_an_answer_or_an_error(tmp_path_factory, data):
+    # a formula, sequent or input file a few characters off the goldens is
+    # answered or refused with an exit code, never by a traceback or a hang
+    case = data.draw(st.sampled_from(FUZZ_CASES))
+    target = data.draw(st.sampled_from([i for i, arg in enumerate(case)
+                                        if i == 1 or arg.startswith("@")]))
+    edits = data.draw(EDITS)
+    scratch = tmp_path_factory.getbasetemp() / "fuzz"
+    scratch.mkdir(exist_ok=True)
+    argv = []
+    for i, arg in enumerate(case):
+        text = _golden_file(arg[1:]) if arg.startswith("@") else arg
+        if i == target:
+            text = _mutate(text, edits)
+        if arg.startswith("@"):
+            (scratch / arg[1:]).write_text(text)
+            text = str(scratch / arg[1:])
+        argv.append(text)
+    start = time.perf_counter()
+    code, _ = go(*argv)
+    assert time.perf_counter() - start < 3.0, argv
+    assert code in (0, 1, 2, 64), argv

@@ -22,7 +22,7 @@ from nomfol.tarski import (MAX_DEPS, PLAN_CACHE_ROWS, PLAN_CACHE_SIZE,
                            random_tablefun, standard_eval, tablefun,
                            tarski_termlike, tf_atm,
                            tf_canonicalise, tf_const, tf_eq, tf_freshmeet,
-                           tf_meet, tf_subst)
+                           tf_meet, tf_neg, tf_subst)
 
 a, b, c3 = atoms(0, 1, 2)
 sig1 = Signature((), (("P", 1),))
@@ -55,6 +55,26 @@ def test_tf_subst_examples():
     f = random_tablefun(2, random.Random(1), (a, b), outputs=None)
     assert tf_subst(f, a, tf_atm(2, a)) == f
     assert tf_subst(tf_atm(2, a), a, tf_atm(2, b)) == tf_atm(2, b)
+
+
+def test_projection_at_one_value_is_the_constant_zero():
+    # at k = 1 the projection reads nothing, so it has no dependencies, and
+    # a permutation of it is itself
+    assert tf_atm(1, a) == tf_const(1, 0) == tf_canonicalise(tf_atm(1, a))
+    assert act(swap(a, b), tf_atm(1, a)) == tf_const(1, 0)
+    assert support(tf_atm(1, a)) == frozenset()
+
+
+def test_meet_with_a_constant_is_an_operand():
+    f = tablefun(2, (a, b), (False, True, True, True))
+    top, bot = tf_const(2, True), tf_const(2, False)
+    assert tf_meet(top, f) is f and tf_meet(f, top) is f
+    assert tf_meet(bot, f) is bot and tf_meet(f, bot) is bot
+    # the domains are compared before either operand is returned
+    with pytest.raises(ValueError, match="mismatched domains"):
+        tf_meet(tf_const(3, True), f)
+    with pytest.raises(ValueError, match="mismatched domains"):
+        tf_meet(f, tf_const(3, False))
 
 
 def test_tf_canonicalise():
@@ -301,6 +321,10 @@ def ref_meet(f, g):
                         lambda m: f(Valuation(m)) and g(Valuation(m)))
 
 
+def ref_neg(f):
+    return ref_tablefun(f.k, f.deps, lambda m: not f(Valuation(m)))
+
+
 def ref_eq(u, v):
     return ref_tablefun(u.k, set(u.deps) | set(v.deps),
                         lambda m: u(Valuation(m)) == v(Valuation(m)))
@@ -347,11 +371,9 @@ def _matches_closure_kernel(data, k, pool, width):
     """Every table operation on raw tables over at most width atoms of pool."""
     deps = st.lists(st.sampled_from(pool), unique=True, max_size=width)
     ds, values = raw = data.draw(raw_tables(k, deps=deps))
-    assert tablefun(k, ds, values) == _canonical(k, raw)
     order = tuple(sorted(ds, key=lambda q: q.id))
     uncanonical = TableFun(k, order, tuple(values[_row(k, ds, dict(zip(order, c)))]
                                            for c in itertools.product(range(k), repeat=len(ds))))
-    assert tf_canonicalise(uncanonical) == ref_canonicalise(uncanonical)
     f, g = _canonical(k, raw), _canonical(k, data.draw(raw_tables(k, deps=deps)))
     u, v = (_canonical(k, data.draw(raw_tables(k, outputs=k, deps=deps))) for _ in range(2))
     q = data.draw(st.sampled_from(pool))
@@ -360,14 +382,24 @@ def _matches_closure_kernel(data, k, pool, width):
         lambda xs: [q] + [x for x in xs if x != q][:width - 1])
     uq = _canonical(k, data.draw(raw_tables(k, outputs=k, deps=reads_q)))
     pi = Perm(dict(zip(pool, data.draw(st.permutations(pool)))))
-    assert act(pi, f) == ref_act(pi, f)
-    assert act(pi, u) == ref_act(pi, u)
-    assert tf_meet(f, g) == ref_meet(f, g)
-    assert tf_eq(u, v) == ref_eq(u, v)
-    assert tf_subst(f, q, u) == ref_subst(f, q, u)
-    assert tf_subst(f, q, uq) == ref_subst(f, q, uq)
-    assert tf_subst(u, q, uq) == ref_subst(u, q, uq)
-    assert tf_freshmeet(q, f) == ref_freshmeet(q, f)
+    # each result equals the reference's, and is canonical: the operations
+    # that skip the scan rely on their operands being so
+    for got, want in ((tablefun(k, ds, values), _canonical(k, raw)),
+                      (tf_canonicalise(uncanonical), ref_canonicalise(uncanonical)),
+                      (act(pi, f), ref_act(pi, f)),
+                      (act(pi, u), ref_act(pi, u)),
+                      (tf_meet(f, g), ref_meet(f, g)),
+                      (tf_meet(g, f), ref_meet(g, f)),
+                      (tf_neg(f), ref_neg(f)),
+                      (tf_eq(u, v), ref_eq(u, v)),
+                      (tf_subst(f, q, u), ref_subst(f, q, u)),
+                      (tf_subst(f, q, uq), ref_subst(f, q, uq)),
+                      (tf_subst(u, q, uq), ref_subst(u, q, uq)),
+                      (tf_freshmeet(q, f), ref_freshmeet(q, f)),
+                      (tf_atm(k, q), ref_tablefun(k, (q,), lambda m: m[q])),
+                      (tf_const(k, k - 1), ref_tablefun(k, (), lambda m: k - 1))):
+        assert got == want
+        assert tf_canonicalise(got) == got
 
 
 @settings(max_examples=300, deadline=None)
