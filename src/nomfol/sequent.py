@@ -670,8 +670,7 @@ def find_countermodel(s: Sequent, sig: Signature, max_k: int
     """
     parts = [(side, f, _reads(f)) for side, f in _parts(s)]
     names = set().union(*(reads for _, _, reads in parts))
-    used = Signature(tuple(x for x in sig.functions if x[0] in names),
-                     tuple(x for x in sig.predicates if x[0] in names))
+    used = sig.restricted(names)
     free = tuple(sorted(s.free_atoms(), key=lambda a: a.id))
     # tests[i]: the left and right parts whose last symbol is the i-th
     order = {name: i for i, (name, _) in enumerate(used.functions + used.predicates, 1)}

@@ -36,7 +36,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, eq, not_
+from operator import add, attrgetter, eq, not_
 from typing import Callable, Iterable, Iterator
 
 from .foleq import FoleqAlgebra, Interpretation, interpret
@@ -52,6 +52,8 @@ PLAN_CACHE_SIZE = 1024  # shapes kept at once; the cache is emptied when full
 JOIN_CACHE_SIZE = 4096  # merged dependency orders kept, least recently used out
 _PLANS: dict[tuple, tuple] = {}  # (k, source width, column map) -> its plan
 _new = object.__new__  # a TableFun without __init__, for _made
+_ID = attrgetter("id")  # an atom's sort key
+_BIT = {"0": False, "1": True}  # a binary digit's truth value
 
 
 class Valuation:
@@ -179,7 +181,7 @@ def _gather(k: int, src: tuple[Atom, ...], table: tuple, deps: tuple[Atom, ...],
 
 
 def _by_id(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
-    return tuple(sorted(atoms, key=lambda a: a.id))
+    return tuple(sorted(atoms, key=_ID))
 
 
 def _ordered(k: int, atoms: tuple[Atom, ...],
@@ -557,13 +559,32 @@ def random_model(sig: Signature, k: int, rng: random.Random) -> OrdinaryModel:
     return OrdinaryModel(sig, k, funcs, preds)
 
 
+@lru_cache(maxsize=None)
+def _index_subsets(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The n-subsets of range(m), each in increasing order."""
+    return tuple(itertools.combinations(range(m), n))
+
+
 def random_tablefun(k: int, rng: random.Random, pool: tuple[Atom, ...],
                     outputs: int | None = None) -> TableFun:
     """Random canonical TableFun on at most 3 atoms; outputs=None gives truth values.
 
-    pool holds distinct atoms, so the sampled deps are distinct.
+    pool holds distinct atoms.  The number of atoms n is uniform on
+    0..min(3, len(pool)), the n-subset of pool is uniform, and each of the
+    k ** n rows is uniform on {False, True}, or on range(outputs), and
+    independent of the others.  Each part is one draw: n is one randrange;
+    the subset is one choice among the n-subsets of pool's indices, which
+    are kept per pool size and n, so pools should be small; and the rows
+    are the binary digits of one getrandbits(k ** n), or the base-outputs
+    digits of one randrange(outputs ** k ** n), most significant first.
     """
-    n = rng.randint(0, min(3, len(pool)))
-    deps = _by_id(rng.sample(pool, n))
-    return _canonical(k, deps, tuple([rng.randrange(outputs) if outputs is not None
-                                      else rng.random() < 0.5 for _ in range(k ** n)]))
+    n = rng.randrange(min(3, len(pool)) + 1)
+    deps = _by_id(map(pool.__getitem__, rng.choice(_index_subsets(len(pool), n))))
+    rows = k ** n
+    if outputs is None:
+        bits = format(rng.getrandbits(rows), f"0{rows}b")
+        return _canonical(k, deps, tuple(map(_BIT.__getitem__, bits)))
+    x, table = rng.randrange(outputs ** rows), [0] * rows
+    for i in range(rows - 1, -1, -1):
+        x, table[i] = divmod(x, outputs)
+    return _canonical(k, deps, tuple(table))

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import io
 import itertools
@@ -338,9 +339,18 @@ def ref_freshmeet(q, f):
 
 
 def ref_random_tablefun(k, rng, pool, outputs):
-    deps = tuple(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
-    return ref_tablefun(k, deps, lambda m: rng.randrange(outputs) if outputs is not None
-                        else rng.random() < 0.5)
+    # the width, then one of its subsets, then every row from one number's
+    # digits, most significant first, in the rows' order over the deps by id
+    n = rng.randrange(min(3, len(pool)) + 1)
+    deps = rng.choice(list(itertools.combinations(pool, n)))
+    rows = k ** n
+    if outputs is None:
+        x, base = rng.getrandbits(rows), 2
+    else:
+        x, base = rng.randrange(outputs ** rows), outputs
+    digits = [x // base ** (rows - 1 - i) % base for i in range(rows)]
+    values = iter(digits if outputs is not None else [d == 1 for d in digits])
+    return ref_tablefun(k, deps, lambda m: next(values))
 
 
 def _row(k, deps, m):
@@ -440,6 +450,39 @@ def test_lift_tables_and_random_tables_match_closure_kernel():
         seed, outputs = rng.randrange(10 ** 6), rng.choice((None, k))
         assert random_tablefun(k, random.Random(seed), POOL, outputs) == \
             ref_random_tablefun(k, random.Random(seed), POOL, outputs)
+
+
+def test_random_tables_are_uniform(monkeypatch):
+    # the (deps, rows) that each draw hands to _canonical, from a pool in
+    # reverse id order, so that the chosen atoms must be sorted
+    draws = 40000
+    for seed, (k, outputs) in enumerate(((2, None), (3, None), (2, 2), (3, 3))):
+        raw = collections.defaultdict(list)  # width -> (deps, rows) of each draw
+        canonical = tarski._canonical
+        monkeypatch.setattr(tarski, "_canonical", lambda k, deps, rows: raw[len(deps)].append(
+            (deps, rows)) or canonical(k, deps, rows))
+        rng = random.Random(seed)
+        tables = [random_tablefun(k, rng, POOL[::-1], outputs) for _ in range(draws)]
+        monkeypatch.undo()
+        assert all(tf_canonicalise(f) == f for f in tables)
+        values = (False, True) if outputs is None else tuple(range(outputs))
+        for n in range(4):
+            drawn = raw[n]
+            assert abs(len(drawn) / draws - 1 / 4) <= 0.02
+            # every n-subset of POOL, each in id order, about equally often
+            subsets = collections.Counter(deps for deps, _ in drawn)
+            assert set(subsets) == set(itertools.combinations(POOL, n))
+            assert all(abs(c * len(subsets) / len(drawn) - 1) <= 0.1 for c in subsets.values())
+            # each row's values about uniform; at width 1, each whole table
+            # too, which needs the rows to be independent
+            for row in zip(*(rows for _, rows in drawn)):
+                counts = collections.Counter(row)
+                assert set(counts) == set(values)
+                assert all(abs(c * len(values) / len(drawn) - 1) <= 0.1 for c in counts.values())
+            if n == 1:
+                whole = collections.Counter(rows for _, rows in drawn)
+                assert len(whole) == len(values) ** k
+                assert all(abs(c * len(whole) / len(drawn) - 1) <= 0.25 for c in whole.values())
 
 
 def test_meet_and_tablefun_refuse_what_is_not_a_table():
