@@ -1,22 +1,24 @@
 """Command-line front end: eval, prove, check, countermodel, axioms, sketch.
 
 Output is line-oriented; every command is deterministic given its inputs
-and seed.  Exit codes: 0 success, 1 check failed, 2 unknown or not found,
-64 usage error or input past a nesting or size limit.
+and seed.  Exit codes: 0 success, 1 check failed, 2 unknown, not found or
+(for prove) refuted, 64 usage error or input past a nesting or size limit,
+141 output closed early (as by ``| head``), which ends a command quietly.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import filters, samplers
 from .foleq import FOLEQ_LAWS, foleq_axiom_suite, interpret
 from .nominal import support
 from .report import run_laws
-from .sequent import (ProverBudget, SearchRefused, check_proof,
+from .sequent import (ProverBudget, SearchRefused, check_proof, decide,
                       find_countermodel, format_proof, parse_proof,
-                      parse_sequent, prove)
+                      parse_sequent)
 from .sigma import (amgis_axiom_suite, pow_amgis, precedent_suite,
                     sigma_axiom_suite)
 from .syntax import (LimitExceeded, Signature, SyntaxError_,
@@ -25,6 +27,7 @@ from .tarski import (lift_interpretation, parse_model, tarski_algebra,
                      tarski_termlike)
 
 USAGE_ERROR = 64
+CLOSED_OUTPUT = 141  # what a shell reports for a process killed by SIGPIPE
 
 EQ_LAWS = ("sub-eq", "eq-refl", "eq-subst")
 
@@ -74,16 +77,28 @@ def cmd_eval(args, out) -> int:
     return 0
 
 
+def _print_countermodel(found, out) -> None:
+    """The model file, then its valuation as a ``# valuation`` comment line."""
+    model, vs = found
+    print(model.format(), end="", file=out)
+    ov = [f"{a.name}={v}" for a, v in sorted(vs.overrides.items())]
+    print(" ".join(["# valuation", *ov, f"default={vs.default}"]), file=out)
+
+
 def cmd_prove(args, out) -> int:
     sig = _load_signature(args.sig)
     s = parse_sequent(args.sequent, sig)
     budget = ProverBudget(max_depth=args.depth)
-    proof = prove(s, budget, sig)
-    if proof is None:
+    verdict = decide(s, budget, sig)
+    if verdict.proof is not None:
+        print(format_proof(verdict.proof), file=out)
+        return 0
+    if verdict.countermodel is not None:
+        print("REFUTED", file=out)
+        _print_countermodel(verdict.countermodel, out)
+    else:
         print("UNKNOWN", file=out)
-        return 2
-    print(format_proof(proof), file=out)
-    return 0
+    return 2
 
 
 def cmd_check(args, out) -> int:
@@ -115,10 +130,7 @@ def cmd_countermodel(args, out) -> int:
     if found is None:
         print("UNKNOWN", file=out)
         return 2
-    model, vs = found
-    print(model.format(), end="", file=out)
-    ov = [f"{a.name}={v}" for a, v in sorted(vs.overrides.items())]
-    print(" ".join(["# valuation", *ov, f"default={vs.default}"]), file=out)
+    _print_countermodel(found, out)
     return 0
 
 
@@ -198,13 +210,23 @@ def run(argv, out=None) -> int:
         return 0 if e.code == 0 else USAGE_ERROR
     try:
         return args.fn(args, out)
+    except BrokenPipeError:
+        # out is closed: there is nowhere to report to, so main ends quietly
+        raise
     except (SyntaxError_, OSError, ValueError) as e:
         print(f"error: {e}", file=out)
         return USAGE_ERROR
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the flush at exit would fail again on what is still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = CLOSED_OUTPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

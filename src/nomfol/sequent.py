@@ -1,15 +1,17 @@
 """Sequent calculus: proof checking, bounded search, countermodel search.
 
-Sequents are finite alpha-aware sets, so contraction is implicit.  The
-prover is sound by construction and bounded; not-found is never read as a
-refutation.  Before it searches, ``prove`` proves a root that hyp or
-botL closes, and otherwise looks for a countermodel of size 1, or of
-size 2 for a small sequent with an equation, and gives up at once on a
-sequent that has one, which no depth could prove; that None is still
-"not found".  Countermodels are exhaustive up to the size bound, so a
-found model is a certificate.  The countermodel search fixes one
-symbol's table at a time and skips every completion of a prefix under
-which each valuation already has a false left or a true right part.
+Sequents are finite alpha-aware sets, so contraction is implicit.
+``decide`` gives a sequent one verdict: a proof, a countermodel, or
+neither.  It proves a root that hyp or botL closes, and otherwise looks
+for a countermodel of size 1, or of size 2 for a small sequent with an
+equation, and returns it without searching, since no depth could prove a
+sequent that has one; only then does the bounded search run, which is
+sound by construction.  ``prove`` returns just the verdict's proof, so
+its None covers both a refutation and a search that ran out of depth.
+Countermodels are exhaustive up to the size bound, so a found model is a
+certificate.  The countermodel search fixes one symbol's table at a time
+and skips every completion of a prefix under which each valuation already
+has a false left or a true right part.
 """
 from __future__ import annotations
 
@@ -357,52 +359,88 @@ def _check_node(p: Proof) -> None:
 
 # -------------------------------------------------------------- search
 
+@dataclass(frozen=True)
+class Verdict:
+    """What ``decide`` settled about a sequent: a proof, a countermodel, or neither.
+
+    A proof certifies that the sequent is valid, and a countermodel (a
+    model and a valuation that make every left formula true and every
+    right formula false) that it is not, so a verdict never holds both.
+    Neither is unknown: the search ran out of depth.
+    """
+
+    proof: Proof | None = None
+    countermodel: tuple[OrdinaryModel, Valuation] | None = None
+
+    def __post_init__(self):
+        if self.proof is not None and self.countermodel is not None:
+            raise ValueError("a verdict holds a proof or a countermodel, not both")
+
+
+def decide(s: Sequent, budget: ProverBudget = ProverBudget(),
+           sig: Signature | None = None) -> Verdict:
+    """A proof of s, a small countermodel of s, or neither.
+
+    A root that hyp or botL closes is proved at once, as the search would
+    prove it.  Otherwise a small countermodel is looked for first, of size
+    1, and of size 2 when ``_small_countermodel`` finds that affordable.  A
+    sequent that has one is not valid, so no search could prove it: the
+    model is returned without searching.  The check is made at the root
+    only: a model that falsifies a premise falsifies its conclusion, so if
+    the root has no small countermodel, no node below it has one.
+    Otherwise the bounded backward search decides, and a search that runs
+    out of depth leaves the verdict unknown.
+    """
+    leaf = _closing(s)
+    if leaf is not None:
+        return Verdict(proof=leaf)
+    found = _small_countermodel(s, sig)
+    if found is not None:
+        return Verdict(countermodel=found)
+    return Verdict(proof=_search(s, budget, sig))
+
+
 def prove(s: Sequent, budget: ProverBudget = ProverBudget(),
           sig: Signature | None = None) -> Proof | None:
     """Bounded backward search over the rules; sound by construction.
 
-    A root that hyp or botL closes is proved at once, as the search would
-    prove it.  Otherwise a small countermodel is looked for first, over the
-    symbols the sequent uses (sig may lack them): of size 1, and of size 2
-    when ``_refuted_by_small_model`` finds that affordable.  A sequent that
-    has one is not valid, so no search could prove it, and None is
-    returned without searching.  The check is made at the root only: a
-    model that falsifies a premise falsifies its conclusion, so if the root
-    has no small countermodel, no node below it has one.  None is still
-    "not found", not a refutation: the model is not reported.
+    This is ``decide(s, budget, sig).proof``.  None is "not found": a
+    refuted sequent and a search that ran out of depth both give None,
+    and ``decide`` tells them apart.
     """
-    leaf = _closing(s)
-    if leaf is not None:
-        return leaf
-    if _refuted_by_small_model(s):
-        return None
-    return _search(s, budget, sig)
+    return decide(s, budget, sig).proof
 
 
-def _refuted_by_small_model(s: Sequent) -> bool:
-    """Whether s has a countermodel of size 1, or of size 2, over the symbols s uses.
+def _small_countermodel(s: Sequent, sig: Signature | None = None
+                        ) -> tuple[OrdinaryModel, Valuation] | None:
+    """A countermodel of s of size 1, or of size 2, if it has one.
 
     Size 2 is searched only when s has an equation, since every equation
     holds in a model of size 1, and when its size-2 space holds at most
-    GUARD_SIZE_2_LIMIT (model, valuation) pairs.  False, without a search,
-    when those symbols make no Signature (a name at two arities, or as both
-    a function and a predicate) or when find_countermodel refuses the size;
-    prove then just searches.
+    GUARD_SIZE_2_LIMIT (model, valuation) pairs.  The model is
+    find_countermodel's over sig when sig has every symbol s uses, and
+    over just those symbols otherwise (sig may be None or lack them).
+    None, without a search, when those symbols make no Signature (a name at
+    two arities, or as both a function and a predicate) or when
+    find_countermodel refuses the size; decide then just searches.
     """
     funcs, preds = _symbols(s)
     try:
         used = Signature(tuple(sorted(funcs)), tuple(sorted(preds)))
     except ValueError:
-        return False
+        return None
     max_k = 1
     if any(isinstance(f, Eq) for f in _atomic(s.left + s.right)):
         n = _size_space(used, len(s.free_atoms()), 2)
         if isinstance(n, int) and n <= GUARD_SIZE_2_LIMIT:
             max_k = 2
+    if sig is not None and funcs <= set(sig.functions) and preds <= set(sig.predicates):
+        # the same symbols in sig's order, which decides the first model
+        used = sig
     try:
-        return find_countermodel(s, used, max_k) is not None
+        return find_countermodel(s, used, max_k)
     except SearchRefused:
-        return False
+        return None
 
 
 def _closing(sq: Sequent) -> Proof | None:
@@ -415,7 +453,7 @@ def _closing(sq: Sequent) -> Proof | None:
 
 
 def _search(s: Sequent, budget: ProverBudget, sig: Signature | None) -> Proof | None:
-    """The bounded backward search of prove, without its countermodel check.
+    """The bounded backward search of decide, without its countermodel check.
 
     Only the root's sides are keyed from scratch: each premise's sides are
     built from its conclusion's with ``Side.plus`` and ``Side.without``,
@@ -836,22 +874,28 @@ def herbrand_equiv(phi: Formula, psi: Formula, sig: Signature,
                    max_k: int = 2) -> HerbrandResult:
     """Interprovability, refutation by countermodel, or unknown.
 
-    A refused countermodel search gives unknown.  A sequent both proved and
-    refuted would be a soundness bug and raises.
+    Each direction, phi |- psi and psi |- phi, gets a ``decide`` verdict.
+    Both proved is equivalent.  A refuted direction, the forward one first,
+    is distinct with its model.  Only a direction left unknown is searched
+    for a countermodel up to max_k over sig; a refused search leaves that
+    direction unknown, and unknown is the answer when no direction is
+    refuted.
     """
-    fwd = prove(sequent([phi], [psi]), budget, sig)
-    bwd = prove(sequent([psi], [phi]), budget, sig)
-    try:
-        cm = find_countermodel(sequent([phi], [psi]), sig, max_k) or \
-            find_countermodel(sequent([psi], [phi]), sig, max_k)
-    except SearchRefused:
-        return HerbrandResult("unknown")
-    if fwd is not None and bwd is not None:
-        if cm is not None:
-            raise RuntimeError("soundness bug: sequent both proved and refuted")
+    directions = (sequent([phi], [psi]), sequent([psi], [phi]))
+    verdicts = [decide(s, budget, sig) for s in directions]
+    if all(v.proof is not None for v in verdicts):
         return HerbrandResult("equivalent")
-    if cm is not None:
-        return HerbrandResult("distinct", cm)
+    for v in verdicts:
+        if v.countermodel is not None:
+            return HerbrandResult("distinct", v.countermodel)
+    for s, v in zip(directions, verdicts):
+        if v.proof is None:
+            try:
+                found = find_countermodel(s, sig, max_k)
+            except SearchRefused:
+                continue
+            if found is not None:
+                return HerbrandResult("distinct", found)
     return HerbrandResult("unknown")
 
 

@@ -3,12 +3,16 @@ import functools
 import io
 import math
 import os
+import subprocess
+import sys
 import time
 
 from hypothesis import given, settings, strategies as st
 
+import nomfol
 from nomfol import filters
 from nomfol.cli import build_parser, run
+from nomfol.nominal import FinCofinAtomSet
 from nomfol.sequent import _count
 from nomfol.syntax import free_atoms, parse_formula, parse_signature
 from nomfol.tarski import all_valuations, parse_model, standard_eval
@@ -86,8 +90,28 @@ def test_prove_and_check_roundtrip(tmp_path):
 
 
 def test_prove_unknown():
-    code, out = go("prove", "|- P(a)", "--sig", SIG, "--depth", "5")
+    # no size-1 countermodel, and no equation, so size 2 is not looked at
+    code, out = go("prove", "P(a) |- forall b. P(b)", "--sig", SIG, "--depth", "5")
     assert code == 2 and out == "UNKNOWN\n"
+
+
+def test_prove_prints_the_refuting_model(tmp_path):
+    code, out = go("prove", "|- P(a)", "--sig", SIG, "--depth", "5")
+    assert code == 2
+    assert out == "REFUTED\ndomain 1\npred P : 0\n# valuation a0=0 default=0\n"
+    # the lines after REFUTED are a model file that eval loads
+    model_file = tmp_path / "refuting.model"
+    model_file.write_text(out.split("\n", 1)[1])
+    code, out = go("eval", "P(a)", "--sig", SIG, "--model", str(model_file), "--machine")
+    assert (code, out) == (0, "DEPS\nTABLE 0\nSUPPORT\n")
+    # it is countermodel's model, whose symbol order is the signature's: Q
+    # before P makes Q false and P true, where P before Q would flip them
+    (tmp_path / "qp.sig").write_text("pred Q 0\npred P 0\n")
+    qp = str(tmp_path / "qp.sig")
+    code, out = go("prove", "|- P <-> Q", "--sig", qp)
+    assert code == 2
+    assert out == "REFUTED\n" + go("countermodel", "|- P <-> Q", "--sig", qp)[1]
+    assert "pred Q : 0\npred P : 1\n" in out
 
 
 def test_prover_depth_is_bounded():
@@ -248,7 +272,10 @@ def test_prove_gives_up_at_once_on_a_refuted_sequent():
     code, out = go("prove", "a1 = a0, g(a0, a2) = a2, forall a1. a1 = a2 |- Q(a0, a0)",
                    "--depth", "8")
     assert time.perf_counter() - start < 5.0
-    assert (code, out) == (2, "UNKNOWN\n")
+    # the guard's model, printed as countermodel prints it over the same signature
+    assert code == 2 and out.startswith("REFUTED\n")
+    assert out[len("REFUTED\n"):] == go(
+        "countermodel", "a1 = a0, g(a0, a2) = a2, forall a1. a1 = a2 |- Q(a0, a0)")[1]
 
 
 def test_table_rows_are_bounded(tmp_path):
@@ -396,6 +423,31 @@ def test_sketch_prints_each_step_before_the_next_is_queried(monkeypatch):
     assert out.getvalue().count("\n") == len(line_ends) == len(pair_starts) == 3
     assert line_ends == pair_starts[1:] + [queries[0]]
     assert all(start < end for start, end in zip(pair_starts, line_ends))
+
+
+def test_axioms_exits_1_when_a_law_fails(monkeypatch):
+    # a remove that forgets cofiniteness sends {} and ~{} to the same set
+    monkeypatch.setattr(FinCofinAtomSet, "remove",
+                        lambda self, a: FinCofinAtomSet(self.base - {a}))
+    assert go("axioms", "precedent") == (1, "AXIOM precedent FAIL {} vs ~{}\n")
+
+
+def test_a_closed_stdout_ends_the_command_quietly():
+    # the pipe's read end is closed before the command writes anything, so
+    # its first write (sketch flushes each step) or the flush at exit fails
+    # the child imports the nomfol these tests import
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nomfol.__file__)))
+    for argv in (["sketch", "P(c)", "--steps", "2", "--depth", "3"],
+                 ["prove", "|- P(a)", "--sig", SIG]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "nomfol", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        # nothing on stderr: no traceback, and no error from the flush at exit
+        assert (done.returncode, done.stderr) == (141, ""), argv
 
 
 def test_usage_error():

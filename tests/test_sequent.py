@@ -10,12 +10,12 @@ from nomfol import sequent as sequent_module
 from nomfol import syntax
 from nomfol.nominal import act, atoms, fresh, swap
 from nomfol.foleq import sequent_valid
-from nomfol.sequent import (Proof, ProverBudget, SearchRefused, Side, _RULES,
-                            _refuted_by_small_model, _search, _sexpr_tokens,
-                            _size_space, _symbols, check_proof, default_universe,
-                            find_countermodel, format_proof, format_sequent,
-                            generate_derivable, herbrand_equiv, parse_proof,
-                            parse_sequent, prove, sequent)
+from nomfol.sequent import (Proof, ProverBudget, SearchRefused, Side, Verdict,
+                            _RULES, _small_countermodel, _search, _sexpr_tokens,
+                            _size_space, _symbols, check_proof, decide,
+                            default_universe, find_countermodel, format_proof,
+                            format_sequent, generate_derivable, herbrand_equiv,
+                            parse_proof, parse_sequent, prove, sequent)
 from nomfol.syntax import (All, And, App, BOT, Eq, LimitExceeded, Neg, Or, Pred,
                            Signature, Var, all_atoms, alpha_eq, alpha_key,
                            default_signature, parse_formula, random_formula,
@@ -532,6 +532,25 @@ def test_herbrand_examples():
     assert r.status == "distinct" and r.countermodel is not None
 
 
+def test_herbrand_proved_both_ways_needs_no_countermodel_search(monkeypatch):
+    # over P of arity 24 a countermodel search past size 1 is refused, but
+    # both directions are proved, which settles the answer without one
+    wide = Signature((), (("P", 24), ("R", 0)))
+    atom = parse_formula("P(" + ", ".join(["a"] * 24) + ")", wide)
+    phi, psi = And(atom, Pred("R", ())), And(Pred("R", ()), atom)
+    with pytest.raises(SearchRefused):
+        find_countermodel(sequent([phi], [psi]), wide, 2)
+    assert herbrand_equiv(phi, psi, wide, ProverBudget(4)).status == "equivalent"
+    # a refuted direction keeps the guard's model: no second search for it
+    calls = []
+    monkeypatch.setattr(sequent_module, "find_countermodel",
+                        lambda *args: calls.append(args) or find_countermodel(*args))
+    r = herbrand_equiv(pf("P(a)"), pf("Q(a, a)"), sig)
+    assert r.status == "distinct" and len(calls) == 2
+    model, vs = find_countermodel(sequent([pf("P(a)")], [pf("Q(a, a)")]), sig, 2)
+    assert r.countermodel[0] == model and r.countermodel[1].overrides == vs.overrides
+
+
 def test_herbrand_unknown_when_the_search_is_refused():
     # P(a..a) and forall b. P(b..b) agree at size 1; size 2 is refused
     wide = Signature((), (("P", 24),))
@@ -756,7 +775,7 @@ def test_guard_changes_no_answer_on_the_golden_corpus():
     # prove's small countermodel check only skips searches that fail
     refuted = refuted_at_2 = 0
     for s, depth in _golden_corpus():
-        small = _refuted_by_small_model(s)
+        small = _small_countermodel(s) is not None
         refuted += small
         refuted_at_2 += small and find_countermodel(s, _used(s), 1) is None
         for signature in (sig, SIG_NO_C):
@@ -766,6 +785,35 @@ def test_guard_changes_no_answer_on_the_golden_corpus():
             if plain is not None:
                 assert format_proof(guarded) == format_proof(plain), (s, signature)
     assert refuted > 0 and refuted_at_2 > 0
+
+
+def test_verdicts_are_certificates_on_the_golden_corpus():
+    # a proof checks, and a countermodel falsifies its sequent under standard_eval
+    counts = {"proved": 0, "refuted": 0, "unknown": 0}
+    for s, depth in _golden_corpus():
+        for signature in (sig, SIG_NO_C):
+            v = decide(s, ProverBudget(depth), signature)
+            if v.proof is not None:
+                counts["proved"] += 1
+                assert check_proof(v.proof) == (True, "ok"), s
+                assert v.proof.conclusion.key() == s.key()
+            elif v.countermodel is not None:
+                counts["refuted"] += 1
+                model, vs = v.countermodel
+                assert all(standard_eval(f, model, vs) for f in s.left), s
+                assert not any(standard_eval(f, model, vs) for f in s.right), s
+            else:
+                counts["unknown"] += 1
+    assert counts == {"proved": 376, "refuted": 250, "unknown": 14}
+
+
+def test_a_verdict_is_never_both():
+    s = ps("P(a) |- P(a)")
+    proof = prove(s)
+    model = find_countermodel(ps("|- P(a)"), sig, 1)
+    assert Verdict(proof).proof is proof and Verdict(None, model).countermodel is model
+    with pytest.raises(ValueError):
+        Verdict(proof, model)
 
 
 def P(*args):
@@ -784,17 +832,17 @@ def test_guard_falls_through_to_the_search():
     # P at two arities makes no signature
     assert _symbols(sequent([P(a)], [P(a, b)]))[1] == {("P", 1), ("P", 2)}
     mixed = sequent([P(a), P(a, b)], [P(a)])
-    assert not _refuted_by_small_model(mixed)
+    assert not _small_countermodel(mixed)
     assert prove(mixed).rule == "hyp"
     assert prove(sequent([P(a)], [P(a, b)]), ProverBudget(3)) is None
     # P as a function and as a predicate
-    assert not _refuted_by_small_model(sequent([], [Pred("P", (syntax.App("P", ()),))]))
+    assert not _small_countermodel(sequent([], [Pred("P", (syntax.App("P", ()),))]))
     # 21 nullary predicates: 2**21 size-1 models, more than the limit
     wide = [Pred(f"P{i}", ()) for i in range(21)]
     with pytest.raises(SearchRefused):
         find_countermodel(sequent(wide, [wide[0]]),
                           Signature((), tuple((f.name, 0) for f in wide)), 1)
-    assert not _refuted_by_small_model(sequent(wide, [Pred("Q", ())]))
+    assert not _small_countermodel(sequent(wide, [Pred("Q", ())]))
     p = prove(sequent(wide, [wide[7]]), ProverBudget(2))
     assert p.rule == "hyp" and check_proof(p)[0]
 
@@ -813,20 +861,20 @@ def test_guard_searches_size_2_only_for_small_equational_sequents(monkeypatch):
     over = sequent(Qs, [Eq(Var(a), Var(b))])
     assert _size_space(_used(over), 2, 2) == 16384 > sequent_module.GUARD_SIZE_2_LIMIT
     assert find_countermodel(over, _used(over), 2) is not None
-    assert not _refuted_by_small_model(over)
+    assert not _small_countermodel(over)
     prove(over)
     assert searched == [over]
     # no equation: size 2 is not searched either, though it refutes s
     split = sequent([], [Or(All(a, P(a)), All(a, Neg(P(a))))])
     assert find_countermodel(split, _used(split), 2) is not None
-    assert not _refuted_by_small_model(split)
+    assert not _small_countermodel(split)
 
 
 def test_guard_cuts_a_wide_hyp_sequent(monkeypatch):
     # 19 nullary predicates: 2**19 size-1 models, closed by hyp at the root
     wide = [Pred(f"P{i}", ()) for i in range(19)]
     s = sequent(wide, [wide[3]])
-    monkeypatch.setattr(sequent_module, "_refuted_by_small_model", None)
+    monkeypatch.setattr(sequent_module, "_small_countermodel", None)
     p = prove(s, ProverBudget(2))
     assert p.rule == "hyp" and check_proof(p)[0]
     # the guard itself fixes one predicate at a time and cuts each prefix
@@ -835,7 +883,7 @@ def test_guard_cuts_a_wide_hyp_sequent(monkeypatch):
     calls = []
     monkeypatch.setattr(sequent_module, "standard_eval",
                         lambda f, m, vs: calls.append(f) or standard_eval(f, m, vs))
-    assert not _refuted_by_small_model(s)
+    assert not _small_countermodel(s)
     assert 0 < len(calls) < 100
 
 

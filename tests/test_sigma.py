@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nomfol.nominal import act, atoms, fresh, support, swap
+from nomfol.nominal import FinCofinAtomSet, act, atoms, fresh, support, swap
 from nomfol.report import SuiteReport
 from nomfol.samplers import (charset_sampler, formula_carrier,
                              formula_sampler, probe_terms, term_carrier,
@@ -10,7 +10,8 @@ from nomfol.samplers import (charset_sampler, formula_carrier,
 from nomfol.sigma import (AmgisAlgebra, CharSet, amgis_axiom_suite,
                           charsets_agree, eq_element_member, exactness_check,
                           pow_amgis, powamgis_action, powsigma_action,
-                          powsigma_conditions, sigma_axiom_suite, sim_subst)
+                          powsigma_conditions, precedent_suite,
+                          sigma_axiom_suite, sim_subst)
 from nomfol.syntax import (App, Var, alpha_eq, default_signature,
                            free_atoms_term, random_term)
 
@@ -336,3 +337,11 @@ def test_powsigma_action_commutes_with_boolean_structure():
         for p in probes_p:
             assert via_meet.member(p) == (powsigma_action(P, X, a, u).member(p)
                                           and powsigma_action(P, Y, a, u).member(p))
+
+
+def test_precedent_suite_reports_a_counterexample(monkeypatch):
+    # a remove that forgets cofiniteness sends {} and ~{} to the same set
+    monkeypatch.setattr(FinCofinAtomSet, "remove",
+                        lambda self, a: FinCofinAtomSet(self.base - {a}))
+    (result,) = precedent_suite().results
+    assert (result.passed, result.counterexample) == (1, "{} vs ~{}")
