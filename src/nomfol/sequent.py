@@ -9,9 +9,10 @@ sequent that has one; only then does the bounded search run, which is
 sound by construction.  ``prove`` returns just the verdict's proof, so
 its None covers both a refutation and a search that ran out of depth.
 Countermodels are exhaustive up to the size bound, so a found model is a
-certificate.  The countermodel search fixes one symbol's table at a time
-and skips every completion of a prefix under which each valuation already
-has a false left or a true right part.
+certificate; a size too large to search or to pad is refused.  The
+countermodel search fixes one symbol's table at a time and skips every
+completion of a prefix under which each valuation already has a false
+left or a true right part.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .syntax import (All, And, App, BOT, Bot, Eq, Formula, LimitExceeded,
                      Var, all_atoms, alpha_key, free_atoms, free_atoms_term,
                      parse_shared, parse_sides, pretty, pretty_term,
                      random_formula, random_term, subst_formula, subterms)
-from .tarski import OrdinaryModel, Valuation, iter_models, standard_eval
+from .tarski import MAX_ROWS, OrdinaryModel, Valuation, iter_models, standard_eval
 
 
 class Side(tuple):
@@ -418,13 +419,12 @@ def _small_countermodel(s: Sequent, sig: Signature | None = None
     Size 2 is searched only when s has an equation, since every equation
     holds in a model of size 1, and when its size-2 space holds at most
     GUARD_SIZE_2_LIMIT (model, valuation) pairs.  The model is
-    find_countermodel's over sig when sig has every symbol s uses, and
-    over just those symbols otherwise (sig may be None or lack them).
-    None, without a search, when those symbols make no Signature (a name at
-    two arities, or as both a function and a predicate) or when
-    find_countermodel refuses the size; decide then just searches.
+    find_countermodel's over sig.  None, without a search, when the
+    symbols s uses make no Signature (a name at two arities, or as both a
+    function and a predicate) or when find_countermodel refuses the size;
+    decide then just searches.
     """
-    funcs, preds = _symbols(s)
+    funcs, preds = _symbols(s.left + s.right)
     try:
         used = Signature(tuple(sorted(funcs)), tuple(sorted(preds)))
     except ValueError:
@@ -434,11 +434,8 @@ def _small_countermodel(s: Sequent, sig: Signature | None = None
         n = _size_space(used, len(s.free_atoms()), 2)
         if isinstance(n, int) and n <= GUARD_SIZE_2_LIMIT:
             max_k = 2
-    if sig is not None and funcs <= set(sig.functions) and preds <= set(sig.predicates):
-        # the same symbols in sig's order, which decides the first model
-        used = sig
     try:
-        return find_countermodel(s, used, max_k)
+        return find_countermodel(s, sig, max_k)
     except SearchRefused:
         return None
 
@@ -602,25 +599,16 @@ def _atomic(formulas: Iterable[Formula]) -> Iterator[Formula]:
             yield f
 
 
-def _symbols(s: Sequent) -> tuple[set[tuple[str, int]], set[tuple[str, int]]]:
-    """The (name, arity) pairs of the functions and of the predicates in s."""
+def _symbols(formulas: Iterable[Formula]
+             ) -> tuple[set[tuple[str, int]], set[tuple[str, int]]]:
+    """The (name, arity) pairs of the functions and of the predicates in formulas."""
     funcs: set[tuple[str, int]] = set()
     preds: set[tuple[str, int]] = set()
-    for f in _atomic(s.left + s.right):
+    for f in _atomic(formulas):
         if isinstance(f, Pred):
             preds.add((f.name, len(f.args)))
         funcs.update((t.fn, len(t.args)) for t in formula_terms(f) if isinstance(t, App))
     return funcs, preds
-
-
-def _reads(f: Formula) -> set[str]:
-    """The names of the functions and predicates f reads."""
-    names = set()
-    for atom in _atomic((f,)):
-        if isinstance(atom, Pred):
-            names.add(atom.name)
-        names.update(t.fn for t in formula_terms(atom) if isinstance(t, App))
-    return names
 
 
 def _size_space(used: Signature, n_free: int, k: int) -> int | float:
@@ -658,12 +646,12 @@ def _count(n: int | float) -> str:
 class SearchRefused(Exception):
     """Sizes 1 to k hold more (model, valuation) pairs than COUNTERMODEL_SPACE_LIMIT.
 
-    ``count`` is that total, or its log10 (a float) from 30 digits on.
+    ``count`` is that total, or its log10 (a float) from 30 digits on; or,
+    when a model of size k would hold a table past MAX_ROWS, its rows.
     """
 
-    def __init__(self, k: int, count: int | float):
-        super().__init__(f"search space {_count(count)} at size {k} exceeds "
-                         f"{COUNTERMODEL_SPACE_LIMIT}")
+    def __init__(self, k: int, count: int | float, why: str):
+        super().__init__(why)
         self.k, self.count = k, count
 
 
@@ -685,16 +673,19 @@ def _parts(s: Sequent) -> Iterator[tuple[int, Formula]]:
             yield side, f
 
 
-def find_countermodel(s: Sequent, sig: Signature, max_k: int
+def find_countermodel(s: Sequent, sig: Signature | None, max_k: int
                       ) -> tuple[OrdinaryModel, Valuation] | None:
     """Exhaustive deterministic search for a falsifying model and valuation.
 
-    Sizes are searched in order, and each is counted just before it is
-    searched; the first size that takes the running count past the limit
-    raises SearchRefused.  Only the symbols that occur in s are enumerated;
-    every other symbol keeps its first table in iter_models order (all 0,
-    all false).  Such a symbol cannot change the verdict, so the result is
-    the first countermodel of an enumeration of the whole signature.
+    The model is over sig when sig has every symbol s uses, and otherwise
+    (sig may be None) over just those symbols, sorted by name.  Sizes are
+    searched in order, and each is checked just before it is searched: the
+    first size that takes the running count past the limit, or whose model
+    would hold a table of more than MAX_ROWS rows, raises SearchRefused.
+    Only the symbols that occur in s are enumerated; every other symbol
+    keeps its first table in iter_models order (all 0, all false).  Such a
+    symbol cannot change the verdict, so the result is the first
+    countermodel of an enumeration of the whole signature.
 
     The search is cut symbol by symbol.  iter_models fixes the used symbols
     one at a time, and each of the parts of s (``_parts``) is tested, by
@@ -706,12 +697,19 @@ def find_countermodel(s: Sequent, sig: Signature, max_k: int
     so the answer is the first pair of the unpruned model-by-valuation
     loop.
     """
-    parts = [(side, f, _reads(f)) for side, f in _parts(s)]
-    names = set().union(*(reads for _, _, reads in parts))
-    used = sig.restricted(names)
+    # each part with the (name, arity) pairs it reads; fs and ps are all of s's
+    parts, fs, ps = [], set(), set()
+    for side, f in _parts(s):
+        funcs, preds = _symbols((f,))
+        fs |= funcs
+        ps |= preds
+        parts.append((side, f, funcs | preds))
+    if sig is None or not (fs <= set(sig.functions) and ps <= set(sig.predicates)):
+        sig = Signature(tuple(sorted(fs)), tuple(sorted(ps)))
+    used = sig.restricted({name for name, _ in fs | ps})
     free = tuple(sorted(s.free_atoms(), key=lambda a: a.id))
     # tests[i]: the left and right parts whose last symbol is the i-th
-    order = {name: i for i, (name, _) in enumerate(used.functions + used.predicates, 1)}
+    order = {x: i for i, x in enumerate(used.functions + used.predicates, 1)}
     tests = [([], []) for _ in range(len(order) + 1)]
     for side, f, reads in parts:
         tests[max(map(order.__getitem__, reads), default=0)][side].append(f)
@@ -721,7 +719,12 @@ def find_countermodel(s: Sequent, sig: Signature, max_k: int
         # the total so far is within the limit: beside 10**29 it is lost
         total = n if isinstance(n, float) else total + n
         if isinstance(total, float) or total > COUNTERMODEL_SPACE_LIMIT:
-            raise SearchRefused(k, total)
+            raise SearchRefused(k, total, f"search space {_count(total)} at size {k} "
+                                f"exceeds {COUNTERMODEL_SPACE_LIMIT}")
+        for name, ar in sig.functions + sig.predicates:
+            if k ** ar > MAX_ROWS:
+                raise SearchRefused(k, k ** ar, f"table of {k ** ar} rows for {name} "
+                                    f"at size {k} exceeds limit {MAX_ROWS}")
         # opens[i]: the valuations no part tested so far closes
         opens = [[Valuation(dict(zip(free, combo)), 0)
                   for combo in itertools.product(range(k), repeat=len(free))]]

@@ -74,6 +74,11 @@ class Signature:
         return out
 
 
+def is_decimal(v: str) -> bool:
+    """Whether v is a nonempty run of ASCII digits: a number in a signature or model file."""
+    return v.isascii() and v.isdigit()
+
+
 def parse_signature(text: str) -> Signature:
     """Parse signature file lines: ``fun name arity`` / ``pred name arity``."""
     funs, preds = [], []
@@ -85,7 +90,7 @@ def parse_signature(text: str) -> Signature:
         if len(parts) != 3 or parts[0] not in ("fun", "pred"):
             raise SyntaxError_(f"line {lineno}: expected 'fun|pred name arity'")
         name, arity = parts[1], parts[2]
-        if not arity.isdigit():
+        if not is_decimal(arity):
             raise SyntaxError_(f"line {lineno}: bad arity {arity!r}")
         (funs if parts[0] == "fun" else preds).append((name, int(arity)))
     return Signature(tuple(funs), tuple(preds))

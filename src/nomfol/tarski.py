@@ -1,8 +1,12 @@
 """Finite ordinary models, brute-force evaluation, and the lifted algebra.
 
 A TableFun is a function from valuations into a finite domain that reads
-only finitely many atoms; the canonical form stores exactly the atoms that
-are genuinely read, which makes support and equality decidable.
+only finitely many atoms.  It is canonical by construction: it stores
+exactly the atoms it reads, in id order, which makes support and equality
+decidable, and its constructor refuses any other table.  ``tablefun``
+builds the canonical table from row-major values over atoms in any order.
+No table is wider than MAX_DEPS atoms or longer than MAX_ROWS rows: each
+builder refuses a larger one before it builds a row.
 
 Every re-indexing of a table goes through a row-index plan: the tuple of
 source rows for each output row, so moving a table onto other atoms, or
@@ -13,13 +17,11 @@ the first block that differs.  Each operation canonicalises its result's
 (deps, table) pair and builds one TableFun, without the public
 constructor's checks, which that result passes already.
 
-The operations are exact on canonical operands, and may return an operand
-unchanged.  Three cases skip the column scan, since their result's columns
-are known: a meet with an operand over no atoms is the other operand or
-that constant; a negation reads its operand's columns, and so does a
-permutation of it; and a table over no atoms, or at k = 1, reads none.  So
-a hand-built ``TableFun(...)`` that lists atoms it does not read should go
-through ``tf_canonicalise`` first.
+The operations may return an operand unchanged.  Three cases skip the
+column scan, since their result's columns are known: a meet with an
+operand over no atoms is the other operand or that constant; a negation
+reads its operand's columns, and so does a permutation of it; and a table
+over no atoms, or at k = 1, reads none.
 
 Plans depend only on the table's shape: k, the source width and the
 column map, never on atoms or contents.  ``_PLANS`` holds the plans of at
@@ -27,8 +29,7 @@ most PLAN_CACHE_SIZE shapes, keeps no plan longer than PLAN_CACHE_ROWS
 rows and is emptied when full; a longer plan is made row by row as it is
 read, on each call.  The merged dependency order of a join is keyed by
 atoms and sits in a fixed-size ``lru_cache``, which never keeps a join
-wider than MAX_DEPS atoms: that join is refused.  A re-indexing into more
-than MAX_ROWS rows is refused before any plan is looked up or built.
+wider than MAX_DEPS atoms: that join is refused.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from .foleq import FoleqAlgebra, Interpretation, interpret
 from .nominal import Atom, Perm
 from .sigma import Carrier
 from .syntax import (All, And, Bot, Eq, Formula, Neg, Pred, Signature,
-                     SyntaxError_, Term, Var, free_atoms)
+                     SyntaxError_, Term, Var, free_atoms, is_decimal)
 
 MAX_DEPS = 6  # dependency width of a table; keep constructions bounded
 MAX_ROWS = 10 ** 6  # k**deps table rows, k = 10 at width MAX_DEPS
@@ -90,12 +91,10 @@ class Valuation:
 class TableFun:
     """Canonical finite-dependency function: every dep atom is genuinely read.
 
-    ``tablefun`` and the operations build canonical tables.  The
-    constructor checks only the width and the table's size, so a table
-    built by hand that lists atoms it does not read should go through
-    ``tf_canonicalise`` before any operation: ``tf_meet`` with a constant,
-    ``tf_neg`` and the permutation action do not scan its columns, and
-    ``tf_subst`` and ``tf_freshmeet`` may return it unchanged.
+    The constructor refuses a table that is not canonical: atoms that are
+    repeated or out of id order, an atom the table does not read, more
+    than MAX_DEPS atoms, more than MAX_ROWS rows, or other than k ** n rows
+    over n atoms.  ``tablefun`` gives the canonical table of any values.
     """
 
     k: int
@@ -103,8 +102,12 @@ class TableFun:
     table: tuple
 
     def __post_init__(self):
-        if len(self.table) != self.k ** len(_narrow(self.deps)):
+        if len(self.table) != _rows(self.k, len(_narrow(self.deps))):
             raise ValueError("table size does not match dependency count")
+        if any(p.id >= q.id for p, q in zip(self.deps, self.deps[1:])):
+            raise ValueError(f"atoms {self.deps} are not distinct and in id order")
+        if _canonical(self.k, self.deps, self.table).deps != self.deps:
+            raise ValueError(f"table over {self.deps} does not read every atom")
 
     def _support_(self) -> frozenset[Atom]:
         return frozenset(self.deps)
@@ -157,27 +160,25 @@ def _narrow(deps: tuple[Atom, ...]) -> tuple[Atom, ...]:
     return deps
 
 
-def _reindexes(k: int, src: tuple[Atom, ...], deps: tuple[Atom, ...]) -> bool:
-    """Whether a table over src must be re-indexed onto deps.
-
-    deps is at most MAX_DEPS atoms wide: it is a TableFun's, a subset of
-    one, or a join's, which refuses a wider result itself.  A re-indexed
-    table of more than MAX_ROWS rows is refused before any plan is looked
-    up or built.
-    """
-    if deps == src:
-        return False
-    if k ** len(deps) > MAX_ROWS:
-        raise ValueError(f"table of {k ** len(deps)} rows exceeds limit {MAX_ROWS}")
-    return True
+def _rows(k: int, n: int) -> int:
+    """The k ** n rows of a table over n atoms, refused past MAX_ROWS."""
+    rows = k ** n
+    if rows > MAX_ROWS:
+        raise ValueError(f"table of {rows} rows exceeds limit {MAX_ROWS}")
+    return rows
 
 
 def _gather(k: int, src: tuple[Atom, ...], table: tuple, deps: tuple[Atom, ...],
             cols: tuple[int, ...]) -> tuple:
-    """A table over src on the rows of deps; column j of deps is src's cols[j]."""
-    if _reindexes(k, src, deps):
-        return tuple(map(table.__getitem__, _plan(k, len(src), cols)))
-    return table
+    """A table over src on the rows of deps; column j of deps is src's cols[j].
+
+    deps is a TableFun's, a subset of one, or a narrowed join's.  More than
+    MAX_ROWS rows are refused before any plan is looked up or built.
+    """
+    if deps == src:
+        return table
+    _rows(k, len(deps))
+    return tuple(map(table.__getitem__, _plan(k, len(src), cols)))
 
 
 def _by_id(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
@@ -194,11 +195,11 @@ def _ordered(k: int, atoms: tuple[Atom, ...],
 
 
 def _made(k: int, deps: tuple[Atom, ...], table: tuple) -> TableFun:
-    """A TableFun built without the constructor's checks.
+    """A TableFun built without the constructor's checks, for a table that passes them.
 
-    Only for a deps at most MAX_DEPS atoms wide and a table of k ** len(deps)
-    rows: a TableFun's own deps or fewer, a join's, which ``_join`` and
-    ``_subst_join`` have narrowed, or a plan's k ** n rows.
+    Only for deps in id order that the table reads, a TableFun's own or
+    fewer, or a join's, which ``_join`` and ``_subst_join`` have narrowed;
+    and a table of k ** len(deps) rows, a TableFun's or ``_gather``'s.
     """
     f = _new(TableFun)
     fields = f.__dict__
@@ -234,15 +235,13 @@ def _canonical(k: int, deps: tuple[Atom, ...], table: tuple) -> TableFun:
 
 def tablefun(k: int, atoms: Iterable[Atom], values: Iterable) -> TableFun:
     """The canonical TableFun of row-major values over distinct atoms, in any order."""
-    raw = TableFun(k, tuple(atoms), tuple(values))
-    if len(set(raw.deps)) != len(raw.deps):
-        raise ValueError(f"repeated atom in {raw.deps}")
-    return _canonical(k, *_ordered(k, raw.deps, raw.table))
-
-
-def tf_canonicalise(f: TableFun) -> TableFun:
-    """Prune dependencies the table never reads; idempotent."""
-    return _canonical(f.k, f.deps, f.table)
+    atoms = tuple(atoms)
+    if len(set(atoms)) != len(_narrow(atoms)):
+        raise ValueError(f"repeated atom in {atoms}")
+    rows, values = _rows(k, len(atoms)), tuple(values)
+    if len(values) != rows:
+        raise ValueError("table size does not match dependency count")
+    return _canonical(k, *_ordered(k, atoms, values))
 
 
 def tf_const(k: int, v) -> TableFun:
@@ -254,7 +253,7 @@ def tf_atm(k: int, a: Atom) -> TableFun:
 
     At k = 1 it reads nothing: it is the constant 0.
     """
-    return _canonical(k, (a,), tuple(range(k)))
+    return _canonical(k, (a,), tuple(range(_rows(k, 1))))
 
 
 def _columns(src: tuple[Atom, ...], deps: tuple[Atom, ...]) -> tuple[int, ...]:
@@ -287,10 +286,9 @@ def _subst_join(fdeps: tuple[Atom, ...], a: Atom, udeps: tuple[Atom, ...]):
 
     A result wider than MAX_DEPS atoms is refused, so it is never kept.
     """
-    rest = tuple(d for d in fdeps if d != a)
-    deps = _narrow(_by_id(set(rest) | set(udeps)))
+    deps = _narrow(_by_id((set(fdeps) - {a}) | set(udeps)))
     fcols = tuple(-1 if d == a else c for d, c in zip(deps, _columns(fdeps, deps)))
-    return rest, deps, fcols, _columns(udeps, deps)
+    return deps, fcols, _columns(udeps, deps)
 
 
 def tf_subst(f: TableFun, a: Atom, u: TableFun) -> TableFun:
@@ -300,13 +298,13 @@ def tf_subst(f: TableFun, a: Atom, u: TableFun) -> TableFun:
     if a not in f.deps:
         return f
     k, n = f.k, len(f.deps)
-    rest, deps, fcols, ucols = _subst_join(f.deps, a, u.deps)
-    _reindexes(k, rest, deps)  # the row refusal of moving f's rows over rest onto deps
+    deps, fcols, ucols = _subst_join(f.deps, a, u.deps)
+    # u's rows over deps, refused past MAX_ROWS before f's plan is made
+    values = _gather(k, u.deps, u.table, deps, ucols)
     # the row of f with a read as 0, plus a's stride times u's value; u may
     # read a itself, so a's column of deps is never f's
     base = _plan(k, n, fcols)
     stride = k ** (n - 1 - f.deps.index(a))
-    values = _gather(k, u.deps, u.table, deps, ucols)
     return _canonical(k, deps, tuple(map(f.table.__getitem__, map(
         add, base, map(stride.__mul__, values)))))
 
@@ -389,10 +387,6 @@ class OrdinaryModel:
         return "\n".join(lines) + "\n"
 
 
-def _decimal(v: str) -> bool:
-    return v.isascii() and v.isdigit()
-
-
 def parse_model(text: str, sig: Signature) -> OrdinaryModel:
     """Parse the row-major model file format; arity comes from the signature."""
     k = None
@@ -404,7 +398,7 @@ def parse_model(text: str, sig: Signature) -> OrdinaryModel:
             continue
         parts = line.split()
         if parts[0] == "domain" and len(parts) == 2:
-            if not _decimal(parts[1]):
+            if not is_decimal(parts[1]):
                 raise SyntaxError_(f"line {lineno}: bad domain size {parts[1]!r}")
             k = int(parts[1])
         elif parts[0] in ("fun", "pred") and len(parts) >= 3 and parts[2] == ":":
@@ -414,7 +408,7 @@ def parse_model(text: str, sig: Signature) -> OrdinaryModel:
             if parts[0] == "fun":
                 if sig.fun_arity(name) is None:
                     raise SyntaxError_(f"line {lineno}: unknown function {name!r}")
-                bad = [v for v in vals if not (_decimal(v) and int(v) < k)]
+                bad = [v for v in vals if not (is_decimal(v) and int(v) < k)]
                 if bad:
                     raise SyntaxError_(f"line {lineno}: function value {bad[0]!r} "
                                        f"is not in 0..{k - 1}")
@@ -580,7 +574,7 @@ def random_tablefun(k: int, rng: random.Random, pool: tuple[Atom, ...],
     """
     n = rng.randrange(min(3, len(pool)) + 1)
     deps = _by_id(map(pool.__getitem__, rng.choice(_index_subsets(len(pool), n))))
-    rows = k ** n
+    rows = _rows(k, n)
     if outputs is None:
         bits = format(rng.getrandbits(rows), f"0{rows}b")
         return _canonical(k, deps, tuple(map(_BIT.__getitem__, bits)))

@@ -184,6 +184,15 @@ def test_countermodel_refuses_hopeless_search(tmp_path):
     code, out = timed(f"{p} |- {p}", "--sig", str(sig), "--max-k", "2")
     assert code == 2
     assert out == "UNKNOWN search space 3.64e5050445 at size 2 exceeds 1000000\n"
+    # an unused Big whose size-2 table would have 2**21 rows: size 2 is
+    # refused, and prove searches instead of printing the padded model
+    sig.write_text("pred Big 21\n")
+    code, out = timed("|- a = b", "--sig", str(sig), "--max-k", "2")
+    assert (code, out) == (2, "UNKNOWN table of 2097152 rows for Big at size 2 "
+                              "exceeds limit 1000000\n")
+    start = time.perf_counter()
+    assert go("prove", "|- a = b", "--sig", str(sig)) == (2, "UNKNOWN\n")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_countermodel_answers_before_counting_larger_sizes():
@@ -289,6 +298,11 @@ def test_table_rows_are_bounded(tmp_path):
                    "--model", str(tmp_path / "q40.model"))
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (64, "error: table of 2560000 rows exceeds limit 1000000\n")
+    # a domain of 10**6 + 1: the projection of a is refused before its rows are built
+    code, out = go("eval", "a = a", "--sig", os.devnull,
+                   "--model", os.path.join(DATA, "k1000001.model"))
+    assert (code, out) == (64, "error: table of 1000001 rows exceeds limit 1000000\n")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_model_values_are_checked(tmp_path):
@@ -317,6 +331,17 @@ def test_signature_names_are_checked(tmp_path):
         sig.write_text("pred P 1\n" + decl + "\n")
         code, out = go("prove", "|- forall x. (P(x) \\/ ~P(x))", "--sig", str(sig))
         assert (code, out) == (64, f"error: {err}\n"), decl
+
+
+def test_signature_and_model_numbers_are_ascii_decimals(tmp_path):
+    # '²' is a digit to str.isdigit, but not a number either file format writes
+    sig, model = tmp_path / "sup.sig", tmp_path / "sup.model"
+    sig.write_text("fun f \u00b2\n")
+    model.write_text("domain \u00b2\n")
+    assert go("prove", "|- bottom", "--sig", str(sig)) == (
+        64, "error: line 1: bad arity '\u00b2'\n")
+    assert go("eval", "bottom", "--sig", os.devnull, "--model", str(model)) == (
+        64, "error: line 1: bad domain size '\u00b2'\n")
 
 
 def _negation_chain(levels):

@@ -15,8 +15,8 @@ from nomfol.sigma import (AMGIS_LAWS, SIGMA_LAWS, amgis_axiom_suite, pow_amgis,
 from nomfol.syntax import (All, And, BOT, Eq, Neg, Pred, Signature, Var,
                            default_signature, free_atoms, random_formula,
                            random_term, subst_formula)
-from nomfol.tarski import (OrdinaryModel, TableFun, lift_interpretation,
-                           random_model, random_tablefun, tarski_algebra,
+from nomfol.tarski import (OrdinaryModel, lift_interpretation,
+                           random_model, random_tablefun, tablefun, tarski_algebra,
                            tf_atm, tf_const, tf_eq, tf_meet, tf_subst)
 
 a, b, c3, d = atoms(0, 1, 2, 3)
@@ -234,8 +234,7 @@ def test_equality_element_unique():
     zs = [random_tablefun(2, rng, (a, b, c3), outputs=None) for _ in range(8)]
     survivors = []
     for table in itertools.product((False, True), repeat=4):
-        from nomfol.tarski import tf_canonicalise
-        e = tf_canonicalise(TableFun(2, (a, b), table))
+        e = tablefun(2, (a, b), table)
         ok = all(sim_subst(alg, e, [(a, u), (b, u)]) == alg.top for u in args)
         if ok:
             for u in args:

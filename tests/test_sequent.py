@@ -433,13 +433,13 @@ def test_pruned_search_finds_the_flat_loops_first_countermodel(case):
 
 def _used(s):
     """The symbols s uses, as the guard's signature."""
-    funcs, preds = _symbols(s)
+    funcs, preds = _symbols(s.left + s.right)
     return Signature(tuple(sorted(funcs)), tuple(sorted(preds)))
 
 
 def _space(s, sig, max_k):
     """The (model, valuation) pairs find_countermodel may try at sizes 1 to max_k."""
-    funcs, preds = _symbols(s)
+    funcs, preds = _symbols(s.left + s.right)
     names = {name for name, _ in funcs | preds}
     used = Signature(tuple(x for x in sig.functions if x[0] in names),
                      tuple(x for x in sig.predicates if x[0] in names))
@@ -557,6 +557,42 @@ def test_herbrand_unknown_when_the_search_is_refused():
     phi = parse_formula("P(" + ", ".join(["a"] * 24) + ")", wide)
     psi = parse_formula("forall b. P(" + ", ".join(["b"] * 24) + ")", wide)
     assert herbrand_equiv(phi, psi, wide, ProverBudget(3), max_k=2).status == "unknown"
+
+
+def test_a_size_whose_model_pads_a_table_past_max_rows_is_refused():
+    # Big is unused, but a size-2 model would give it 2**21 rows: size 2 is
+    # refused before any table is built, as an oversized space is
+    big = Signature((), (("Big", 21),))
+    s = parse_sequent("|- a = b", big)
+    with pytest.raises(SearchRefused) as refused:
+        find_countermodel(s, big, 2)
+    assert (refused.value.k, refused.value.count) == (2, 2 ** 21)
+    assert str(refused.value) == "table of 2097152 rows for Big at size 2 exceeds limit 1000000"
+    assert find_countermodel(parse_sequent("|- bottom", big), big, 2)[0].preds == {"Big": (False,)}
+    # so the guard falls through to the search, and herbrand_equiv skips
+    # that direction; both answered with the padded model before
+    assert decide(s, ProverBudget(3), big) == Verdict()
+    top, eq = parse_formula("top", big), parse_formula("a = b", big)
+    assert herbrand_equiv(top, eq, big, ProverBudget(3)).status == "unknown"
+
+
+def test_countermodels_follow_one_signature_rule():
+    # over a sig that has every symbol the sequent uses, the model is over
+    # sig; otherwise over just those symbols, sorted by name
+    cp = Signature((("c", 0),), (("P", 1),))
+    cps = Signature((("c", 0),), (("P", 1), ("S", 1)))
+    own = Signature((("c", 0),), (("S", 1),))
+    phi, psi = parse_formula("S(c)", cps), parse_formula("forall a. S(a)", cps)
+    s = sequent([phi], [psi])
+    for given, over in ((cps, cps), (cp, own), (None, own)):
+        model = find_countermodel(s, given, 2)[0]
+        assert model.sig == over and model.k == 2 and model.preds["S"] == (True, False)
+        # the guard passes sig through; S(c) |- bottom is refuted at size 1
+        assert _small_countermodel(sequent([phi], []), given)[0].sig == over
+        # herbrand_equiv's own search; cp raised KeyError: 'S' before
+        if given is not None:
+            r = herbrand_equiv(phi, psi, given, ProverBudget(3))
+            assert r.status == "distinct" and r.countermodel[0] == model
 
 
 def test_herbrand_sigma_well_defined():
@@ -830,7 +866,7 @@ def test_guard_needs_no_signature(monkeypatch):
 
 def test_guard_falls_through_to_the_search():
     # P at two arities makes no signature
-    assert _symbols(sequent([P(a)], [P(a, b)]))[1] == {("P", 1), ("P", 2)}
+    assert _symbols([P(a), P(a, b)])[1] == {("P", 1), ("P", 2)}
     mixed = sequent([P(a), P(a, b)], [P(a)])
     assert not _small_countermodel(mixed)
     assert prove(mixed).rule == "hyp"

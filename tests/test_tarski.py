@@ -16,13 +16,12 @@ from nomfol.samplers import tarski_sampler
 from nomfol.sigma import sigma_axiom_suite
 from nomfol.syntax import (All, BOT, Eq, Neg, Or, Pred, Signature,
                            SyntaxError_, Var, default_signature, random_formula)
-from nomfol.tarski import (MAX_DEPS, PLAN_CACHE_ROWS, PLAN_CACHE_SIZE,
+from nomfol.tarski import (MAX_DEPS, MAX_ROWS, PLAN_CACHE_ROWS, PLAN_CACHE_SIZE,
                            OrdinaryModel, TableFun, Valuation, agreement_check,
                            all_valuations, iter_models,
                            lift_interpretation, parse_model, random_model,
                            random_tablefun, standard_eval, tablefun,
-                           tarski_termlike, tf_atm,
-                           tf_canonicalise, tf_const, tf_eq, tf_freshmeet,
+                           tarski_termlike, tf_atm, tf_const, tf_eq, tf_freshmeet,
                            tf_meet, tf_neg, tf_subst)
 
 a, b, c3 = atoms(0, 1, 2)
@@ -61,7 +60,7 @@ def test_tf_subst_examples():
 def test_projection_at_one_value_is_the_constant_zero():
     # at k = 1 the projection reads nothing, so it has no dependencies, and
     # a permutation of it is itself
-    assert tf_atm(1, a) == tf_const(1, 0) == tf_canonicalise(tf_atm(1, a))
+    assert tf_atm(1, a) == tf_const(1, 0) == TableFun(1, (), (0,))
     assert act(swap(a, b), tf_atm(1, a)) == tf_const(1, 0)
     assert support(tf_atm(1, a)) == frozenset()
 
@@ -78,18 +77,61 @@ def test_meet_with_a_constant_is_an_operand():
         tf_meet(f, tf_const(3, False))
 
 
-def test_tf_canonicalise():
+def test_tablefun_prunes_the_atoms_a_table_does_not_read():
     # constant in one coordinate: that dep is pruned
-    f = TableFun(2, (a, b), (False, True, False, True))  # reads only b
-    g = tf_canonicalise(f)
+    raw = (False, True, False, True)  # over (a, b), reads only b
+    g = tablefun(2, (a, b), raw)
     assert g.deps == (b,)
     assert g.table == (False, True)
-    assert tf_canonicalise(g) == g
+    assert TableFun(2, g.deps, g.table) == g
     for vs in all_valuations((a, b), 2):
-        assert f(vs) == g(vs)
+        assert g(vs) == raw[2 * vs.lookup(a) + vs.lookup(b)]
     # a tautological comparison collapses to a constant
     taut = tablefun(2, (a,), (True, True))
     assert taut == tf_const(2, True)
+
+
+def test_the_constructor_refuses_a_table_that_is_not_canonical():
+    # (a, b) with a table that reads only b
+    with pytest.raises(ValueError, match="does not read every atom"):
+        TableFun(2, (a, b), (False, True, False, True))
+    # at k = 1 no atom is read
+    with pytest.raises(ValueError, match="does not read every atom"):
+        TableFun(1, (a,), (0,))
+    diag = tf_eq(tf_atm(2, a), tf_atm(2, b))
+    assert TableFun(2, (a, b), diag.table) == diag
+    for order in ((b, a), (a, a)):
+        with pytest.raises(ValueError, match="not distinct and in id order"):
+            TableFun(2, order, diag.table)
+    with pytest.raises(ValueError, match="table size does not match"):
+        TableFun(2, (a,), diag.table)
+
+
+def test_every_table_builder_refuses_more_than_max_rows():
+    # only the refusal path runs: no table past MAX_ROWS is built
+    too_many = f"table of {MAX_ROWS + 1} rows exceeds limit {MAX_ROWS}"
+    with pytest.raises(ValueError, match=too_many):
+        tf_atm(MAX_ROWS + 1, a)
+    # the rows are refused before the values are read
+    with pytest.raises(ValueError, match=too_many):
+        tablefun(MAX_ROWS + 1, (a,), ())
+    with pytest.raises(ValueError, match="table of 1002001 rows exceeds limit"):
+        TableFun(1001, (a, b), ())
+
+    class Widest(random.Random):
+        def randrange(self, n):  # the widest table the pool allows
+            return n - 1
+    with pytest.raises(ValueError, match="table of 1030301 rows exceeds limit"):
+        random_tablefun(101, Widest(0), (a, b, c3))
+    # 101**2 rows each; a meet or substitution over three or four atoms is refused
+    d = atoms(3)[0]
+    f = tablefun(101, (a, b), [i % 2 == 0 for i in range(101 ** 2)])
+    u = tablefun(101, (c3, d), [(i // 101 + i) % 101 for i in range(101 ** 2)])
+    assert len(f.deps) == len(u.deps) == 2
+    with pytest.raises(ValueError, match="table of 104060401 rows exceeds limit"):
+        tf_meet(f, u)
+    with pytest.raises(ValueError, match="table of 1030301 rows exceeds limit"):
+        tf_subst(f, a, u)
 
 
 def test_tf_freshmeet():
@@ -115,7 +157,7 @@ def test_tf_act_reorders_table():
     assert g.deps == (b, c3)
     for vs in all_valuations((b, c3), 2):
         assert g(vs) == (vs.lookup(c3) == 1 and vs.lookup(b) == 0)
-    assert act(swap(a, c3), g) == tf_canonicalise(f)
+    assert act(swap(a, c3), g) == f
 
 
 def test_dep_width_limit():
@@ -276,33 +318,32 @@ def ref_tablefun(k, deps, fn):
     deps = tuple(sorted(set(deps), key=lambda q: q.id))
     if len(deps) > MAX_DEPS:
         raise ValueError("too wide")
-    return ref_canonicalise(TableFun(k, deps, tuple(fn(m) for m in _ref_rows(k, deps))))
+    return ref_canonicalise(k, deps, tuple(fn(m) for m in _ref_rows(k, deps)))
 
 
-def _ref_reads(f, i):
-    n, k = len(f.deps), f.k
+def _ref_reads(k, n, table, i):
     stride = k ** (n - 1 - i)
     block = stride * k
-    for base in range(0, len(f.table), block):
+    for base in range(0, len(table), block):
         for off in range(stride):
-            if len({f.table[base + off + v * stride] for v in range(k)}) > 1:
+            if len({table[base + off + v * stride] for v in range(k)}) > 1:
                 return True
     return False
 
 
-def ref_canonicalise(f):
-    kept = [i for i in range(len(f.deps)) if _ref_reads(f, i)]
-    deps = tuple(f.deps[i] for i in kept)
+def ref_canonicalise(k, deps, table):
+    """The canonical TableFun of a row-major table over deps in id order."""
+    kept = [i for i in range(len(deps)) if _ref_reads(k, len(deps), table, i)]
     idxs = []
-    for combo in itertools.product(range(f.k), repeat=len(deps)):
-        full = [0] * len(f.deps)
+    for combo in itertools.product(range(k), repeat=len(kept)):
+        full = [0] * len(deps)
         for slot, i in enumerate(kept):
             full[i] = combo[slot]
         idx = 0
         for v in full:
-            idx = idx * f.k + v
+            idx = idx * k + v
         idxs.append(idx)
-    return TableFun(f.k, deps, tuple(f.table[i] for i in idxs))
+    return TableFun(k, tuple(deps[i] for i in kept), tuple(table[i] for i in idxs))
 
 
 def ref_act(pi, f):
@@ -382,8 +423,8 @@ def _matches_closure_kernel(data, k, pool, width):
     deps = st.lists(st.sampled_from(pool), unique=True, max_size=width)
     ds, values = raw = data.draw(raw_tables(k, deps=deps))
     order = tuple(sorted(ds, key=lambda q: q.id))
-    uncanonical = TableFun(k, order, tuple(values[_row(k, ds, dict(zip(order, c)))]
-                                           for c in itertools.product(range(k), repeat=len(ds))))
+    rows = tuple(values[_row(k, ds, dict(zip(order, c)))]
+                 for c in itertools.product(range(k), repeat=len(ds)))
     f, g = _canonical(k, raw), _canonical(k, data.draw(raw_tables(k, deps=deps)))
     u, v = (_canonical(k, data.draw(raw_tables(k, outputs=k, deps=deps))) for _ in range(2))
     q = data.draw(st.sampled_from(pool))
@@ -395,7 +436,7 @@ def _matches_closure_kernel(data, k, pool, width):
     # each result equals the reference's, and is canonical: the operations
     # that skip the scan rely on their operands being so
     for got, want in ((tablefun(k, ds, values), _canonical(k, raw)),
-                      (tf_canonicalise(uncanonical), ref_canonicalise(uncanonical)),
+                      (tablefun(k, order, rows), ref_canonicalise(k, order, rows)),
                       (act(pi, f), ref_act(pi, f)),
                       (act(pi, u), ref_act(pi, u)),
                       (tf_meet(f, g), ref_meet(f, g)),
@@ -409,7 +450,7 @@ def _matches_closure_kernel(data, k, pool, width):
                       (tf_atm(k, q), ref_tablefun(k, (q,), lambda m: m[q])),
                       (tf_const(k, k - 1), ref_tablefun(k, (), lambda m: k - 1))):
         assert got == want
-        assert tf_canonicalise(got) == got
+        assert TableFun(got.k, got.deps, got.table) == got
 
 
 @settings(max_examples=300, deadline=None)
@@ -464,7 +505,7 @@ def test_random_tables_are_uniform(monkeypatch):
         rng = random.Random(seed)
         tables = [random_tablefun(k, rng, POOL[::-1], outputs) for _ in range(draws)]
         monkeypatch.undo()
-        assert all(tf_canonicalise(f) == f for f in tables)
+        assert all(TableFun(f.k, f.deps, f.table) == f for f in tables)
         values = (False, True) if outputs is None else tuple(range(outputs))
         for n in range(4):
             drawn = raw[n]
@@ -511,10 +552,10 @@ def test_tables_longer_than_kept_plans_match_closure_kernel():
     for _ in range(12):
         ds, values = raw(2, 5)
         order = tuple(sorted(ds, key=lambda q: q.id))
-        uncanonical = TableFun(k, order, tuple(values[_row(k, ds, dict(zip(order, c)))]
-                                               for c in itertools.product(range(k), repeat=5)))
+        rows = tuple(values[_row(k, ds, dict(zip(order, c)))]
+                     for c in itertools.product(range(k), repeat=5))
         assert tablefun(k, ds, values) == _canonical(k, (ds, values))
-        assert tf_canonicalise(uncanonical) == ref_canonicalise(uncanonical)
+        assert tablefun(k, order, rows) == ref_canonicalise(k, order, rows)
         f, g = (_canonical(k, raw(2, rng.randint(3, 5))) for _ in range(2))
         u, v = (_canonical(k, raw(k, rng.randint(3, 5))) for _ in range(2))
         q = rng.choice(wide)
