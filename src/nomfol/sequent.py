@@ -163,28 +163,11 @@ class ProverBudget:
             raise ValueError(f"prover depth {self.max_depth} is not in 0..{MAX_NESTING - 1}")
 
 
-def formula_terms(phi: Formula) -> Iterator[Term]:
-    if isinstance(phi, Eq):
-        yield from subterms(phi.lhs)
-        yield from subterms(phi.rhs)
-    elif isinstance(phi, Pred):
-        for t in phi.args:
-            yield from subterms(t)
-    elif isinstance(phi, And):
-        yield from formula_terms(phi.lhs)
-        yield from formula_terms(phi.rhs)
-    elif isinstance(phi, Neg):
-        yield from formula_terms(phi.body)
-    elif isinstance(phi, All):
-        yield from formula_terms(phi.body)
-
-
 def default_universe(s: Sequent, sig: Signature) -> tuple[Term, ...]:
     """Subterms of the sequent, signature constants, and one fresh atom."""
     terms: dict[str, Term] = {}
-    for f in s.left + s.right:
-        for t in formula_terms(f):
-            terms.setdefault(pretty_term(t), t)
+    for t in formula_terms(s.left + s.right):
+        terms.setdefault(pretty_term(t), t)
     for c in sig.constants():
         t = App(c, ())
         terms.setdefault(pretty_term(t), t)
@@ -424,19 +407,15 @@ def _small_countermodel(s: Sequent, sig: Signature | None = None
     function and a predicate) or when find_countermodel refuses the size;
     decide then just searches.
     """
-    funcs, preds = _symbols(s.left + s.right)
-    try:
-        used = Signature(tuple(sorted(funcs)), tuple(sorted(preds)))
-    except ValueError:
-        return None
+    funcs, preds, has_equation = _symbols(s.left + s.right)
     max_k = 1
-    if any(isinstance(f, Eq) for f in _atomic(s.left + s.right)):
-        n = _size_space(used, len(s.free_atoms()), 2)
+    if has_equation:
+        n = _size_space(funcs, preds, len(s.free_atoms()), 2)
         if isinstance(n, int) and n <= GUARD_SIZE_2_LIMIT:
             max_k = 2
     try:
         return find_countermodel(s, sig, max_k)
-    except SearchRefused:
+    except (SearchRefused, ValueError):
         return None
 
 
@@ -587,44 +566,54 @@ GUARD_SIZE_2_LIMIT = 4096  # size-2 (model, valuation) pairs prove's guard may s
 
 
 def _atomic(formulas: Iterable[Formula]) -> Iterator[Formula]:
-    """The atomic subformulas of formulas: equations, predicates and bottom."""
-    todo = list(formulas)
+    """The atomic subformulas of formulas, left to right: equations, predicates and bottom."""
+    todo = list(formulas)[::-1]
     while todo:
         f = todo.pop()
         if isinstance(f, And):
-            todo += (f.lhs, f.rhs)
+            todo += (f.rhs, f.lhs)
         elif isinstance(f, (Neg, All)):
             todo.append(f.body)
         else:
             yield f
 
 
-def _symbols(formulas: Iterable[Formula]
-             ) -> tuple[set[tuple[str, int]], set[tuple[str, int]]]:
-    """The (name, arity) pairs of the functions and of the predicates in formulas."""
-    funcs: set[tuple[str, int]] = set()
-    preds: set[tuple[str, int]] = set()
+def formula_terms(formulas: Iterable[Formula]) -> Iterator[Term]:
+    """The subterms of the atoms of formulas, left to right, each before its arguments."""
     for f in _atomic(formulas):
-        if isinstance(f, Pred):
-            preds.add((f.name, len(f.args)))
-        funcs.update((t.fn, len(t.args)) for t in formula_terms(f) if isinstance(t, App))
-    return funcs, preds
+        args = (f.lhs, f.rhs) if isinstance(f, Eq) else f.args if isinstance(f, Pred) else ()
+        for t in args:
+            yield from subterms(t)
 
 
-def _size_space(used: Signature, n_free: int, k: int) -> int | float:
+def _symbols(formulas: Iterable[Formula]
+             ) -> tuple[set[tuple[str, int]], set[tuple[str, int]], bool]:
+    """(funcs, preds, has_equation): the symbols formulas use, from one walk.
+
+    funcs and preds are (name, arity) pairs; has_equation is whether
+    formulas have an equation.
+    """
+    atomic = list(_atomic(formulas))
+    funcs = {(t.fn, len(t.args)) for t in formula_terms(atomic) if isinstance(t, App)}
+    preds = {(f.name, len(f.args)) for f in atomic if isinstance(f, Pred)}
+    return funcs, preds, any(isinstance(f, Eq) for f in atomic)
+
+
+def _size_space(functions: Iterable[tuple[str, int]], predicates: Iterable[tuple[str, int]],
+                n_free: int, k: int) -> int | float:
     """The (model, valuation) pairs of size k, or its log10 from 10**29 up."""
     lk = math.log10(k)
     try:
-        digits = (n_free * lk + sum(float(k) ** ar * lk for _, ar in used.functions)
-                  + sum(float(k) ** ar * math.log10(2) for _, ar in used.predicates))
+        digits = (n_free * lk + sum(float(k) ** ar * lk for _, ar in functions)
+                  + sum(float(k) ** ar * math.log10(2) for _, ar in predicates))
     except OverflowError:
         return math.inf
     if digits >= 29:
         return digits
     n = k ** n_free
-    for _, ar in used.functions:
+    for _, ar in functions:
         n *= k ** (k ** ar)
-    for _, ar in used.predicates:
+    for _, ar in predicates:
         n *= 2 ** (k ** ar)
     return n
 
@@ -678,7 +667,8 @@ def find_countermodel(s: Sequent, sig: Signature | None, max_k: int
     """Exhaustive deterministic search for a falsifying model and valuation.
 
     The model is over sig when sig has every symbol s uses, and otherwise
-    (sig may be None) over just those symbols, sorted by name.  Sizes are
+    (sig may be None) over just those symbols, sorted by name; ValueError,
+    before any search, when they make no Signature.  Sizes are
     searched in order, and each is checked just before it is searched: the
     first size that takes the running count past the limit, or whose model
     would hold a table of more than MAX_ROWS rows, raises SearchRefused.
@@ -700,13 +690,17 @@ def find_countermodel(s: Sequent, sig: Signature | None, max_k: int
     # each part with the (name, arity) pairs it reads; fs and ps are all of s's
     parts, fs, ps = [], set(), set()
     for side, f in _parts(s):
-        funcs, preds = _symbols((f,))
+        funcs, preds, _ = _symbols((f,))
         fs |= funcs
         ps |= preds
         parts.append((side, f, funcs | preds))
     if sig is None or not (fs <= set(sig.functions) and ps <= set(sig.predicates)):
-        sig = Signature(tuple(sorted(fs)), tuple(sorted(ps)))
-    used = sig.restricted({name for name, _ in fs | ps})
+        sig = used = Signature(tuple(sorted(fs)), tuple(sorted(ps)))
+    else:
+        # a valid sig holds no name at two arities, nor one that is both a
+        # function and a predicate, so its pairs that s uses make a Signature
+        used = Signature(tuple(x for x in sig.functions if x in fs),
+                         tuple(x for x in sig.predicates if x in ps))
     free = tuple(sorted(s.free_atoms(), key=lambda a: a.id))
     # tests[i]: the left and right parts whose last symbol is the i-th
     order = {x: i for i, x in enumerate(used.functions + used.predicates, 1)}
@@ -715,7 +709,7 @@ def find_countermodel(s: Sequent, sig: Signature | None, max_k: int
         tests[max(map(order.__getitem__, reads), default=0)][side].append(f)
     total = 0
     for k in range(1, max_k + 1):
-        n = _size_space(used, len(free), k)
+        n = _size_space(used.functions, used.predicates, len(free), k)
         # the total so far is within the limit: beside 10**29 it is lost
         total = n if isinstance(n, float) else total + n
         if isinstance(total, float) or total > COUNTERMODEL_SPACE_LIMIT:
@@ -812,7 +806,7 @@ def _forward_step(p: Proof, sig: Signature, rng, pool) -> Proof | None:
             return Proof("allR", conc, (All(a, psi), a), (p,))
         if rule == "allL" and s.left:
             xi = rng.choice(s.left)
-            cands = list(formula_terms(xi))
+            cands = list(formula_terms((xi,)))
             if not cands:
                 continue
             r = rng.choice(cands)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .nominal import Atom, Perm, act, fresh, swap
 
@@ -60,18 +60,6 @@ class Signature:
 
     def constants(self) -> list[str]:
         return [n for n, ar in self.functions if ar == 0]
-
-    def restricted(self, names: Container[str]) -> "Signature":
-        """The symbols whose names are in names, in this signature's order.
-
-        Built without the constructor's checks: a restriction of a checked
-        signature passes them.
-        """
-        out = object.__new__(Signature)
-        fields = out.__dict__
-        fields["functions"] = tuple(x for x in self.functions if x[0] in names)
-        fields["predicates"] = tuple(x for x in self.predicates if x[0] in names)
-        return out
 
 
 def is_decimal(v: str) -> bool:

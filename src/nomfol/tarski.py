@@ -5,8 +5,9 @@ only finitely many atoms.  It is canonical by construction: it stores
 exactly the atoms it reads, in id order, which makes support and equality
 decidable, and its constructor refuses any other table.  ``tablefun``
 builds the canonical table from row-major values over atoms in any order.
-No table is wider than MAX_DEPS atoms or longer than MAX_ROWS rows: each
-builder refuses a larger one before it builds a row.
+No table is wider than MAX_DEPS atoms or longer than MAX_ROWS rows, nor
+over an empty domain: each builder refuses such a table before it builds
+a row.
 
 Every re-indexing of a table goes through a row-index plan: the tuple of
 source rows for each output row, so moving a table onto other atoms, or
@@ -161,7 +162,9 @@ def _narrow(deps: tuple[Atom, ...]) -> tuple[Atom, ...]:
 
 
 def _rows(k: int, n: int) -> int:
-    """The k ** n rows of a table over n atoms, refused past MAX_ROWS."""
+    """The k ** n rows of a table over n atoms, refused past MAX_ROWS or for k < 1."""
+    if k < 1:
+        raise ValueError("domain must be non-empty")
     rows = k ** n
     if rows > MAX_ROWS:
         raise ValueError(f"table of {rows} rows exceeds limit {MAX_ROWS}")
@@ -245,6 +248,8 @@ def tablefun(k: int, atoms: Iterable[Atom], values: Iterable) -> TableFun:
 
 
 def tf_const(k: int, v) -> TableFun:
+    """The constant v over a domain of size k."""
+    _rows(k, 0)  # refuses an empty domain
     return _made(k, (), (v,))
 
 

@@ -14,12 +14,13 @@ from nomfol.sequent import (Proof, ProverBudget, SearchRefused, Side, Verdict,
                             _RULES, _small_countermodel, _search, _sexpr_tokens,
                             _size_space, _symbols, check_proof, decide,
                             default_universe, find_countermodel, format_proof,
-                            format_sequent, generate_derivable, herbrand_equiv,
-                            parse_proof, parse_sequent, prove, sequent)
+                            format_sequent, formula_terms, generate_derivable,
+                            herbrand_equiv, parse_proof, parse_sequent, prove,
+                            sequent)
 from nomfol.syntax import (All, And, App, BOT, Eq, LimitExceeded, Neg, Or, Pred,
                            Signature, Var, all_atoms, alpha_eq, alpha_key,
                            default_signature, parse_formula, random_formula,
-                           random_term)
+                           random_term, subterms)
 from nomfol.tarski import (Valuation, all_valuations, iter_models,
                            lift_interpretation, random_model, standard_eval)
 
@@ -290,6 +291,38 @@ def test_default_universe():
     assert any(n.startswith("a") and n not in free for n in names)
 
 
+def ref_formula_terms(phi):
+    """The subterms of phi's atoms, by formula_terms' first form: a recursive walk."""
+    if isinstance(phi, Eq):
+        yield from subterms(phi.lhs)
+        yield from subterms(phi.rhs)
+    elif isinstance(phi, Pred):
+        for t in phi.args:
+            yield from subterms(t)
+    elif isinstance(phi, And):
+        yield from ref_formula_terms(phi.lhs)
+        yield from ref_formula_terms(phi.rhs)
+    elif isinstance(phi, Neg):
+        yield from ref_formula_terms(phi.body)
+    elif isinstance(phi, All):
+        yield from ref_formula_terms(phi.body)
+
+
+def test_formula_terms_keep_the_recursive_walks_order():
+    # _forward_step draws an allL witness from this list by position, so
+    # generate_derivable's trails depend on its order, not only its terms
+    rng = random.Random(29)
+    pool = atoms(0, 1, 2)
+    seen = 0
+    for _ in range(400):
+        fs = [random_formula(sig, rng, pool, rng.randint(0, 4))
+              for _ in range(rng.randint(0, 3))]
+        want = [t for f in fs for t in ref_formula_terms(f)]
+        assert list(formula_terms(fs)) == want, fs
+        seen += len(want)
+    assert seen > 1000
+
+
 def test_find_countermodel_examples():
     got = find_countermodel(ps("|- P(a)"), sigP, 1)
     assert got is not None
@@ -432,18 +465,16 @@ def test_pruned_search_finds_the_flat_loops_first_countermodel(case):
 
 
 def _used(s):
-    """The symbols s uses, as the guard's signature."""
-    funcs, preds = _symbols(s.left + s.right)
+    """The symbols s uses, as a Signature sorted by name."""
+    funcs, preds, _ = _symbols(s.left + s.right)
     return Signature(tuple(sorted(funcs)), tuple(sorted(preds)))
 
 
 def _space(s, sig, max_k):
     """The (model, valuation) pairs find_countermodel may try at sizes 1 to max_k."""
-    funcs, preds = _symbols(s.left + s.right)
-    names = {name for name, _ in funcs | preds}
-    used = Signature(tuple(x for x in sig.functions if x[0] in names),
-                     tuple(x for x in sig.predicates if x[0] in names))
-    return sum(_size_space(used, len(s.free_atoms()), k) for k in range(1, max_k + 1))
+    funcs, preds, _ = _symbols(s.left + s.right)
+    used = ([x for x in sig.functions if x in funcs], [x for x in sig.predicates if x in preds])
+    return sum(_size_space(*used, len(s.free_atoms()), k) for k in range(1, max_k + 1))
 
 
 def test_countermodel_space():
@@ -476,7 +507,7 @@ def test_countermodel_search_refused_per_size():
     assert refused.value.count == pytest.approx((2 ** 24 + 1) * math.log10(2))
     assert str(refused.value) == "search space 3.64e5050445 at size 2 exceeds 1000000"
     # a count past even a float's range is infinite, not an OverflowError
-    assert _size_space(Signature((), (("P", 2),)), 0, 10 ** 200) == math.inf
+    assert _size_space((), (("P", 2),), 0, 10 ** 200) == math.inf
 
 
 def test_generate_derivable():
@@ -866,7 +897,7 @@ def test_guard_needs_no_signature(monkeypatch):
 
 def test_guard_falls_through_to_the_search():
     # P at two arities makes no signature
-    assert _symbols([P(a), P(a, b)])[1] == {("P", 1), ("P", 2)}
+    assert _symbols([P(a), P(a, b)]) == (set(), {("P", 1), ("P", 2)}, False)
     mixed = sequent([P(a), P(a, b)], [P(a)])
     assert not _small_countermodel(mixed)
     assert prove(mixed).rule == "hyp"
@@ -895,7 +926,8 @@ def test_guard_searches_size_2_only_for_small_equational_sequents(monkeypatch):
     assert searched == []
     # with three it is 16,384, over the guard's limit of 4,096: searched
     over = sequent(Qs, [Eq(Var(a), Var(b))])
-    assert _size_space(_used(over), 2, 2) == 16384 > sequent_module.GUARD_SIZE_2_LIMIT
+    funcs, preds, _ = _symbols(over.left + over.right)
+    assert _size_space(funcs, preds, 2, 2) == 16384 > sequent_module.GUARD_SIZE_2_LIMIT
     assert find_countermodel(over, _used(over), 2) is not None
     assert not _small_countermodel(over)
     prove(over)
@@ -904,6 +936,72 @@ def test_guard_searches_size_2_only_for_small_equational_sequents(monkeypatch):
     split = sequent([], [Or(All(a, P(a)), All(a, Neg(P(a))))])
     assert find_countermodel(split, _used(split), 2) is not None
     assert not _small_countermodel(split)
+
+
+def _ref_atoms(phi):
+    """The atomic subformulas of phi, by a recursive walk."""
+    if isinstance(phi, And):
+        return _ref_atoms(phi.lhs) + _ref_atoms(phi.rhs)
+    if isinstance(phi, (Neg, All)):
+        return _ref_atoms(phi.body)
+    return [phi]
+
+
+def ref_guard_size(s):
+    """The size the guard searches, by its first rule; None for no search.
+
+    The symbols s uses must make a checked Signature.  Then size 2 is
+    searched when s has an equation and a size-2 space within
+    GUARD_SIZE_2_LIMIT, and size 1 otherwise.
+    """
+    fs = s.left + s.right
+    atomic = [f for phi in fs for f in _ref_atoms(phi)]
+    funcs = {(t.fn, len(t.args)) for phi in fs for t in ref_formula_terms(phi)
+             if isinstance(t, App)}
+    preds = {(f.name, len(f.args)) for f in atomic if isinstance(f, Pred)}
+    try:
+        used = Signature(tuple(sorted(funcs)), tuple(sorted(preds)))
+    except ValueError:
+        return None
+    if any(isinstance(f, Eq) for f in atomic):
+        n = _size_space(used.functions, used.predicates, len(s.free_atoms()), 2)
+        if isinstance(n, int) and n <= sequent_module.GUARD_SIZE_2_LIMIT:
+            return 2
+    return 1
+
+
+def test_guard_sizes_follow_the_checked_signature_rule(monkeypatch):
+    # the guard builds no Signature of its own: find_countermodel's
+    # ValueError stands for the one it built, and its size comes from
+    # _symbols' pairs
+    asked = []
+
+    def recording(s, signature, max_k):
+        asked.append(max_k)
+        return find_countermodel(s, signature, max_k)
+
+    monkeypatch.setattr(sequent_module, "find_countermodel", recording)
+    Qs = [Pred(f"Q{i}", (Var(a), Var(b))) for i in range(3)]
+    odd = [sequent([P(a), P(a, b)], [P(a)]), sequent([P(a)], [P(a, b)]),
+           sequent([P(a), P(a, b)], [Eq(Var(a), Var(b))]),
+           sequent([], [Pred("P", (App("P", ()),))]),
+           sequent([Pred("P", (App("P", ()),)), Eq(Var(a), Var(b))], []),
+           sequent(Qs[:2], [Eq(Var(a), Var(b))]), sequent(Qs, [Eq(Var(a), Var(b))])]
+    cases = [(s, signature) for s, _ in _golden_corpus() for signature in (sig, SIG_NO_C)]
+    cases += [(s, signature) for s in odd for signature in (None, sig, SIG_NO_C)]
+    sizes = []
+    for s, signature in cases:
+        asked.clear()
+        got = _small_countermodel(s, signature)
+        want = ref_guard_size(s)
+        sizes.append(want)
+        if want is None:
+            assert got is None, s
+            with pytest.raises(ValueError):
+                find_countermodel(s, signature, asked[0])
+        else:
+            assert asked == [want], (s, signature)
+    assert set(sizes) == {None, 1, 2}
 
 
 def test_guard_cuts_a_wide_hyp_sequent(monkeypatch):

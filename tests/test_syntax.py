@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -179,20 +178,6 @@ def test_signature_file():
         Signature((("f", 1), ("f", 2)), ())
     with pytest.raises(SyntaxError_):
         parse_signature("fun f -1")
-
-
-def test_restriction_is_the_checked_signature():
-    # restricted skips the constructor's checks, which a restriction of a
-    # checked signature passes: every restriction of the default signature,
-    # with a name it lacks, is the Signature built with the checks
-    names = [n for n, _ in sig.functions + sig.predicates]
-    for r in range(len(names) + 1):
-        for kept in itertools.combinations(names, r):
-            kept = set(kept) | {"S"}
-            want = Signature(tuple(x for x in sig.functions if x[0] in kept),
-                             tuple(x for x in sig.predicates if x[0] in kept))
-            got = sig.restricted(kept)
-            assert (got, hash(got), repr(got)) == (want, hash(want), repr(want))
 
 
 atom_st = st.integers(0, 4).map(lambda i: atoms(i)[0])

@@ -134,6 +134,19 @@ def test_every_table_builder_refuses_more_than_max_rows():
         tf_subst(f, a, u)
 
 
+def test_every_table_builder_refuses_an_empty_domain():
+    # a domain below 1 is refused with OrdinaryModel's words, not by range()
+    # or by building a table over no values
+    for build in (lambda k: tablefun(k, (a,), range(k)),
+                  lambda k: TableFun(k, (a,), tuple(range(k))),
+                  lambda k: tf_atm(k, a), lambda k: random_tablefun(k, random.Random(1), (a,)),
+                  lambda k: tf_const(k, True)):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="^domain must be non-empty$"):
+                build(k)
+        assert build(2).k == 2
+
+
 def test_tf_freshmeet():
     f = tablefun(2, (a,), (False, True))
     assert tf_freshmeet(a, f) == tf_const(2, False)
