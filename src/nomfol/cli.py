@@ -42,11 +42,12 @@ SUITES = {
         pow_amgis(samplers.term_carrier()), samplers.charset_sampler(default_signature()),
         n, samplers.probe_terms(default_signature())[:100], seed)],
     "foleq-tarski": lambda n, seed: [foleq_axiom_suite(
-        tarski_algebra(k), samplers.tarski_foleq_sampler(k), n, seed) for k in (1, 2, 3)],
+        tarski_algebra(k), samplers.tarski_sampler(k, truth=True), n, seed)
+        for k in (1, 2, 3)],
     "precedent": lambda n, seed: [precedent_suite()],
     "eq-laws": lambda n, seed: [run_laws(
         {name: FOLEQ_LAWS[name] for name in EQ_LAWS}, n, seed,
-        tarski_algebra(k), samplers.tarski_foleq_sampler(k)) for k in (2, 3)],
+        tarski_algebra(k), samplers.tarski_sampler(k, truth=True)) for k in (2, 3)],
 }
 
 

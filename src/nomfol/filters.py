@@ -203,9 +203,6 @@ def prime_check(p: PredSet, disjunction_samples: Sequence[tuple[Formula, Formula
 class PointSketch:
     filter_side: PredSet
     ideal_side: PredSet
-    pairs: list[tuple[Atom, Formula]]
-    steps: int
-    budget: ProverBudget
     transcript: list[str]
     queried: list[Formula]
 
@@ -244,8 +241,7 @@ def point_sketch(seed_formula: Formula, steps: int, b: ProverBudget,
     idl = downset(BOT, b, sig)
     transcript: list[str] = []
     queried: list[Formula] = []
-    pairs = enumerate_pairs(sig, steps)
-    for i, (a, phi) in enumerate(pairs):
+    for i, (a, phi) in enumerate(enumerate_pairs(sig, steps)):
         label = f"STEP {i} PAIR ({a.name}, {pretty(phi)})"
         candidate = All(a, phi)
         queried.append(candidate)
@@ -264,4 +260,4 @@ def point_sketch(seed_formula: Formula, steps: int, b: ProverBudget,
         transcript.append(f"{label} SIDE {side}")
         if on_line is not None:
             on_line(transcript[-1])
-    return PointSketch(flt, idl, pairs, steps, b, transcript, queried)
+    return PointSketch(flt, idl, transcript, queried)

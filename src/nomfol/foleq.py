@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .nominal import Atom, fresh_distinct, swap
+from .nominal import Atom, act, fresh_distinct, support, swap
 from .report import SuiteReport, run_laws
 from .sigma import Carrier, Sampler
 from .syntax import All, And, Bot, Eq, Formula, Neg, Pred, Term, Var
@@ -67,10 +67,9 @@ def _extend(alg: Carrier, base, us):
     The atoms are fresh for every argument, so sequential substitution
     agrees with the simultaneous action.
     """
-    terms = alg.terms
     avoid = set()
     for u in us:
-        avoid |= terms.support(u)
+        avoid |= support(u)
     names = fresh_distinct(avoid, len(us))
     x = base(names)
     for a, u in zip(names, us):
@@ -169,7 +168,7 @@ def _distrib(rng, alg, sampler):
 
 def _distrib_fresh(rng, alg, sampler):
     x, y = sampler.element(rng), sampler.element(rng)
-    a = sampler.atom_fresh_for(rng, alg.support(x))
+    a = sampler.atom_fresh_for(rng, support(x))
     if not alg.equal(alg.join(x, alg.freshmeet(a, y)),
                      alg.freshmeet(a, alg.join(x, y))):
         return _ce(x, a, y)
@@ -192,8 +191,8 @@ def _complement(rng, alg, sampler):
 def _nu_alpha(rng, alg, sampler):
     x = sampler.element(rng)
     a = sampler.atom(rng)
-    b = sampler.atom_fresh_for(rng, alg.support(x), {a})
-    if not alg.equal(alg.freshmeet(b, alg.act(swap(b, a), x)), alg.freshmeet(a, x)):
+    b = sampler.atom_fresh_for(rng, support(x), {a})
+    if not alg.equal(alg.freshmeet(b, act(swap(b, a), x)), alg.freshmeet(a, x)):
         return _ce(x, a, b)
 
 
@@ -207,7 +206,7 @@ def _nu_meet(rng, alg, sampler):
 
 def _nu_join(rng, alg, sampler):
     x, y = sampler.element(rng), sampler.element(rng)
-    a = sampler.atom_fresh_for(rng, alg.support(y))
+    a = sampler.atom_fresh_for(rng, support(y))
     if not alg.equal(alg.freshmeet(a, alg.join(x, y)),
                      alg.join(alg.freshmeet(a, x), y)):
         return _ce(a, x, y)
@@ -222,7 +221,7 @@ def _nu_leq(rng, alg, sampler):
 
 def _nu_fresh(rng, alg, sampler):
     x = sampler.element(rng)
-    a = sampler.atom_fresh_for(rng, alg.support(x))
+    a = sampler.atom_fresh_for(rng, support(x))
     if not alg.equal(alg.freshmeet(a, x), x):
         return _ce(a, x)
 
@@ -248,7 +247,7 @@ def _sub_nu(rng, alg, sampler):
     y = sampler.element(rng)
     a = sampler.atom(rng)
     u = sampler.termlike(rng)
-    b = sampler.atom_fresh_for(rng, alg.terms.support(u), {a})
+    b = sampler.atom_fresh_for(rng, support(u), {a})
     if not alg.equal(alg.subst(alg.freshmeet(b, y), a, u),
                      alg.freshmeet(b, alg.subst(y, a, u))):
         return _ce(y, a, u, b)

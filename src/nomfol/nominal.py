@@ -8,7 +8,7 @@ implements ``_act_``/``_support_``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 
 @dataclass(frozen=True, order=True)
@@ -114,14 +114,6 @@ def support(x) -> frozenset[Atom]:
     if isinstance(x, (int, bool, str, float, type(None))):
         return frozenset()
     raise TypeError(f"no support procedure for {type(x).__name__}")
-
-
-def strict_support(xs: Iterable) -> frozenset[Atom]:
-    """Union of element supports; equals the support of the finite set xs."""
-    out: frozenset[Atom] = frozenset()
-    for x in xs:
-        out |= support(x)
-    return out
 
 
 def fresh(avoid) -> Atom:

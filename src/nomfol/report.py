@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -23,10 +23,7 @@ class AxiomResult:
 
 @dataclass
 class SuiteReport:
-    results: list[AxiomResult] = field(default_factory=list)
-
-    def add(self, result: AxiomResult) -> None:
-        self.results.append(result)
+    results: list[AxiomResult]
 
     @property
     def ok(self) -> bool:
@@ -44,7 +41,7 @@ def run_laws(laws: dict, n: int, seed: int, *args) -> SuiteReport:
     seeded from the seed and the law's name alone, so its samples do not
     depend on which other laws run.
     """
-    report = SuiteReport()
+    results = []
     for name, case in laws.items():
         rng = random.Random(f"{name} {seed}")
         result = AxiomResult(name)
@@ -54,5 +51,5 @@ def run_laws(laws: dict, n: int, seed: int, *args) -> SuiteReport:
                 result.counterexample = ce
                 break
             result.passed += 1
-        report.add(result)
-    return report
+        results.append(result)
+    return SuiteReport(results)

@@ -11,30 +11,21 @@ import random
 
 from .nominal import atoms
 from .sigma import Carrier, CharSet, Sampler
-from .syntax import (App, Signature, Term, Var, alpha_key, free_atoms,
-                     free_atoms_term, random_formula, random_term,
-                     subst_formula, subst_term)
+from .syntax import (App, Signature, Term, Var, alpha_key, free_atoms_term,
+                     random_formula, random_term, subst_formula, subst_term)
 from .tarski import random_tablefun
 
 
 def term_carrier() -> Carrier:
     """First-order terms as a termlike algebra; substitution is the real one."""
-    return Carrier(
-        name="terms",
-        subst=subst_term,
-        equal=lambda s, t: s == t,
-        support=free_atoms_term,
-        atm=Var,
-    )
+    return Carrier(subst=subst_term, equal=lambda s, t: s == t, atm=Var)
 
 
 def formula_carrier() -> Carrier:
     """Predicates over terms; equality is alpha-equivalence."""
     return Carrier(
-        name="formulas",
         subst=subst_formula,
         equal=lambda phi, psi: alpha_key(phi) == alpha_key(psi),
-        support=free_atoms,
         terms=term_carrier(),
     )
 
@@ -63,10 +54,6 @@ def tarski_sampler(k: int, truth: bool = False) -> Sampler:
         termlike=lambda rng: random_tablefun(k, rng, POOL, outputs=k),
         pool=POOL,
     )
-
-
-def tarski_foleq_sampler(k: int) -> Sampler:
-    return tarski_sampler(k, truth=True)
 
 
 def probe_terms(sig: Signature) -> list[Term]:

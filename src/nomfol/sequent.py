@@ -27,9 +27,10 @@ from typing import Iterable, Iterator
 from .nominal import Atom, act, atoms, fresh, swap
 from .syntax import (All, And, App, BOT, Bot, Eq, Formula, LimitExceeded,
                      MAX_NESTING, Neg, Pred, Signature, SyntaxError_, Term,
-                     Var, all_atoms, alpha_key, free_atoms, free_atoms_term,
-                     parse_shared, parse_sides, pretty, pretty_term,
-                     random_formula, random_term, subst_formula, subterms)
+                     Var, all_atoms, alpha_key, atom_id, free_atoms,
+                     free_atoms_term, parse_shared, parse_sides, pretty,
+                     pretty_term, random_formula, random_term, subst_formula,
+                     subterms)
 from .tarski import MAX_ROWS, OrdinaryModel, Valuation, iter_models, standard_eval
 
 
@@ -135,10 +136,10 @@ _RULES = {"hyp": (0, ""), "botL": (0, ""), "eqR": (1, "t"), "andL": (1, "f"),
 
 
 def _read_atom(name: str) -> Atom:
-    m = re.fullmatch(r"a(\d+)", name)
-    if not m:
+    i = atom_id(name)
+    if i is None:
         raise SyntaxError_(f"bad atom name {name!r} in proof")
-    return Atom(int(m.group(1)))
+    return Atom(i)
 
 
 # witness kind: (type, writer, reader), the reader of an atom being _read_atom
@@ -635,13 +636,9 @@ def _count(n: int | float) -> str:
 class SearchRefused(Exception):
     """Sizes 1 to k hold more (model, valuation) pairs than COUNTERMODEL_SPACE_LIMIT.
 
-    ``count`` is that total, or its log10 (a float) from 30 digits on; or,
-    when a model of size k would hold a table past MAX_ROWS, its rows.
+    Or a model of size k would hold a table past MAX_ROWS; the message
+    states k and the count or the rows.
     """
-
-    def __init__(self, k: int, count: int | float, why: str):
-        super().__init__(why)
-        self.k, self.count = k, count
 
 
 def _parts(s: Sequent) -> Iterator[tuple[int, Formula]]:
@@ -713,11 +710,11 @@ def find_countermodel(s: Sequent, sig: Signature | None, max_k: int
         # the total so far is within the limit: beside 10**29 it is lost
         total = n if isinstance(n, float) else total + n
         if isinstance(total, float) or total > COUNTERMODEL_SPACE_LIMIT:
-            raise SearchRefused(k, total, f"search space {_count(total)} at size {k} "
+            raise SearchRefused(f"search space {_count(total)} at size {k} "
                                 f"exceeds {COUNTERMODEL_SPACE_LIMIT}")
         for name, ar in sig.functions + sig.predicates:
             if k ** ar > MAX_ROWS:
-                raise SearchRefused(k, k ** ar, f"table of {k ** ar} rows for {name} "
+                raise SearchRefused(f"table of {k ** ar} rows for {name} "
                                     f"at size {k} exceeds limit {MAX_ROWS}")
         # opens[i]: the valuations no part tested so far closes
         opens = [[Valuation(dict(zip(free, combo)), 0)

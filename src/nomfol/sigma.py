@@ -1,8 +1,10 @@
 """Substitution algebras, their duals on subsets, and the Fig-style axiom suites.
 
-Carriers are described by small descriptor objects bundling the operations
-the suites need; subsets of infinite carriers are characteristic functions
-with a declared support, compared only on caller-supplied probe sets.
+A carrier is described by a small descriptor bundling its substitution,
+its equality and, when termlike, its atoms; its permutation action and
+support are the nominal kernel's ``act`` and ``support``.  Subsets of
+infinite carriers are characteristic functions with a declared support,
+compared only on caller-supplied probe sets.
 """
 from __future__ import annotations
 
@@ -20,15 +22,15 @@ from .report import AxiomResult, SuiteReport, run_laws
 class Carrier:
     """A nominal set with a substitution action over a termlike algebra.
 
-    ``atm`` is present exactly when the carrier is termlike; then ``terms``
-    is left out and the designated termlike algebra is the carrier itself.
+    ``subst(x, a, u)`` is x[a := u] for u in ``terms``, and ``equal`` is
+    element equality.  ``atm`` is present exactly when the carrier is
+    termlike; then ``terms`` is left out and the designated termlike
+    algebra is the carrier itself.  Elements are permuted and supported
+    by ``nominal.act`` and ``nominal.support``.
     """
 
-    name: str
     subst: Callable[[Any, Atom, Any], Any]
     equal: Callable[[Any, Any], bool]
-    act: Callable[[Perm, Any], Any] = nominal.act
-    support: Callable[[Any], frozenset] = nominal.support
     atm: Callable[[Atom], Any] | None = None
     terms: "Carrier" = field(default=None, compare=False, repr=False)
 
@@ -36,16 +38,11 @@ class Carrier:
         if self.terms is None:
             object.__setattr__(self, "terms", self)
 
-    @property
-    def is_termlike(self) -> bool:
-        return self.atm is not None
-
 
 @dataclass(frozen=True)
 class AmgisAlgebra:
     """Carrier with an action p[u <- a]; finite support is not required."""
 
-    name: str
     amgis: Callable[[Any, Any, Atom], Any]
     terms: Carrier
     equal: Callable[[Any, Any], bool] | None = None
@@ -92,7 +89,7 @@ def powamgis_action(alg: Carrier, p: CharSet, u, a: Atom) -> CharSet:
     """p[u <- a] over a sigma-algebra: x is in it iff x[a := u] is in p."""
     return CharSet(
         lambda x: p.member(alg.subst(x, a, u)),
-        p.declared_support | alg.terms.support(u) | {a},
+        p.declared_support | nominal.support(u) | {a},
         f"{p.label}[{u!r}<-{a}]",
     )
 
@@ -100,7 +97,6 @@ def powamgis_action(alg: Carrier, p: CharSet, u, a: Atom) -> CharSet:
 def pow_amgis(alg: Carrier) -> AmgisAlgebra:
     """The amgis-powerset of a sigma-algebra, elements are CharSets."""
     return AmgisAlgebra(
-        name=f"PowAmgis({alg.name})",
         amgis=lambda p, u, a: powamgis_action(alg, p, u, a),
         terms=alg.terms,
     )
@@ -112,7 +108,7 @@ def powsigma_action(P: AmgisAlgebra, X: CharSet, a: Atom, u) -> CharSet:
     Membership of p tests p[u <- c] in (c a).X at the single fresh c; the
     some/any property of the new-quantifier justifies the single sample.
     """
-    usupp = P.terms.support(u)
+    usupp = nominal.support(u)
     c = fresh(X.declared_support | usupp | {a})
     swapped = X._act_(swap(c, a))
     return CharSet(
@@ -131,7 +127,7 @@ def powsigma_conditions(P: AmgisAlgebra, X: CharSet, u_samples, p_probes,
     """
     bad = []
     for u in u_samples:
-        a = fresh(X.declared_support | P.terms.support(u))
+        a = fresh(X.declared_support | nominal.support(u))
         for p in p_probes:
             if X.member(P.amgis(p, u, a)) != X.member(p):
                 bad.append(f"condition-1 u={u!r} p={p!r}")
@@ -153,7 +149,7 @@ def exactness_check(P: AmgisAlgebra, p, q, u, probes) -> bool:
     Returns False only on a witnessed violation (hypothesis holds on the
     probes but p and q differ on them); vacuously True otherwise.
     """
-    c = fresh(nominal.support(p) | nominal.support(q) | P.terms.support(u))
+    c = fresh(nominal.support(p) | nominal.support(q) | nominal.support(u))
     if not P.agree(P.amgis(p, u, c), P.amgis(q, u, c), probes):
         return True
     return P.agree(p, q, probes)
@@ -165,8 +161,7 @@ def eq_element_member(P: AmgisAlgebra, p, u, v, probes) -> bool:
     Tests p[u <- c] = p[v <- c] at one fresh c, on the probe set when the
     algebra has no decidable element equality.
     """
-    ts = P.terms
-    c = fresh(nominal.support(p) | ts.support(u) | ts.support(v))
+    c = fresh(nominal.support(p) | nominal.support(u) | nominal.support(v))
     return P.agree(P.amgis(p, u, c), P.amgis(p, v, c), probes)
 
 
@@ -181,15 +176,14 @@ def sim_subst(alg, x, pairs: Sequence[tuple[Atom, Any]]):
     targets = [a for a, _ in pairs]
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate atom in simultaneous substitution: {targets}")
-    terms = alg.terms
-    avoid = set(targets) | set(alg.support(x))
+    avoid = set(targets) | set(nominal.support(x))
     for _, u in pairs:
-        avoid |= terms.support(u)
+        avoid |= nominal.support(u)
     fresh_targets = fresh_distinct(avoid, len(pairs))
     pi = nominal.IDENTITY
     for a, a2 in zip(targets, fresh_targets):
         pi = compose(swap(a2, a), pi)
-    out = alg.act(pi, x)
+    out = nominal.act(pi, x)
     for a2, (_, u) in zip(fresh_targets, pairs):
         out = alg.subst(out, a2, u)
     return out
@@ -241,7 +235,7 @@ def _sigma_id(rng, alg, sampler):
 def _sigma_fresh(rng, alg, sampler):
     x = sampler.element(rng)
     u = sampler.termlike(rng)
-    a = sampler.atom_fresh_for(rng, alg.support(x))
+    a = sampler.atom_fresh_for(rng, nominal.support(x))
     lhs = alg.subst(x, a, u)
     if not alg.equal(lhs, x):
         return f"x={x!r} a={a} u={u!r} got {lhs!r}"
@@ -251,9 +245,9 @@ def _sigma_alpha(rng, alg, sampler):
     x = sampler.element(rng)
     u = sampler.termlike(rng)
     a = sampler.atom(rng)
-    b = sampler.atom_fresh_for(rng, alg.support(x), {a})
+    b = sampler.atom_fresh_for(rng, nominal.support(x), {a})
     lhs = alg.subst(x, a, u)
-    rhs = alg.subst(alg.act(swap(b, a), x), b, u)
+    rhs = alg.subst(nominal.act(swap(b, a), x), b, u)
     if not alg.equal(lhs, rhs):
         return f"x={x!r} a={a} b={b} u={u!r}"
 
@@ -262,7 +256,7 @@ def _sigma_sigma(rng, alg, sampler):
     x = sampler.element(rng)
     u = sampler.termlike(rng)
     v = sampler.termlike(rng)
-    a = sampler.atom_fresh_for(rng, alg.terms.support(v))
+    a = sampler.atom_fresh_for(rng, nominal.support(v))
     b = sampler.atom_fresh_for(rng, {a})
     lhs = alg.subst(alg.subst(x, a, u), b, v)
     rhs = alg.subst(alg.subst(x, b, v), a, alg.terms.subst(u, b, v))
@@ -282,7 +276,7 @@ def sigma_axiom_suite(alg: Carrier, sampler: Sampler, n: int, seed: int = 0) -> 
     and freshness) are enforced by construction on every case.
     """
     laws = {name: case for name, case in SIGMA_LAWS.items()
-            if alg.is_termlike or name != "sigma-a"}
+            if alg.atm is not None or name != "sigma-a"}
     return run_laws(laws, n, seed, alg, sampler)
 
 
@@ -290,7 +284,7 @@ def _amgis_sigma(rng, P, sampler, probes):
     p = sampler.element(rng)
     u = sampler.termlike(rng)
     v = sampler.termlike(rng)
-    a = sampler.atom_fresh_for(rng, P.terms.support(v))
+    a = sampler.atom_fresh_for(rng, nominal.support(v))
     b = sampler.atom_fresh_for(rng, {a})
     lhs = P.amgis(P.amgis(p, v, b), u, a)
     rhs = P.amgis(P.amgis(p, P.terms.subst(u, b, v), a), v, b)

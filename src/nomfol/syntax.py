@@ -24,7 +24,6 @@ class LimitExceeded(SyntaxError_):
 # Symbol names are identifiers that are neither keywords nor atom names.
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _KEYWORDS = ("forall", "bottom", "top")
-_ATOM_NAME = re.compile(r"a(\d+)")
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class Signature:
                 raise ValueError(f"symbol {n!r} is not an identifier {_IDENT.pattern}")
             if n in _KEYWORDS:
                 raise ValueError(f"symbol {n!r} is a keyword")
-            if _ATOM_NAME.fullmatch(n):
+            if atom_id(n) is not None:
                 raise ValueError(f"symbol {n!r} is a canonical atom name")
 
     def fun_arity(self, name: str) -> int | None:
@@ -65,6 +64,11 @@ class Signature:
 def is_decimal(v: str) -> bool:
     """Whether v is a nonempty run of ASCII digits: a number in a signature or model file."""
     return v.isascii() and v.isdigit()
+
+
+def atom_id(name: str) -> int | None:
+    """K when name is the canonical atom name aK, K in ASCII digits; else None."""
+    return int(name[1:]) if name[:1] == "a" and is_decimal(name[1:]) else None
 
 
 def parse_signature(text: str) -> Signature:
@@ -461,10 +465,10 @@ def _atom_map(toks: Iterable[tuple[str, str, int]], sig: Signature) -> dict[str,
     mapping: dict[str, int] = {}
     used: set[int] = set()
     for n in names:
-        m = _ATOM_NAME.fullmatch(n)
-        if m and n not in mapping:
-            mapping[n] = int(m.group(1))
-            used.add(int(m.group(1)))
+        i = atom_id(n)
+        if i is not None and n not in mapping:
+            mapping[n] = i
+            used.add(i)
     nxt = 0
     for n in names:
         if n not in mapping:

@@ -403,6 +403,8 @@ def parse_model(text: str, sig: Signature) -> OrdinaryModel:
             continue
         parts = line.split()
         if parts[0] == "domain" and len(parts) == 2:
+            if k is not None:
+                raise SyntaxError_(f"line {lineno}: second 'domain k' line")
             if not is_decimal(parts[1]):
                 raise SyntaxError_(f"line {lineno}: bad domain size {parts[1]!r}")
             k = int(parts[1])
@@ -460,17 +462,12 @@ def standard_eval(phi: Formula, model: OrdinaryModel, vs: Valuation) -> bool:
 # ----------------------------------------------------------- the lift
 
 def tarski_termlike(k: int) -> Carrier:
-    return Carrier(
-        name=f"Tarski[{k},{k}]",
-        subst=tf_subst,
-        equal=lambda f, g: f == g,
-        atm=lambda a: tf_atm(k, a),
-    )
+    return Carrier(subst=tf_subst, equal=lambda f, g: f == g,
+                   atm=lambda a: tf_atm(k, a))
 
 
 def tarski_algebra(k: int) -> FoleqAlgebra:
     return FoleqAlgebra(
-        name=f"Tarski[{k},2]",
         subst=tf_subst,
         equal=lambda f, g: f == g,
         terms=tarski_termlike(k),

@@ -13,8 +13,8 @@ from nomfol.nominal import (Atom, FinCofinAtomSet, atoms, support,
                             support_exact)
 from nomfol.foleq import foleq_axiom_suite, interpret, interpret_term, sequent_valid
 from nomfol.filters import point_sketch, points_amgis, upset, filter_check
-from nomfol.samplers import (charset_sampler, probe_terms, tarski_foleq_sampler,
-                             tarski_sampler, term_carrier, term_sampler)
+from nomfol.samplers import (charset_sampler, probe_terms, tarski_sampler,
+                             term_carrier, term_sampler)
 from nomfol.sequent import (ProverBudget, _search, check_proof,
                             find_countermodel, generate_derivable, sequent)
 from nomfol.sigma import amgis_axiom_suite, pow_amgis, sigma_axiom_suite
@@ -62,7 +62,7 @@ def test_criterion_02_amgis_membership():
 def test_criterion_03_foleq_suite():
     t0 = time.time()
     for k in (1, 2, 3):
-        rep = foleq_axiom_suite(tarski_algebra(k), tarski_foleq_sampler(k),
+        rep = foleq_axiom_suite(tarski_algebra(k), tarski_sampler(k, truth=True),
                                 500, seed=103 + k)
         assert rep.ok, f"k={k}\n" + "\n".join(rep.lines())
         assert all(r.passed == 500 for r in rep.results)
@@ -73,7 +73,7 @@ def test_criterion_03_foleq_suite():
 
 def test_foleq_suite_k4():
     # the k = 4 leg of criterion 03, kept apart so the criterion's gate holds
-    rep = foleq_axiom_suite(tarski_algebra(4), tarski_foleq_sampler(4), 500,
+    rep = foleq_axiom_suite(tarski_algebra(4), tarski_sampler(4, truth=True), 500,
                             seed=107)
     assert rep.ok, "\n".join(rep.lines())
     assert all(r.passed == 500 for r in rep.results)

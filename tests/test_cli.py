@@ -145,6 +145,19 @@ def test_check_reports_a_string_cut_at_a_backslash(tmp_path):
         1, "PARSE-ERROR unterminated string in proof file\n")
 
 
+def test_check_reads_atom_witnesses_as_formula_text_does(tmp_path):
+    # '\u0660' (Arabic-Indic zero) is a digit to the regex \d, not to the
+    # parser: "a\u0660" used to pass as a0
+    good = go("prove", "|- forall a. (P(a) \\/ ~P(a))", "--sig", SIG, "--depth", "6")[1]
+    assert ' "a0" (negR ' in good
+    proof_file = tmp_path / "digit.sexp"
+    proof_file.write_text(good.replace(' "a0" (negR ', ' "a\u0660" (negR ', 1))
+    assert go("check", str(proof_file), "--sig", SIG) == (
+        1, "PARSE-ERROR bad atom name 'a\u0660' in proof\n")
+    assert go("eval", "P(a\u0660)", "--sig", SIG, "--model", MODEL) == (
+        64, "error: unexpected character at 3: '\u0660'\n")
+
+
 def test_countermodel_golden():
     code, out = go("countermodel", "|- P(a)", "--sig", SIG, "--max-k", "1")
     assert code == 0
@@ -318,6 +331,13 @@ def test_model_values_are_checked(tmp_path):
         model.write_text("domain 2\n" + body + "\n")
         code, out = go("eval", "P(a) /\\ R", "--sig", str(sig), "--model", str(model))
         assert (code, out) == (64, f"error: {err}\n")
+
+
+def test_a_second_domain_line_is_refused():
+    # c = 2 was checked against domain 3, then the table was built at domain 2
+    assert go("eval", "P(c)", "--sig", os.path.join(DATA, "cp1.sig"),
+              "--model", os.path.join(DATA, "twodomains.model")) == (
+        64, "error: line 4: second 'domain k' line\n")
 
 
 def test_signature_names_are_checked(tmp_path):

@@ -218,7 +218,7 @@ def test_prime_check():
 
 def test_point_sketch_trivial():
     sk = point_sketch(pf("top"), 0, B, sig)
-    assert sk.steps == 0 and sk.transcript == []
+    assert sk.transcript == [] and sk.queried == []
     assert sk.filter_side.member(pf("top"))
     assert sk.ideal_side.member(BOT)
 

@@ -8,7 +8,7 @@ from nomfol.nominal import Atom, Perm, act, atoms, fresh, support, swap
 from nomfol.foleq import (FOLEQ_LAWS, foleq_axiom_suite, freshmeet_char_check,
                           interpret, interpret_term, sequent_valid)
 from nomfol.report import run_laws
-from nomfol.samplers import (charset_sampler, probe_terms, tarski_foleq_sampler,
+from nomfol.samplers import (charset_sampler, probe_terms, tarski_sampler,
                              term_carrier, term_sampler)
 from nomfol.sigma import (AMGIS_LAWS, SIGMA_LAWS, amgis_axiom_suite, pow_amgis,
                           sigma_axiom_suite, sim_subst)
@@ -44,7 +44,7 @@ def test_sequent_valid_examples():
 
 def test_foleq_suite_all_k():
     for k in (1, 2, 3):
-        rep = foleq_axiom_suite(tarski_algebra(k), tarski_foleq_sampler(k),
+        rep = foleq_axiom_suite(tarski_algebra(k), tarski_sampler(k, truth=True),
                                 200, seed=30 + k)
         assert rep.ok, f"k={k}\n" + "\n".join(rep.lines())
 
@@ -57,7 +57,7 @@ def test_law_results_do_not_depend_on_the_other_laws():
     def meet(f, g):
         return f if a4 in f.deps and a4 in g.deps else tf_meet(f, g)
     bad = dataclasses.replace(tarski_algebra(2), meet=meet)
-    sampler = tarski_foleq_sampler(2)
+    sampler = tarski_sampler(2, truth=True)
     full = foleq_axiom_suite(bad, sampler, 60, seed=7)
     failing = [r for r in full.results if not r.ok]
     # which laws fail depends on the sampled tables, so only how many is
@@ -79,7 +79,8 @@ NEVER_EQUAL_SUITES = {
         dataclasses.replace(pow_amgis(term_carrier()), equal=_never),
         charset_sampler(sig), 3, probe_terms(sig)[:10])),
     "foleq": (FOLEQ_LAWS, lambda: foleq_axiom_suite(
-        dataclasses.replace(tarski_algebra(2), equal=_never), tarski_foleq_sampler(2), 3)),
+        dataclasses.replace(tarski_algebra(2), equal=_never),
+        tarski_sampler(2, truth=True), 3)),
 }
 
 
@@ -97,7 +98,7 @@ def test_second_halves_of_distrib_and_complement_fail_alone():
     # with a constant negation every join is constant too.  With ~x = top,
     # x \/ (y /\ z) and (x \/ y) /\ (x \/ z) are both top, but x /\ (y \/ z)
     # is x; with ~x = bottom, x /\ ~x is bottom, but so is x \/ ~x
-    alg, sampler = tarski_algebra(2), tarski_foleq_sampler(2)
+    alg, sampler = tarski_algebra(2), tarski_sampler(2, truth=True)
     top_neg = dataclasses.replace(alg, neg=lambda x: alg.top)
     bot_neg = dataclasses.replace(alg, neg=lambda x: alg.bot)
     rng = random.Random(5)
@@ -124,7 +125,7 @@ def test_foleq_algebra_is_a_sigma_algebra():
     # Tarski[k,2] is a Carrier over Tarski[k,k]: the four substitution laws
     # that do not need an atom injection hold on the truth-valued tables
     for k in (1, 2, 3):
-        rep = sigma_axiom_suite(tarski_algebra(k), tarski_foleq_sampler(k),
+        rep = sigma_axiom_suite(tarski_algebra(k), tarski_sampler(k, truth=True),
                                 300, seed=40 + k)
         assert rep.ok, f"k={k}\n" + "\n".join(rep.lines())
         assert [r.name for r in rep.results] == \

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from nomfol.nominal import (Atom, FinCofinAtomSet, IDENTITY, Perm, act, atoms,
                             compose, fresh, fresh_distinct, new_check,
-                            strict_support, support, support_exact, swap)
+                            support, support_exact, swap)
 from nomfol.syntax import (All, Pred, Var, alpha_eq, default_signature,
                            free_atoms, random_formula, random_term)
 
@@ -64,10 +64,11 @@ def test_new_check_freshness_lemma():
 
 
 def test_strict_support():
-    assert strict_support([]) == frozenset()
-    assert strict_support([a, b]) == {a, b}
-    assert strict_support([All(a, Pred("P", (Var(a), Var(b)))),
-                           Pred("P", (Var(c),))]) == {b, c}
+    # a tuple is strictly supported: its support is the union of its elements'
+    assert support(()) == frozenset()
+    assert support((a, b)) == {a, b}
+    assert support((All(a, Pred("P", (Var(a), Var(b)))),
+                    Pred("P", (Var(c),)))) == {b, c}
 
 
 perm_st = st.permutations(list(range(5))).map(

@@ -494,7 +494,7 @@ def test_countermodel_search_refused_per_size():
     assert [_space(s, sig, k) for k in (1, 2)] == [8, 32776]
     with pytest.raises(SearchRefused) as refused:
         find_countermodel(s, sig, 5)
-    assert (refused.value.k, refused.value.count) == (3, 39182114824)
+    assert str(refused.value) == "search space 39182114824 at size 3 exceeds 1000000"
     assert not isinstance(refused.value, ValueError)
     # 2 * 2 ** (2 ** 24) pairs at size 2: counted as a log10, never built
     wide = Signature((), (("P", 24),))
@@ -503,8 +503,9 @@ def test_countermodel_search_refused_per_size():
     assert _space(s, wide, 1) == 2
     with pytest.raises(SearchRefused) as refused:
         find_countermodel(s, wide, 3)
-    assert refused.value.k == 2 and isinstance(refused.value.count, float)
-    assert refused.value.count == pytest.approx((2 ** 24 + 1) * math.log10(2))
+    digits = (2 ** 24 + 1) * math.log10(2)
+    assert str(refused.value) == (f"search space {10 ** (digits % 1):.2f}e{int(digits)} "
+                                  "at size 2 exceeds 1000000")
     assert str(refused.value) == "search space 3.64e5050445 at size 2 exceeds 1000000"
     # a count past even a float's range is infinite, not an OverflowError
     assert _size_space((), (("P", 2),), 0, 10 ** 200) == math.inf
@@ -597,7 +598,6 @@ def test_a_size_whose_model_pads_a_table_past_max_rows_is_refused():
     s = parse_sequent("|- a = b", big)
     with pytest.raises(SearchRefused) as refused:
         find_countermodel(s, big, 2)
-    assert (refused.value.k, refused.value.count) == (2, 2 ** 21)
     assert str(refused.value) == "table of 2097152 rows for Big at size 2 exceeds limit 1000000"
     assert find_countermodel(parse_sequent("|- bottom", big), big, 2)[0].preds == {"Big": (False,)}
     # so the guard falls through to the search, and herbrand_equiv skips

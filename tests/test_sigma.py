@@ -59,9 +59,8 @@ def test_suite_report_format():
     rep = sigma_axiom_suite(terms, term_sampler(sig), 5, seed=3)
     for line in rep.lines():
         assert line.startswith("AXIOM sigma-") and " PASS 5" in line
-    broken = SuiteReport()
     from nomfol.report import AxiomResult
-    broken.add(AxiomResult("bad", 2, "x=1 y=2"))
+    broken = SuiteReport([AxiomResult("bad", 2, "x=1 y=2")])
     assert broken.lines() == ["AXIOM bad FAIL x=1 y=2"]
 
 
@@ -99,8 +98,7 @@ def test_amgis_suite_powamgis():
 
 
 def test_amgis_trivial_algebra():
-    triv = AmgisAlgebra("trivial", lambda p, u, q: p, terms,
-                        equal=lambda p, q: p == q)
+    triv = AmgisAlgebra(lambda p, u, q: p, terms, equal=lambda p, q: p == q)
     sampler = charset_sampler(sig)
     sampler = type(sampler)(element=lambda rng: "*",
                             termlike=sampler.termlike, pool=sampler.pool)
@@ -168,8 +166,7 @@ def test_exactness():
 
 
 def test_exactness_flags_violation():
-    bogus = AmgisAlgebra("bogus", lambda p, u, q: CharSet(lambda t: True,
-                                                          frozenset(), "all"),
+    bogus = AmgisAlgebra(lambda p, u, q: CharSet(lambda t: True, frozenset(), "all"),
                          terms)
     p = CharSet(lambda t: True, frozenset(), "all")
     q = CharSet(lambda t: False, frozenset(), "none")
@@ -206,8 +203,7 @@ def test_eq_element_member():
     assert eq_element_member(P, p, u, u, PROBES)
     # p can tell a from b, witnessed by a probe variable
     assert not eq_element_member(P, p, Var(a), Var(b), PROBES)
-    triv = AmgisAlgebra("trivial", lambda p, u, q: p, terms,
-                        equal=lambda p, q: p == q)
+    triv = AmgisAlgebra(lambda p, u, q: p, terms, equal=lambda p, q: p == q)
     assert eq_element_member(triv, "*", Var(a), Var(b), ())
 
 
