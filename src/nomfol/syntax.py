@@ -66,9 +66,21 @@ def is_decimal(v: str) -> bool:
     return v.isascii() and v.isdigit()
 
 
+MAX_ATOM_DIGITS = 100
+
+
 def atom_id(name: str) -> int | None:
-    """K when name is the canonical atom name aK, K in ASCII digits; else None."""
-    return int(name[1:]) if name[:1] == "a" and is_decimal(name[1:]) else None
+    """K when name is the canonical atom name aK, K in ASCII digits; else None.
+
+    A K of more than MAX_ATOM_DIGITS digits is refused, well before
+    Python's own limit on reading long ints.
+    """
+    if name[:1] != "a" or not is_decimal(name[1:]):
+        return None
+    if len(name) > MAX_ATOM_DIGITS + 1:
+        raise SyntaxError_(f"atom name {name[:11]}... has {len(name) - 1} digits, "
+                           f"more than {MAX_ATOM_DIGITS}")
+    return int(name[1:])
 
 
 def parse_signature(text: str) -> Signature:
@@ -434,41 +446,48 @@ def pretty(phi: Formula) -> str:
 
 # ------------------------------------------------------------- parsing
 
-_TOKEN = re.compile(
-    r"(?P<space>\s+)|(?P<lpar>\()|(?P<rpar>\))|(?P<comma>,)|(?P<dot>\.)"
-    r"|(?P<turnstile>\|-)|(?P<and>/\\)|(?P<or>\\/)|(?P<iff><->)|(?P<imp>->)"
-    rf"|(?P<neg>~)|(?P<eq>=)|(?P<ident>{_IDENT.pattern})|(?P<bad>.)"
-)
+# one token per match, whitespace skipped; a match that is neither a key of
+# _KIND nor an identifier is a character that starts no token
+_LEX = re.compile(rf"{_IDENT.pattern}|\|-|/\\|\\/|<->|->|\S")
+# the kind of every token that is not an identifier, "" closing the tokens
+_KIND = {"(": "lpar", ")": "rpar", ",": "comma", ".": "dot", "|-": "turnstile",
+         "/\\": "and", "\\/": "or", "<->": "iff", "->": "imp", "~": "neg",
+         "=": "eq", "forall": "forall", "bottom": "bottom", "top": "top",
+         "": "eof"}
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
 
-def _tokens(text: str) -> list[tuple[str, str, int]]:
-    """The (kind, value, position) tokens of text, read in one pass."""
-    toks = []
-    for m in _TOKEN.finditer(text):
-        kind, val = m.lastgroup, m.group()
-        if kind == "bad":
-            raise SyntaxError_(f"unexpected character at {m.start()}: {val!r}")
-        if kind != "space":
-            toks.append((val if kind == "ident" and val in _KEYWORDS else kind,
-                         val, m.start()))
+def _tokens(text: str) -> list[str]:
+    """The tokens of text, read in one pass and closed by "" for its end.
+
+    Every token that is not a key of _KIND is an identifier.
+    """
+    toks = _LEX.findall(text)
+    if not all(t[0] in _LETTERS for t in set(toks).difference(_KIND)):
+        for m in _LEX.finditer(text):
+            t = m.group()
+            if t not in _KIND and t[0] not in _LETTERS:
+                raise SyntaxError_(f"unexpected character at {m.start()}: {t!r}")
+    toks.append("")
     return toks
 
 
-def _atom_map(toks: Iterable[tuple[str, str, int]], sig: Signature) -> dict[str, int]:
-    """One name-to-atom assignment for the identifiers among toks.
+def _atom_map(toks: Iterable[str], funs: dict[str, int],
+              preds: dict[str, int]) -> dict[str, Var]:
+    """One name-to-atom assignment for the identifiers among toks, each
+    atom given as the one variable term that all its occurrences share.
 
     Canonical names aK map to K; other undeclared identifiers get the
     lowest unused indices in order of first appearance.
     """
-    names = [val for kind, val, _ in toks if kind == "ident"
-             and sig.fun_arity(val) is None and sig.pred_arity(val) is None]
+    names = [t for t in dict.fromkeys(toks)
+             if t not in _KIND and t not in funs and t not in preds]
     mapping: dict[str, int] = {}
-    used: set[int] = set()
     for n in names:
         i = atom_id(n)
-        if i is not None and n not in mapping:
+        if i is not None:
             mapping[n] = i
-            used.add(i)
+    used = set(mapping.values())
     nxt = 0
     for n in names:
         if n not in mapping:
@@ -476,193 +495,206 @@ def _atom_map(toks: Iterable[tuple[str, str, int]], sig: Signature) -> dict[str,
                 nxt += 1
             mapping[n] = nxt
             used.add(nxt)
-    return mapping
+    return {n: Var(Atom(i)) for n, i in mapping.items()}
 
 
 MAX_NESTING = 100
 MAX_FORMULA_NODES = 10_000
 
-# binary connectives, loosest first: (token, constructor, right-associative)
-_BINARY = (("iff", Iff, True), ("imp", Imp, True), ("or", Or, False),
-           ("and", And, False))
+
+# binary connectives: token -> (level, right-associative, constructor, size
+# of the tree it builds from operand sizes), loosest level first
+_BINARY = {
+    "<->": (0, True, Iff, lambda a, b: 2 * (a + b) + 11),
+    "->": (1, True, Imp, lambda a, b: a + b + 5),
+    "\\/": (2, False, Or, lambda a, b: a + b + 4),
+    "/\\": (3, False, And, lambda a, b: a + b + 1),
+}
 
 
 class _Parser:
     """Precedence: ~ > /\\ > \\/ > -> > <-> > forall; forall extends right.
 
-    Each ``(``, ``~``, ``forall`` and binary connective opens one level of
-    nesting; past MAX_NESTING levels the input is refused, so that neither
-    the parser nor the recursions over the parsed tree run out of stack.
-    ``<->`` uses each operand twice, so the tree it stands for doubles with
-    each level of nesting.  A formula whose tree, counting a shared part at
-    each of its occurrences, has more than MAX_FORMULA_NODES formula nodes
-    is refused too, since every walk over it (printing, keys, evaluation)
-    visits that many nodes.
+    Each ``(``, ``~``, ``forall``, argument list and binary connective opens
+    one level of nesting; past MAX_NESTING levels the input is refused, so
+    that neither the parser nor the recursions over the parsed tree run out
+    of stack.  A chain of connectives of one level keeps its levels until
+    it ends.  ``<->`` uses each operand twice, so the tree it stands for
+    doubles with each level of nesting.  A formula whose tree, counting a
+    shared part at each of its occurrences, has more than MAX_FORMULA_NODES
+    formula nodes is refused too, since every walk over it (printing, keys,
+    evaluation) visits that many nodes.  The private readers return each
+    formula with that count of its nodes.
     """
 
-    def __init__(self, toks: list[tuple[str, str, int]], end: int, sig: Signature,
-                 atom_ids: dict[str, int]):
+    def __init__(self, text: str, toks: list[str], funs: dict[str, int],
+                 preds: dict[str, int], variables: dict[str, Var]):
+        self.text = text
         self.toks = toks
         self.i = 0
-        self.end = end
-        self.sig = sig
-        self.atom_ids = atom_ids  # holds every undeclared identifier of toks
+        self.funs = funs
+        self.preds = preds
+        self.vars = variables  # holds every undeclared identifier of toks
         self.depth = 0
-        self.sizes: dict[int, tuple[Formula, int]] = {}
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.toks[self.i] if self.i < len(self.toks) else ("eof", "", self.end)
+    def _at(self, i: int) -> int:
+        """The position of token i, lexed again since only a message needs it."""
+        starts = [m.start() for m in _LEX.finditer(self.text)]
+        return starts[i] if i < len(starts) else len(self.text)
 
-    def next(self) -> tuple[str, str, int]:
-        t = self.peek()
+    def _expect(self, tok: str) -> None:
+        t = self.toks[self.i]
+        if t != tok:
+            raise SyntaxError_(f"expected {_KIND[tok]} at position {self._at(self.i)}, "
+                               f"got {t!r}")
         self.i += 1
-        return t
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        t = self.next()
-        if t[0] != kind:
-            raise SyntaxError_(f"expected {kind} at position {t[2]}, got {t[1]!r}")
-        return t
-
-    def _enter(self, pos: int) -> int:
+    def _enter(self, i: int) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise LimitExceeded(f"nesting deeper than {MAX_NESTING} at position {pos}")
-        return pos
+            raise LimitExceeded(f"nesting deeper than {MAX_NESTING} at position {self._at(i)}")
 
-    def _size(self, phi: Formula) -> int:
-        # memoised by identity: hashing or comparing the nodes would walk
-        # the shared parts once per occurrence
-        hit = self.sizes.get(id(phi))
-        if hit is not None:
-            return hit[1]
-        if isinstance(phi, And):
-            n = 1 + self._size(phi.lhs) + self._size(phi.rhs)
-        elif isinstance(phi, (Neg, All)):
-            n = 1 + self._size(phi.body)
-        else:
-            n = 1
-        self.sizes[id(phi)] = (phi, n)
-        return n
-
-    def _sized(self, phi: Formula, pos: int) -> Formula:
-        n = self._size(phi)
+    def _sized(self, n: int, i: int) -> int:
         if n > MAX_FORMULA_NODES:
             raise LimitExceeded(f"formula expands to {n} nodes, more than "
-                                f"{MAX_FORMULA_NODES}, at position {pos}")
-        return phi
-
-    def _undeclared(self, name: str) -> bool:
-        return self.sig.fun_arity(name) is None and self.sig.pred_arity(name) is None
+                                f"{MAX_FORMULA_NODES}, at position {self._at(i)}")
+        return n
 
     def term(self) -> Term:
-        kind, val, pos = self.next()
-        if kind != "ident":
-            raise SyntaxError_(f"expected a term at position {pos}, got {val!r}")
-        ar = self.sig.fun_arity(val)
+        i = self.i
+        t = self.toks[i]
+        ar = self.funs.get(t)
         if ar is None:
-            if self.sig.pred_arity(val) is not None:
-                raise SyntaxError_(f"predicate symbol {val!r} used as a term at {pos}")
-            return Var(Atom(self.atom_ids[val]))
-        return App(val, self._args(val, ar, pos))
+            x = self.vars.get(t)
+            if x is None:
+                if t in self.preds:
+                    raise SyntaxError_(f"predicate symbol {t!r} used as a term at {self._at(i)}")
+                raise SyntaxError_(f"expected a term at position {self._at(i)}, got {t!r}")
+            self.i = i + 1
+            return x
+        self.i = i + 1
+        return App(t, self._args(ar, i))
 
-    def _args(self, name: str, arity: int, pos: int) -> tuple[Term, ...]:
+    def _args(self, arity: int, at: int) -> tuple[Term, ...]:
+        toks = self.toks
         args: list[Term] = []
-        if self.peek()[0] == "lpar":
-            self._enter(self.next()[2])
-            if self.peek()[0] != "rpar":
+        if toks[self.i] == "(":
+            self._enter(self.i)
+            self.i += 1
+            if toks[self.i] != ")":
                 args.append(self.term())
-                while self.peek()[0] == "comma":
-                    self.next()
+                while toks[self.i] == ",":
+                    self.i += 1
                     args.append(self.term())
-            self.expect("rpar")
+            self._expect(")")
             self.depth -= 1
         if len(args) != arity:
-            raise SyntaxError_(f"{name!r} has arity {arity}, got {len(args)} args at {pos}")
+            raise SyntaxError_(f"{toks[at]!r} has arity {arity}, got {len(args)} "
+                               f"args at {self._at(at)}")
         return tuple(args)
 
-    def formula(self, level: int = 0) -> Formula:
-        """A formula whose connectives bind no looser than _BINARY[level]; a
-        left chain keeps its nesting levels until it ends, a right operand
-        until it is read."""
-        if level == len(_BINARY):
-            return self.unary()
-        kind, build, right = _BINARY[level]
+    def formula(self) -> Formula:
+        return self._formula(0)[0]
+
+    def _formula(self, level: int) -> tuple[Formula, int]:
+        """A formula whose connectives have at least the given level.
+
+        The levels of the connectives read by one call never rise: a
+        tighter one is read by the right operand.  A chain of one level
+        nests one deeper per connective, and a right operand starts at the
+        depth of its connective.
+        """
+        out, n = self._unary()
+        toks = self.toks
+        op = _BINARY.get(toks[self.i])
         depth = self.depth
-        out = self.formula(level + 1)
-        while self.peek()[0] == kind:
-            pos = self._enter(self.next()[2])
-            out = self._sized(build(out, self.formula(level + (not right))), pos)
+        chain, run = -1, 0
+        while op is not None and op[0] >= level:
+            at, (lv, right, build, size) = self.i, op
+            run = run + 1 if lv == chain else 1
+            chain = lv
+            self.depth = depth + run - 1
+            self._enter(at)
+            self.i = at + 1
+            rhs, m = self._formula(lv if right else lv + 1)
+            out, n = build(out, rhs), self._sized(size(n, m), at)
+            op = _BINARY.get(toks[self.i])
         self.depth = depth
-        return out
+        return out, n
 
-    def unary(self) -> Formula:
-        kind, val, pos = self.peek()
-        if kind == "neg":
-            self._enter(self.next()[2])
-            out = self._sized(Neg(self.unary()), pos)
-        elif kind == "forall":
-            self._enter(self.next()[2])
-            k2, v2, p2 = self.expect("ident")
-            if not self._undeclared(v2):
-                raise SyntaxError_(f"binder {v2!r} clashes with a signature symbol at {p2}")
-            a = Atom(self.atom_ids[v2])
-            self.expect("dot")
-            out = self._sized(All(a, self.formula()), pos)
-        else:
-            return self.atomic()
-        self.depth -= 1
-        return out
-
-    def atomic(self) -> Formula:
-        kind, val, pos = self.peek()
-        if kind == "lpar":
-            self._enter(self.next()[2])
-            out = self.formula()
-            self.expect("rpar")
+    def _unary(self) -> tuple[Formula, int]:
+        i = self.i
+        t = self.toks[i]
+        if t == "~":
+            self._enter(i)
+            self.i = i + 1
+            body, n = self._unary()
+            self.depth -= 1
+            return Neg(body), self._sized(n + 1, i)
+        if t == "forall":
+            self._enter(i)
+            v = self.toks[i + 1]
+            x = self.vars.get(v)
+            if x is None:
+                if v in _KIND:
+                    raise SyntaxError_(f"expected ident at position {self._at(i + 1)}, "
+                                       f"got {v!r}")
+                raise SyntaxError_(f"binder {v!r} clashes with a signature symbol "
+                                   f"at {self._at(i + 1)}")
+            self.i = i + 2
+            self._expect(".")
+            body, n = self._formula(0)
+            self.depth -= 1
+            return All(x.atom, body), self._sized(n + 1, i)
+        if t == "(":
+            self._enter(i)
+            self.i = i + 1
+            out = self._formula(0)
+            self._expect(")")
             self.depth -= 1
             return out
-        if kind == "bottom":
-            self.next()
-            return BOT
-        if kind == "top":
-            self.next()
-            return TOP
-        if kind == "ident" and self.sig.pred_arity(val) is not None:
-            self.next()
-            return Pred(val, self._args(val, self.sig.pred_arity(val), pos))
+        if t == "bottom":
+            self.i = i + 1
+            return BOT, 1
+        if t == "top":
+            self.i = i + 1
+            return TOP, 2
+        ar = self.preds.get(t)
+        if ar is not None:
+            self.i = i + 1
+            return Pred(t, self._args(ar, i)), 1
         # otherwise it must start a term equation
         lhs = self.term()
-        self.expect("eq")
-        rhs = self.term()
-        return Eq(lhs, rhs)
+        self._expect("=")
+        return Eq(lhs, self.term()), 1
 
-    def formulas(self) -> list[Formula]:
+    def _formulas(self) -> list[Formula]:
         """A comma-separated list, empty right before ``|-`` or the end."""
-        if self.peek()[0] in ("turnstile", "eof"):
+        toks = self.toks
+        if toks[self.i] in ("|-", ""):
             return []
-        out = [self.formula()]
-        while self.peek()[0] == "comma":
-            self.next()
-            out.append(self.formula())
+        out = [self._formula(0)[0]]
+        while toks[self.i] == ",":
+            self.i += 1
+            out.append(self._formula(0)[0])
         return out
 
     def sides(self) -> tuple[list[Formula], list[Formula]]:
         """The two formula lists of a sequent ``phi1, phi2 |- psi1``."""
-        left = self.formulas()
-        if self.peek()[0] != "turnstile":
+        left = self._formulas()
+        if self.toks[self.i] != "|-":
             self.done()
             raise SyntaxError_("a sequent needs exactly one '|-'")
-        self.next()
-        right = self.formulas()
-        if self.peek()[0] == "turnstile":
+        self.i += 1
+        right = self._formulas()
+        if self.toks[self.i] == "|-":
             raise SyntaxError_("a sequent needs exactly one '|-'")
         return left, right
 
     def done(self) -> None:
-        t = self.peek()
-        if t[0] != "eof":
-            raise SyntaxError_(f"trailing input at position {t[2]}: {t[1]!r}")
+        t = self.toks[self.i]
+        if t:
+            raise SyntaxError_(f"trailing input at position {self._at(self.i)}: {t!r}")
 
 
 def parse_shared(parts: Iterable[tuple[str, str]], sig: Signature) -> list:
@@ -670,10 +702,11 @@ def parse_shared(parts: Iterable[tuple[str, str]], sig: Signature) -> list:
     "sides", with one atom map for all the texts; each text is lexed once."""
     parts = list(parts)
     toks = [_tokens(text) for _, text in parts]
-    atom_ids = _atom_map([t for ts in toks for t in ts], sig)
+    funs, preds = dict(sig.functions), dict(sig.predicates)
+    variables = _atom_map([t for ts in toks for t in ts], funs, preds)
     out = []
     for (reader, text), ts in zip(parts, toks):
-        p = _Parser(ts, len(text), sig, atom_ids)
+        p = _Parser(text, ts, funs, preds, variables)
         out.append(getattr(p, reader)())
         p.done()
     return out

@@ -412,6 +412,8 @@ def parse_model(text: str, sig: Signature) -> OrdinaryModel:
             if k is None:
                 raise SyntaxError_(f"line {lineno}: 'domain k' must come first")
             name, vals = parts[1], parts[3:]
+            if name in funcs or name in preds:
+                raise SyntaxError_(f"line {lineno}: second table for {name!r}")
             if parts[0] == "fun":
                 if sig.fun_arity(name) is None:
                     raise SyntaxError_(f"line {lineno}: unknown function {name!r}")

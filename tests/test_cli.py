@@ -158,6 +158,17 @@ def test_check_reads_atom_witnesses_as_formula_text_does(tmp_path):
         64, "error: unexpected character at 3: '\u0660'\n")
 
 
+def test_atom_names_with_too_many_digits_are_refused(tmp_path):
+    # 5,000 digits used to reach Python's own limit on int() and its message
+    long = "a" + "9" * 5000
+    refused = "atom name a9999999999... has 5000 digits, more than 100\n"
+    good = go("prove", "|- forall a. (P(a) \\/ ~P(a))", "--sig", SIG, "--depth", "6")[1]
+    proof_file = tmp_path / "long.sexp"
+    proof_file.write_text(good.replace(' "a0" (negR ', f' "{long}" (negR ', 1))
+    assert go("check", str(proof_file), "--sig", SIG) == (1, "PARSE-ERROR " + refused)
+    assert go("prove", f"|- P({long})", "--sig", SIG) == (64, "error: " + refused)
+
+
 def test_countermodel_golden():
     code, out = go("countermodel", "|- P(a)", "--sig", SIG, "--max-k", "1")
     assert code == 0
@@ -338,6 +349,13 @@ def test_a_second_domain_line_is_refused():
     assert go("eval", "P(c)", "--sig", os.path.join(DATA, "cp1.sig"),
               "--model", os.path.join(DATA, "twodomains.model")) == (
         64, "error: line 4: second 'domain k' line\n")
+
+
+def test_a_second_table_line_is_refused():
+    # the second table for P used to replace the first without a word
+    assert go("eval", "P(a)", "--sig", SIG,
+              "--model", os.path.join(DATA, "twotables.model")) == (
+        64, "error: line 3: second table for 'P'\n")
 
 
 def test_signature_names_are_checked(tmp_path):

@@ -1,17 +1,19 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nomfol.nominal import Perm, act, atoms, swap
+from nomfol.nominal import Atom, Perm, act, atoms, swap
 from nomfol.sequent import parse_sequent
 from nomfol.syntax import (All, And, App, BOT, Eq, Iff, Imp, LimitExceeded,
                            MAX_FORMULA_NODES, Neg, Or, Pred, Signature,
                            SyntaxError_, TOP, Var, _alpha_key_walk, all_atoms,
-                           alpha_eq, alpha_key, default_signature, free_atoms,
-                           free_atoms_term, parse_formula, parse_signature,
-                           parse_term, pretty, pretty_term, random_formula,
-                           random_term, subst_formula, subst_term)
+                           alpha_eq, alpha_key, atom_id, default_signature,
+                           free_atoms, free_atoms_term, parse_formula,
+                           parse_shared, parse_signature, parse_term, pretty,
+                           pretty_term, random_formula, random_term,
+                           subst_formula, subst_term)
 
 sig = default_signature()
 a, b, c3 = atoms(0, 1, 2)  # "c" is a constant in the default signature
@@ -207,14 +209,16 @@ def test_subst_id_hypothesis(x, p):
     assert subst_term(x, p, Var(p)) == x
 
 
+NOISE_VOCAB = ["P", "Q", "f", "g", "c", "a", "b", "x", "(", ")", ",", ".",
+               "/\\", "\\/", "~", "->", "<->", "=", "forall", "bottom", "top", "|-"]
+
+
 def test_parser_never_hangs_on_noise():
     # arbitrary token soup either parses or raises a positioned error
     rng = random.Random(12)
-    vocab = ["P", "Q", "f", "g", "c", "a", "b", "x", "(", ")", ",", ".",
-             "/\\", "\\/", "~", "->", "<->", "=", "forall", "bottom", "top", "|-"]
     outcomes = {"ok": 0, "err": 0}
     for _ in range(500):
-        text = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 12)))
+        text = " ".join(rng.choice(NOISE_VOCAB) for _ in range(rng.randint(1, 12)))
         for parse in (parse_formula, parse_sequent):
             try:
                 parse(text, sig)
@@ -222,6 +226,16 @@ def test_parser_never_hangs_on_noise():
             except SyntaxError_:
                 outcomes["err"] += 1
     assert outcomes["err"] > 0  # noise mostly fails, and never crashes
+
+
+def test_atom_names_have_at_most_100_digits():
+    assert parse_formula("P(a" + "9" * 100 + ")", sig) == P(Var(Atom(10 ** 100 - 1)))
+    with pytest.raises(SyntaxError_, match=r"^atom name a0000000000\.\.\. has 101 "
+                                           r"digits, more than 100$"):
+        parse_formula("P(a" + "0" * 101 + ")", sig)
+    with pytest.raises(SyntaxError_, match="has 5000 digits"):
+        atom_id("a" + "9" * 5000)
+    assert atom_id("a" + "0" * 100) == 0 and atom_id("a") is None
 
 
 def test_lexer_names_the_bad_character():
@@ -375,3 +389,92 @@ def test_formula_size_limit():
     with pytest.raises(LimitExceeded, match="expands to 10001 nodes, more than "
                                             "10000, at position 0"):
         parse_formula("~" * 20 + f"({near})", sig)
+
+
+def _pin_corpus():
+    """Lists of (reader, text) parts, each list read by one parse_shared call.
+
+    Token noise read as a formula, as sequent sides and as a term; the
+    round-trip texts; the nesting- and size-limit cases; lexer edge cases;
+    and several texts sharing one atom map.
+    """
+    rng = random.Random(25)
+    cases = []
+    for i in range(2000):
+        sep = " " if i % 3 else ""  # glued tokens lex differently
+        text = sep.join(rng.choice(NOISE_VOCAB) for _ in range(rng.randint(1, 12)))
+        cases += [[("formula", text)], [("sides", text)]]
+        if i % 4 == 0:
+            cases.append([("term", text)])
+    rng, pool = random.Random(10), atoms(0, 1, 2, 3)
+    cases += [[("formula", pretty(random_formula(sig, rng, pool, 5)))]
+              for _ in range(1000)]
+    near = " /\\ ".join(f"({_iffs(n)})" for n in (9, 7, 6, 3, 2, 1, 0))
+    limits = [_iffs(n) for n in (8, 9, 10, 25)]
+    limits += ["~" * 19 + f"({near})", "~" * 20 + f"({near})",
+               " /\\ ".join(["(" + _iffs(8) + ")"] * 4)]
+    for n in (99, 100, 101, 102):
+        limits += ["~" * n + "R", "(" * n + "R" + ")" * n, "forall b. " * n + "R",
+                   "P(" + "f(" * (n - 1) + "a" + ")" * n,
+                   "Q(c, " + "g(c, " * (n - 1) + "a" + ")" * n]
+        limits += [f" {op} ".join(["R"] * n) for op in ("/\\", "\\/", "->", "<->")]
+        limits += ["(" + f" {op} ".join(["R"] * 61) + f") {op} " + "~" * (n - 1) + "R"
+                   for op in ("/\\", "\\/", "->", "<->")]
+        # chains inside the operands of a looser chain
+        limits += [" \\/ ".join([" /\\ ".join(["R"] * 60)] * (n - 58)),
+                   " -> ".join([" /\\ ".join(["R"] * 50)] * (n - 48))]
+        limits += ["R -> " * 50 + "(" * (n - 50) + "R" + ")" * (n - 50),
+                   "~R /\\ " * n + "R", "(R /\\ " * n + "R" + ")" * n,
+                   "forall a. R -> " * (n // 2) + "R"]
+    cases += [[("formula", t)] for t in limits]
+    cases += [[("sides", f"R, {t} |- {t}")] for t in limits[::3]]
+    edge = ["", "   ", "P(a) $", "$", "é", "P(é)", "Pé", "aé", "R $ é", "$é",
+            "P(a) /\\ R", "P(a)\t/\\\nR", "-", "- >", "<-", "<- >", "< ->",
+            "|", "| -", "|-|-", "/", "\\", "/\\/", "\\//\\", "R/\\R\\/R->R<->R",
+            "9", "9a", "_x", "a_1 = b", "a007 = a7", "a0 = x, x = a0",
+            "forall a12. P(a12) /\\ P(b)", "P(a) |- $", "|-", " |- ", "R |-", "|- R",
+            "R, |- R", ",", "R,,R |- R", "forall", "forall P. R", "forall c. R",
+            "forall x y. R", "forall x P(x)", "forall x. ", "top /\\ bottom", "c",
+            "f(c)", "f(c", "f()", "f", "g(c,)", "g(c c)", "Q(c)", "P", "R()", "R(c)",
+            "x = ", "= x", "c = c = c", "P(c) P(c)", "~", "~~~R", "((R))", "()",
+            ")(", "Topp", "ForAll", "bottom1", "top(c)", "a" + "9" * 18,
+            "P(a" + "0" * 30 + "1)", "P(x) -> Q(x, y) <-> ~R \\/ x = f(y) /\\ top"]
+    for text in edge:
+        cases += [[("formula", text)], [("sides", text)], [("term", text)]]
+    cases += [
+        [("sides", "x = y |- P(z)"), ("formula", "P(w) /\\ P(x)"), ("term", "f(v)")],
+        [("formula", "P(b)"), ("term", "a1"), ("formula", "P(a0) /\\ Q(x, a2)")],
+        [("formula", "P(a"), ("formula", "$")],
+        [("formula", "P(a)"), ("sides", "P(é) |-")],
+        [("sides", "|- R"), ("term", "P(c)")],
+        [("term", "x"), ("formula", "~" * 101 + "R")],
+    ]
+    return cases
+
+
+def _pin_outcome(parts):
+    try:
+        out = parse_shared(parts, sig)
+    except SyntaxError_ as e:
+        return f"{type(e).__name__}: {e}"
+    shown = []
+    for (reader, _), got in zip(parts, out):
+        if reader == "sides":
+            shown.append(", ".join(map(pretty, got[0])) + " |- "
+                         + ", ".join(map(pretty, got[1])))
+        else:
+            shown.append(pretty(got) if reader == "formula" else pretty_term(got))
+    return "; ".join(shown)
+
+
+PARSER_PIN = "a4309b986fac77ac04b70985bf55e88fc817e0d69f54e3f8ef92a7cec95c1984"
+
+
+def test_parser_outputs_are_pinned():
+    # every tree, error message and position the parser gave before its
+    # lexer and precedence-climbing rewrite, digested outcome by outcome
+    digest = hashlib.sha256()
+    for parts in _pin_corpus():
+        digest.update(repr(parts).encode() + b"\0")
+        digest.update(_pin_outcome(parts).encode() + b"\0")
+    assert digest.hexdigest() == PARSER_PIN
