@@ -10,9 +10,10 @@ sound by construction.  ``prove`` returns just the verdict's proof, so
 its None covers both a refutation and a search that ran out of depth.
 Countermodels are exhaustive up to the size bound, so a found model is a
 certificate; a size too large to search or to pad is refused.  The
-countermodel search fixes one symbol's table at a time and skips every
-completion of a prefix under which each valuation already has a false
-left or a true right part.
+countermodel search decides size 1 on the truth bits of the predicate
+assignments; from size 2 it fixes one symbol's table at a time and skips
+every completion of a prefix under which each valuation already has a
+false left or a true right part.
 """
 from __future__ import annotations
 
@@ -415,7 +416,7 @@ def _small_countermodel(s: Sequent, sig: Signature | None = None
         if isinstance(n, int) and n <= GUARD_SIZE_2_LIMIT:
             max_k = 2
     try:
-        return find_countermodel(s, sig, max_k)
+        return find_countermodel(s, sig, max_k, symbols=(funcs, preds, has_equation))
     except (SearchRefused, ValueError):
         return None
 
@@ -659,38 +660,112 @@ def _parts(s: Sequent) -> Iterator[tuple[int, Formula]]:
             yield side, f
 
 
-def find_countermodel(s: Sequent, sig: Signature | None, max_k: int
-                      ) -> tuple[OrdinaryModel, Valuation] | None:
+def _assignment_masks(p: int) -> list[int]:
+    """Predicate j's truth across the 2**p assignments of p predicates, as bits.
+
+    Bit i of the j-th int is set when assignment i makes predicate j true;
+    assignment i is the binary numeral of i over p digits, predicate 0 the
+    most significant.  Each mask repeats a block of zeros and ones by
+    shift-doubling, not by dividing a big int.
+    """
+    masks = []
+    for j in range(p):
+        w = 1 << (p - 1 - j)
+        m, span = ((1 << w) - 1) << w, 2 * w
+        while span < 1 << p:
+            m |= m << span
+            span *= 2
+        masks.append(m)
+    return masks
+
+
+def _truth_bits(f: Formula, masks: dict[str, int], full: int) -> int:
+    """f's truth in the size-1 models, as bits over the assignments of masks.
+
+    In a model of size 1 every term is 0, so every equation holds, a
+    quantifier is its body, and a predicate reads its one row.  full has
+    a bit for every assignment; the complement of x is ``full ^ x``, which
+    keeps every int nonnegative, and so cheaper than ``~x``.
+    """
+    if isinstance(f, Pred):
+        return masks[f.name]
+    if isinstance(f, And):
+        return _truth_bits(f.lhs, masks, full) & _truth_bits(f.rhs, masks, full)
+    if isinstance(f, Neg):
+        return full ^ _truth_bits(f.body, masks, full)
+    if isinstance(f, All):
+        return _truth_bits(f.body, masks, full)
+    return full if isinstance(f, Eq) else 0
+
+
+def _size_1_tables(s: Sequent, preds: tuple[tuple[str, int], ...]
+                   ) -> dict[str, tuple[bool]] | None:
+    """The predicate tables of s's first countermodel of size 1, or None.
+
+    preds are the predicates s uses, in iter_models order.  Every left
+    formula's truth bits are ANDed in and every right formula's
+    complement, stopping once no assignment is left.  iter_models tries
+    False before True, predicate by predicate, so it reaches the
+    assignments in numeral order: the lowest bit left is its first
+    countermodel.
+    """
+    p = len(preds)
+    masks = dict(zip((name for name, _ in preds), _assignment_masks(p)))
+    rest = full = (1 << (1 << p)) - 1  # rest: the assignments no formula rules out
+    for flip, formulas in ((0, s.left), (full, s.right)):
+        for f in formulas:
+            rest &= _truth_bits(f, masks, full) ^ flip
+            if not rest:
+                return None
+    i = (rest & -rest).bit_length() - 1
+    return {name: (i >> (p - 1 - j) & 1 == 1,) for j, (name, _) in enumerate(preds)}
+
+
+def _padded(sig: Signature, k: int, funcs: dict[str, tuple[int, ...]],
+            preds: dict[str, tuple[bool, ...]]) -> OrdinaryModel:
+    """The model of size k over sig with these tables, and all 0 or all false for the rest."""
+    funcs = {**{name: (0,) * k ** ar for name, ar in sig.functions}, **funcs}
+    preds = {**{name: (False,) * k ** ar for name, ar in sig.predicates}, **preds}
+    return OrdinaryModel(sig, k, funcs, preds)
+
+
+def find_countermodel(s: Sequent, sig: Signature | None, max_k: int, *,
+                      symbols: tuple[set[tuple[str, int]], set[tuple[str, int]], bool]
+                      | None = None) -> tuple[OrdinaryModel, Valuation] | None:
     """Exhaustive deterministic search for a falsifying model and valuation.
 
     The model is over sig when sig has every symbol s uses, and otherwise
     (sig may be None) over just those symbols, sorted by name; ValueError,
-    before any search, when they make no Signature.  Sizes are
-    searched in order, and each is checked just before it is searched: the
-    first size that takes the running count past the limit, or whose model
-    would hold a table of more than MAX_ROWS rows, raises SearchRefused.
-    Only the symbols that occur in s are enumerated; every other symbol
-    keeps its first table in iter_models order (all 0, all false).  Such a
-    symbol cannot change the verdict, so the result is the first
-    countermodel of an enumeration of the whole signature.
+    before any search, when they make no Signature.  symbols is
+    ``_symbols`` of s's formulas, for a caller that has walked them
+    already.  Sizes are searched in order, and each is checked just
+    before it is searched: the first size that takes the running count
+    past the limit, or whose model would hold a table of more than
+    MAX_ROWS rows, raises SearchRefused.  Only the symbols that occur in s
+    are enumerated; every other symbol keeps its first table in
+    iter_models order (all 0, all false).  Such a symbol cannot change the
+    verdict, so the result is the first countermodel of an enumeration of
+    the whole signature.
 
-    The search is cut symbol by symbol.  iter_models fixes the used symbols
-    one at a time, and each of the parts of s (``_parts``) is tested, by
-    standard_eval, once the last symbol it reads is fixed (a part that
-    reads none, before any is).  A valuation is closed when a left part is
-    false or a right part is true; a prefix that leaves no valuation open
-    is skipped with every completion of it.  A model that is reached has
-    an open valuation, and the first one in valuation order is returned,
-    so the answer is the first pair of the unpruned model-by-valuation
-    loop.
+    Size 1 is decided bit-parallel, with no model built.  There every
+    function is constant, every equation holds and a quantifier is its
+    body, so s is a propositional formula over the p predicates it uses.
+    Each formula of s is evaluated once, as an int whose 2**p bits are the
+    predicate assignments (``_size_1_tables``); the lowest assignment left
+    is the one iter_models reaches first, and the valuation is all 0.  At
+    p = 19, the most the limit lets through, that takes about 1 ms.
+
+    From size 2 the search is cut symbol by symbol.  iter_models fixes the
+    used symbols one at a time, and each of the parts of s (``_parts``) is
+    tested, by standard_eval, once the last symbol it reads is fixed (a
+    part that reads none, before any is).  A valuation is closed when a
+    left part is false or a right part is true; a prefix that leaves no
+    valuation open is skipped with every completion of it.  A model that
+    is reached has an open valuation, and the first one in valuation order
+    is returned, so the answer is the first pair of the unpruned
+    model-by-valuation loop.
     """
-    # each part with the (name, arity) pairs it reads; fs and ps are all of s's
-    parts, fs, ps = [], set(), set()
-    for side, f in _parts(s):
-        funcs, preds, _ = _symbols((f,))
-        fs |= funcs
-        ps |= preds
-        parts.append((side, f, funcs | preds))
+    fs, ps, _ = _symbols(s.left + s.right) if symbols is None else symbols
     if sig is None or not (fs <= set(sig.functions) and ps <= set(sig.predicates)):
         sig = used = Signature(tuple(sorted(fs)), tuple(sorted(ps)))
     else:
@@ -699,11 +774,6 @@ def find_countermodel(s: Sequent, sig: Signature | None, max_k: int
         used = Signature(tuple(x for x in sig.functions if x in fs),
                          tuple(x for x in sig.predicates if x in ps))
     free = tuple(sorted(s.free_atoms(), key=lambda a: a.id))
-    # tests[i]: the left and right parts whose last symbol is the i-th
-    order = {x: i for i, x in enumerate(used.functions + used.predicates, 1)}
-    tests = [([], []) for _ in range(len(order) + 1)]
-    for side, f, reads in parts:
-        tests[max(map(order.__getitem__, reads), default=0)][side].append(f)
     total = 0
     for k in range(1, max_k + 1):
         n = _size_space(used.functions, used.predicates, len(free), k)
@@ -716,6 +786,18 @@ def find_countermodel(s: Sequent, sig: Signature | None, max_k: int
             if k ** ar > MAX_ROWS:
                 raise SearchRefused(f"table of {k ** ar} rows for {name} "
                                     f"at size {k} exceeds limit {MAX_ROWS}")
+        if k == 1:
+            tables = _size_1_tables(s, used.predicates)
+            if tables is not None:
+                return _padded(sig, 1, {}, tables), Valuation(dict.fromkeys(free, 0), 0)
+            continue
+        if k == 2:
+            # tests[i]: the left and right parts whose last symbol is the i-th
+            order = {x: i for i, x in enumerate(used.functions + used.predicates, 1)}
+            tests = [([], []) for _ in range(len(order) + 1)]
+            for side, f in _parts(s):
+                funcs, preds, _ = _symbols((f,))
+                tests[max(map(order.__getitem__, funcs | preds), default=0)][side].append(f)
         # opens[i]: the valuations no part tested so far closes
         opens = [[Valuation(dict(zip(free, combo)), 0)
                   for combo in itertools.product(range(k), repeat=len(free))]]
@@ -730,10 +812,7 @@ def find_countermodel(s: Sequent, sig: Signature | None, max_k: int
             return not opens[-1]
 
         for model in iter_models(used, k, cut):
-            funcs = {name: (0,) * k ** ar for name, ar in sig.functions}
-            preds = {name: (False,) * k ** ar for name, ar in sig.predicates}
-            return OrdinaryModel(sig, k, {**funcs, **model.funcs},
-                                 {**preds, **model.preds}), opens[-1][0]
+            return _padded(sig, k, model.funcs, model.preds), opens[-1][0]
     return None
 
 

@@ -61,26 +61,30 @@ class Signature:
         return [n for n, ar in self.functions if ar == 0]
 
 
-def is_decimal(v: str) -> bool:
-    """Whether v is a nonempty run of ASCII digits: a number in a signature or model file."""
-    return v.isascii() and v.isdigit()
+MAX_DIGITS = 100
 
 
-MAX_ATOM_DIGITS = 100
+def read_decimal(v: str, what: str) -> int | None:
+    """v's value when it is a nonempty run of ASCII digits, else None.
+
+    This is how a number in a signature file, a model file or an atom
+    name is read.  One of more than MAX_DIGITS digits is refused, well
+    before Python's own limit on reading long ints; the message is what,
+    then its first ten digits.
+    """
+    if not (v.isascii() and v.isdigit()):
+        return None
+    if len(v) > MAX_DIGITS:
+        raise SyntaxError_(f"{what}{v[:10]}... has {len(v)} digits, more than {MAX_DIGITS}")
+    return int(v)
 
 
 def atom_id(name: str) -> int | None:
     """K when name is the canonical atom name aK, K in ASCII digits; else None.
 
-    A K of more than MAX_ATOM_DIGITS digits is refused, well before
-    Python's own limit on reading long ints.
+    K is read by read_decimal, so it has at most MAX_DIGITS digits.
     """
-    if name[:1] != "a" or not is_decimal(name[1:]):
-        return None
-    if len(name) > MAX_ATOM_DIGITS + 1:
-        raise SyntaxError_(f"atom name {name[:11]}... has {len(name) - 1} digits, "
-                           f"more than {MAX_ATOM_DIGITS}")
-    return int(name[1:])
+    return read_decimal(name[1:], "atom name a") if name[:1] == "a" else None
 
 
 def parse_signature(text: str) -> Signature:
@@ -93,10 +97,10 @@ def parse_signature(text: str) -> Signature:
         parts = line.split()
         if len(parts) != 3 or parts[0] not in ("fun", "pred"):
             raise SyntaxError_(f"line {lineno}: expected 'fun|pred name arity'")
-        name, arity = parts[1], parts[2]
-        if not is_decimal(arity):
-            raise SyntaxError_(f"line {lineno}: bad arity {arity!r}")
-        (funs if parts[0] == "fun" else preds).append((name, int(arity)))
+        arity = read_decimal(parts[2], f"line {lineno}: arity ")
+        if arity is None:
+            raise SyntaxError_(f"line {lineno}: bad arity {parts[2]!r}")
+        (funs if parts[0] == "fun" else preds).append((parts[1], arity))
     return Signature(tuple(funs), tuple(preds))
 
 

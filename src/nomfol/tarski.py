@@ -45,7 +45,7 @@ from .foleq import FoleqAlgebra, Interpretation, interpret
 from .nominal import Atom, Perm
 from .sigma import Carrier
 from .syntax import (All, And, Bot, Eq, Formula, Neg, Pred, Signature,
-                     SyntaxError_, Term, Var, free_atoms, is_decimal)
+                     SyntaxError_, Term, Var, free_atoms, read_decimal)
 
 MAX_DEPS = 6  # dependency width of a table; keep constructions bounded
 MAX_ROWS = 10 ** 6  # k**deps table rows, k = 10 at width MAX_DEPS
@@ -405,9 +405,9 @@ def parse_model(text: str, sig: Signature) -> OrdinaryModel:
         if parts[0] == "domain" and len(parts) == 2:
             if k is not None:
                 raise SyntaxError_(f"line {lineno}: second 'domain k' line")
-            if not is_decimal(parts[1]):
+            k = read_decimal(parts[1], f"line {lineno}: domain size ")
+            if k is None:
                 raise SyntaxError_(f"line {lineno}: bad domain size {parts[1]!r}")
-            k = int(parts[1])
         elif parts[0] in ("fun", "pred") and len(parts) >= 3 and parts[2] == ":":
             if k is None:
                 raise SyntaxError_(f"line {lineno}: 'domain k' must come first")
@@ -417,11 +417,13 @@ def parse_model(text: str, sig: Signature) -> OrdinaryModel:
             if parts[0] == "fun":
                 if sig.fun_arity(name) is None:
                     raise SyntaxError_(f"line {lineno}: unknown function {name!r}")
-                bad = [v for v in vals if not (is_decimal(v) and int(v) < k)]
+                what = f"line {lineno}: function value "
+                values = tuple(read_decimal(v, what) for v in vals)
+                bad = [v for v, x in zip(vals, values) if x is None or x >= k]
                 if bad:
                     raise SyntaxError_(f"line {lineno}: function value {bad[0]!r} "
                                        f"is not in 0..{k - 1}")
-                funcs[name] = tuple(map(int, vals))
+                funcs[name] = values
             else:
                 if sig.pred_arity(name) is None:
                     raise SyntaxError_(f"line {lineno}: unknown predicate {name!r}")

@@ -358,6 +358,30 @@ def test_a_second_table_line_is_refused():
         64, "error: line 3: second table for 'P'\n")
 
 
+def test_numbers_in_files_have_at_most_100_digits():
+    # 5,000 digits used to reach Python's own limit on int() and its message
+    cp1 = os.path.join(DATA, "cp1.sig")
+    assert go("eval", "P(c)", "--sig", cp1,
+              "--model", os.path.join(DATA, "longdomain.model")) == (
+        64, "error: line 2: domain size 9999999999... has 5000 digits, more than 100\n")
+    assert go("eval", "P(c)", "--sig", cp1,
+              "--model", os.path.join(DATA, "longvalue.model")) == (
+        64, "error: line 3: function value 9999999999... has 5000 digits, more than 100\n")
+    assert go("eval", "bottom", "--sig", os.path.join(DATA, "longarity.sig"),
+              "--model", MODEL) == (
+        64, "error: line 2: arity 9999999999... has 5000 digits, more than 100\n")
+
+
+def test_wide_size_1_countermodels_keep_the_model_order():
+    # the first of 2**19 size-1 models, predicate P0 deciding first: the
+    # all-true model of the negations, and P18 before P0 for the disjunction
+    p19 = os.path.join(DATA, "p19.sig")
+    for text, name in [("|- " + ", ".join(f"~P{i}" for i in range(19)), "p19negs"),
+                       ("P0 \\/ P18 |- P9", "p19or")]:
+        with open(os.path.join(DATA, name + ".countermodel")) as fh:
+            assert go("countermodel", text, "--sig", p19, "--max-k", "1") == (0, fh.read())
+
+
 def test_signature_names_are_checked(tmp_path):
     # an atom name would clash with the binders of printed proofs, and a
     # keyword or non-identifier could never be written in a formula

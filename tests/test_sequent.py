@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import os
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from nomfol.syntax import (All, And, App, BOT, Eq, LimitExceeded, Neg, Or, Pred,
                            Signature, Var, all_atoms, alpha_eq, alpha_key,
                            default_signature, parse_formula, random_formula,
                            random_term, subterms)
-from nomfol.tarski import (Valuation, all_valuations, iter_models,
+from nomfol.tarski import (MAX_ROWS, OrdinaryModel, Valuation, all_valuations, iter_models,
                            lift_interpretation, random_model, standard_eval)
 
 sig = default_signature()
@@ -464,6 +465,120 @@ def test_pruned_search_finds_the_flat_loops_first_countermodel(case):
         _answer(reference_countermodel(s, signature, max_k))
 
 
+def pruned_reference(s, sig, max_k):
+    """find_countermodel as it searched before size 1 went bit-parallel.
+
+    Every size, size 1 included, goes through iter_models, cut part by
+    part by standard_eval; the refusals are find_countermodel's.
+    """
+    parts, fs, ps = [], set(), set()
+    for side, f in sequent_module._parts(s):
+        funcs, preds, _ = _symbols((f,))
+        fs |= funcs
+        ps |= preds
+        parts.append((side, f, funcs | preds))
+    if sig is None or not (fs <= set(sig.functions) and ps <= set(sig.predicates)):
+        sig = used = Signature(tuple(sorted(fs)), tuple(sorted(ps)))
+    else:
+        used = Signature(tuple(x for x in sig.functions if x in fs),
+                         tuple(x for x in sig.predicates if x in ps))
+    free = tuple(sorted(s.free_atoms(), key=lambda a: a.id))
+    order = {x: i for i, x in enumerate(used.functions + used.predicates, 1)}
+    tests = [([], []) for _ in range(len(order) + 1)]
+    for side, f, reads in parts:
+        tests[max(map(order.__getitem__, reads), default=0)][side].append(f)
+    total = 0
+    for k in range(1, max_k + 1):
+        n = _size_space(used.functions, used.predicates, len(free), k)
+        total = n if isinstance(n, float) else total + n
+        if isinstance(total, float) or total > sequent_module.COUNTERMODEL_SPACE_LIMIT:
+            raise SearchRefused(f"search space {sequent_module._count(total)} at size {k} "
+                                f"exceeds {sequent_module.COUNTERMODEL_SPACE_LIMIT}")
+        for name, ar in sig.functions + sig.predicates:
+            if k ** ar > MAX_ROWS:
+                raise SearchRefused(f"table of {k ** ar} rows for {name} "
+                                    f"at size {k} exceeds limit {MAX_ROWS}")
+        opens = [[Valuation(dict(zip(free, combo)), 0)
+                  for combo in itertools.product(range(k), repeat=len(free))]]
+
+        def cut(i, part):
+            left, right = tests[i]
+            del opens[i + 1:]
+            opens.append([vs for vs in opens[i]
+                          if all(standard_eval(f, part, vs) for f in left)
+                          and not any(standard_eval(f, part, vs) for f in right)]
+                         if left or right else opens[i])
+            return not opens[-1]
+
+        for model in iter_models(used, k, cut):
+            funcs = {name: (0,) * k ** ar for name, ar in sig.functions}
+            preds = {name: (False,) * k ** ar for name, ar in sig.predicates}
+            return OrdinaryModel(sig, k, {**funcs, **model.funcs},
+                                 {**preds, **model.preds}), opens[-1][0]
+    return None
+
+
+def _outcome(search, s, signature, max_k):
+    """search's answer, or the kind and message of its refusal."""
+    try:
+        return _answer(search(s, signature, max_k))
+    except (SearchRefused, ValueError) as e:
+        return type(e).__name__, str(e)
+
+
+def _data_signature(name):
+    with open(os.path.join(os.path.dirname(__file__), "data", name)) as fh:
+        return syntax.parse_signature(fh.read())
+
+
+def _sequents_by_equation(gen, rng, n, equations):
+    """n random sequents over gen, each with an equation or each without."""
+    pool = atoms(0, 1)
+    out = []
+    while len(out) < n:
+        s = sequent(*([random_formula(gen, rng, pool, rng.randint(0, 3))
+                       for _ in range(rng.randint(0, 4))] for _ in "lr"))
+        if _symbols(s.left + s.right)[2] == equations:
+            out.append(s)
+    return out
+
+
+def _wide_sequent(rng, names):
+    """Two to six clauses of two or three literals over names, split into sides."""
+    def literal():
+        f = Pred(rng.choice(names), ())
+        return Neg(f) if rng.random() < 0.5 else f
+
+    clauses = [rng.choice((And, Or))(literal(), literal()) for _ in range(rng.randint(2, 6))]
+    clauses = [rng.choice((And, Or))(f, literal()) if rng.random() < 0.5 else f for f in clauses]
+    cut = rng.randint(0, len(clauses))
+    return sequent(clauses[:cut], clauses[cut:])
+
+
+def test_bit_parallel_size_1_matches_the_pruned_search():
+    # the size-1 step against the iter_models search it replaces, alone and
+    # before the size-2 search; over nineteen predicates, many are in reach
+    p19 = _data_signature("p19.sig")
+    wide = [parse_sequent(t, p19) for t in (
+        ", ".join(f"P{i}" for i in range(19)) + " |- P3",
+        "|- " + ", ".join(f"~P{i}" for i in range(19)),
+        "P0 \\/ P18 |- P9", "P18 -> P0, P17 \\/ P1 |- P2 /\\ P16",
+        "a = b, P5 |- P4 /\\ P3, bottom")]
+    rng = random.Random(26)
+    cases = [(s, p19) for s in wide]
+    cases += [(_wide_sequent(rng, [f"P{i}" for i in range(19)]), p19) for _ in range(40)]
+    for gen, signature in ((sig, sig), (_data_signature("p1.sig"),) * 2, (p19, p19), (sig, None)):
+        for equations in (False, True):
+            cases += [(s, signature) for s in _sequents_by_equation(gen, rng, 40, equations)]
+    found = {1: 0, 2: 0}
+    for s, signature in cases:
+        for max_k in (1, 2):
+            got = _outcome(find_countermodel, s, signature, max_k)
+            assert got == _outcome(pruned_reference, s, signature, max_k), (s, signature, max_k)
+            found[max_k] += got is not None and got[0] != "SearchRefused"
+    assert 100 < found[1] < found[2] < len(cases)
+
+
 def _used(s):
     """The symbols s uses, as a Signature sorted by name."""
     funcs, preds, _ = _symbols(s.left + s.right)
@@ -576,7 +691,7 @@ def test_herbrand_proved_both_ways_needs_no_countermodel_search(monkeypatch):
     # a refuted direction keeps the guard's model: no second search for it
     calls = []
     monkeypatch.setattr(sequent_module, "find_countermodel",
-                        lambda *args: calls.append(args) or find_countermodel(*args))
+                        lambda *args, **kw: calls.append(args) or find_countermodel(*args, **kw))
     r = herbrand_equiv(pf("P(a)"), pf("Q(a, a)"), sig)
     assert r.status == "distinct" and len(calls) == 2
     model, vs = find_countermodel(sequent([pf("P(a)")], [pf("Q(a, a)")]), sig, 2)
@@ -976,9 +1091,9 @@ def test_guard_sizes_follow_the_checked_signature_rule(monkeypatch):
     # _symbols' pairs
     asked = []
 
-    def recording(s, signature, max_k):
+    def recording(s, signature, max_k, **kw):
         asked.append(max_k)
-        return find_countermodel(s, signature, max_k)
+        return find_countermodel(s, signature, max_k, **kw)
 
     monkeypatch.setattr(sequent_module, "find_countermodel", recording)
     Qs = [Pred(f"Q{i}", (Var(a), Var(b))) for i in range(3)]
@@ -1011,14 +1126,16 @@ def test_guard_cuts_a_wide_hyp_sequent(monkeypatch):
     monkeypatch.setattr(sequent_module, "_small_countermodel", None)
     p = prove(s, ProverBudget(2))
     assert p.rule == "hyp" and check_proof(p)[0]
-    # the guard itself fixes one predicate at a time and cuts each prefix
-    # at the first predicate made false, or at P3 made true
+    # the guard decides size 1 on the truth bits of the 2**19 assignments:
+    # it builds no model and evaluates nothing with standard_eval
     monkeypatch.undo()
     calls = []
     monkeypatch.setattr(sequent_module, "standard_eval",
                         lambda f, m, vs: calls.append(f) or standard_eval(f, m, vs))
-    assert not _small_countermodel(s)
-    assert 0 < len(calls) < 100
+    monkeypatch.setattr(sequent_module, "iter_models",
+                        lambda *args: calls.append(args) or iter_models(*args))
+    assert _small_countermodel(s) is None
+    assert calls == []
 
 
 def test_backward_proofs_sound_in_lift():
