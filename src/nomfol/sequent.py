@@ -11,9 +11,9 @@ its None covers both a refutation and a search that ran out of depth.
 Countermodels are exhaustive up to the size bound, so a found model is a
 certificate; a size too large to search or to pad is refused.  The
 countermodel search decides size 1 on the truth bits of the predicate
-assignments; from size 2 it fixes one symbol's table at a time and skips
-every completion of a prefix under which each valuation already has a
-false left or a true right part.
+assignments and size 2 on bits with one per model; from size 3 it fixes
+one symbol's table at a time and skips every completion of a prefix
+under which each valuation already has a false left or a true right part.
 """
 from __future__ import annotations
 
@@ -401,9 +401,13 @@ def _small_countermodel(s: Sequent, sig: Signature | None = None
                         ) -> tuple[OrdinaryModel, Valuation] | None:
     """A countermodel of s of size 1, or of size 2, if it has one.
 
-    Size 2 is searched only when s has an equation, since every equation
-    holds in a model of size 1, and when its size-2 space holds at most
-    GUARD_SIZE_2_LIMIT (model, valuation) pairs.  The model is
+    Both sizes are decided bit-parallel by find_countermodel, with no
+    model built before the answer.  Size 2 is searched only when s has an
+    equation, since every equation holds in a model of size 1, and when
+    its size-2 space holds at most GUARD_SIZE_2_LIMIT (model, valuation)
+    pairs.  Searching size 2 for every sequent made the filters benchmark
+    about 15% slower; a larger limit refutes some sequents that are now
+    left unknown, and so changes pinned answers.  The model is
     find_countermodel's over sig.  None, without a search, when the
     symbols s uses make no Signature (a name at two arities, or as both a
     function and a predicate) or when find_countermodel refuses the size;
@@ -721,6 +725,101 @@ def _size_1_tables(s: Sequent, preds: tuple[tuple[str, int], ...]
     return {name: (i >> (p - 1 - j) & 1 == 1,) for j, (name, _) in enumerate(preds)}
 
 
+def _read_row(rows: list[int], args: list[int], full: int) -> int:
+    """The models where a symbol with these row masks is 1 at these argument masks.
+
+    Row r is read where the arguments spell r in binary, the first
+    argument the most significant digit: each row's mask is ANDed with the
+    masks that select it, and the results are ORed.  When every argument
+    is 0 or full, that is one row in every model, read directly.
+    """
+    if all(x == 0 or x == full for x in args):
+        r = 0
+        for x in args:
+            r = 2 * r + (x != 0)
+        return rows[r]
+    select = [full]
+    for x in args:
+        off = full ^ x
+        select = [m for s in select for m in (s & off, s & x)]
+    out = 0
+    for m, s in zip(rows, select):
+        out |= m & s
+    return out
+
+
+def _term_bits_2(t: Term, rows: dict[str, list[int]], env: dict[Atom, int], full: int) -> int:
+    """The size-2 models where t is 1, as bits; env holds the atoms' values."""
+    if isinstance(t, Var):
+        return env[t.atom]
+    return _read_row(rows[t.fn], [_term_bits_2(u, rows, env, full) for u in t.args], full)
+
+
+def _truth_bits_2(f: Formula, rows: dict[str, list[int]], env: dict[Atom, int], full: int) -> int:
+    """f's truth across the size-2 models of rows, as bits, at one valuation.
+
+    env maps each free and bound atom to 0 or full, its value in every
+    model.
+    """
+    if isinstance(f, Pred):
+        return _read_row(rows[f.name], [_term_bits_2(t, rows, env, full) for t in f.args], full)
+    if isinstance(f, And):
+        lhs = _truth_bits_2(f.lhs, rows, env, full)
+        return lhs and lhs & _truth_bits_2(f.rhs, rows, env, full)
+    if isinstance(f, Neg):
+        return full ^ _truth_bits_2(f.body, rows, env, full)
+    if isinstance(f, All):
+        out = _truth_bits_2(f.body, rows, {**env, f.binder: 0}, full)
+        return out and out & _truth_bits_2(f.body, rows, {**env, f.binder: full}, full)
+    if isinstance(f, Eq):
+        return full ^ _term_bits_2(f.lhs, rows, env, full) ^ _term_bits_2(f.rhs, rows, env, full)
+    return 0
+
+
+def _size_2_tables(s: Sequent, used: Signature, free: tuple[Atom, ...]
+                   ) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[bool, ...]],
+                              Valuation] | None:
+    """The tables and valuation of s's first countermodel of size 2, or None.
+
+    used holds the symbols s uses, in iter_models order.  Each row of each
+    of their tables is one binary digit of a model's index, the functions'
+    rows first, then the predicates', in used order and row-major, the
+    first row the most significant.  iter_models tries tables in
+    lexicographic order, 0 (false) before 1 (true), so it reaches the
+    models in the order of their indices.  Each formula of s is evaluated
+    once per valuation as an int whose bits are the models
+    (``_truth_bits_2``).  The lowest model a valuation leaves, in the first
+    valuation that leaves it, is the first pair of the model-by-valuation
+    loop; after a valuation has left one, only lower models are looked for.
+    """
+    symbols = used.functions + used.predicates
+    n = sum(2 ** ar for _, ar in symbols)
+    masks = iter(_assignment_masks(n))
+    rows = {name: [next(masks) for _ in range(2 ** ar)] for name, ar in symbols}
+    full = (1 << (1 << n)) - 1
+    checks = [(f, 0) for f in s.left] + [(f, full) for f in s.right]
+    limit, best = full, None  # limit: the models lower than the best one yet
+    for combo in itertools.product((0, 1), repeat=len(free)):
+        env = dict(zip(free, (full * v for v in combo)))
+        rest = limit
+        for f, flip in checks:
+            rest &= _truth_bits_2(f, rows, env, full) ^ flip
+            if not rest:
+                break
+        else:
+            limit, best = (rest & -rest) - 1, combo
+            if not limit:
+                break
+    if best is None:
+        return None
+    i = limit.bit_length()
+    digits = iter([i >> (n - 1 - d) & 1 for d in range(n)])
+    funcs = {name: tuple(next(digits) for _ in range(2 ** ar)) for name, ar in used.functions}
+    preds = {name: tuple(next(digits) == 1 for _ in range(2 ** ar))
+             for name, ar in used.predicates}
+    return funcs, preds, Valuation(dict(zip(free, best)), 0)
+
+
 def _padded(sig: Signature, k: int, funcs: dict[str, tuple[int, ...]],
             preds: dict[str, tuple[bool, ...]]) -> OrdinaryModel:
     """The model of size k over sig with these tables, and all 0 or all false for the rest."""
@@ -755,7 +854,16 @@ def find_countermodel(s: Sequent, sig: Signature | None, max_k: int, *,
     is the one iter_models reaches first, and the valuation is all 0.  At
     p = 19, the most the limit lets through, that takes about 1 ms.
 
-    From size 2 the search is cut symbol by symbol.  iter_models fixes the
+    Size 2 is decided bit-parallel too (``_size_2_tables``): each formula
+    of s is evaluated once per valuation, as an int with one bit per model.
+    The bits of a model's index are the rows of the used symbols' tables,
+    functions first, then predicates, in used order and row-major, the
+    first row the most significant; that is the order in which iter_models
+    reaches the models, so the lowest bit left is its first countermodel.
+    The limit lets through at most 19 rows and free atoms together, so an
+    int holds at most 2**19 bits (64 KB).
+
+    From size 3 the search is cut symbol by symbol.  iter_models fixes the
     used symbols one at a time, and each of the parts of s (``_parts``) is
     tested, by standard_eval, once the last symbol it reads is fixed (a
     part that reads none, before any is).  A valuation is closed when a
@@ -792,6 +900,12 @@ def find_countermodel(s: Sequent, sig: Signature | None, max_k: int, *,
                 return _padded(sig, 1, {}, tables), Valuation(dict.fromkeys(free, 0), 0)
             continue
         if k == 2:
+            found = _size_2_tables(s, used, free)
+            if found is not None:
+                funcs, preds, vs = found
+                return _padded(sig, 2, funcs, preds), vs
+            continue
+        if k == 3:
             # tests[i]: the left and right parts whose last symbol is the i-th
             order = {x: i for i, x in enumerate(used.functions + used.predicates, 1)}
             tests = [([], []) for _ in range(len(order) + 1)]

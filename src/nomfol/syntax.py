@@ -313,25 +313,8 @@ def subst_formula(phi: Formula, a: Atom, r: Term) -> Formula:
 
 
 def alpha_eq(phi: Formula, psi: Formula) -> bool:
-    """Alpha-equivalence, deciding binders at a common fresh atom."""
-    if type(phi) is not type(psi):
-        return False
-    if isinstance(phi, Bot):
-        return True
-    if isinstance(phi, (Eq, Pred)):
-        return phi == psi
-    if isinstance(phi, And):
-        return alpha_eq(phi.lhs, psi.lhs) and alpha_eq(phi.rhs, psi.rhs)
-    if isinstance(phi, Neg):
-        return alpha_eq(phi.body, psi.body)
-    if isinstance(phi, All):
-        if free_atoms(phi) != free_atoms(psi):
-            return False
-        if phi.binder == psi.binder:
-            return alpha_eq(phi.body, psi.body)
-        c = fresh(free_atoms(phi.body) | free_atoms(psi.body) | {phi.binder, psi.binder})
-        return alpha_eq(act(swap(c, phi.binder), phi.body), act(swap(c, psi.binder), psi.body))
-    raise TypeError(f"not a formula: {phi!r}")
+    """Alpha-equivalence: whether phi and psi have the same ``alpha_key``."""
+    return alpha_key(phi) == alpha_key(psi)
 
 
 def alpha_key(phi: Formula) -> str:

@@ -382,6 +382,17 @@ def test_wide_size_1_countermodels_keep_the_model_order():
             assert go("countermodel", text, "--sig", p19, "--max-k", "1") == (0, fh.read())
 
 
+def test_size_2_countermodels_keep_the_model_order():
+    # the first of 2**14 size-2 models and 4 valuations, the function
+    # tables deciding first; the unpruned search's answer, with a0 = 1
+    text = ("~(a = b), f(a) = b, g(a, f(b)) = f(c) "
+            "|- P(g(b, a)), c = f(b), Q(f(a), g(b, b))")
+    with open(os.path.join(DATA, "fg2.countermodel")) as fh:
+        assert go("countermodel", text, "--max-k", "2") == (0, fh.read())
+    assert go("countermodel", "P(c), Q(f(a), g(a, a)), R |- R", "--max-k", "2") == \
+        (2, "UNKNOWN\n")
+
+
 def test_signature_names_are_checked(tmp_path):
     # an atom name would clash with the binders of printed proofs, and a
     # keyword or non-identifier could never be written in a formula

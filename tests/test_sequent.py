@@ -24,6 +24,7 @@ from nomfol.syntax import (All, And, App, BOT, Eq, LimitExceeded, Neg, Or, Pred,
                            random_term, subterms)
 from nomfol.tarski import (MAX_ROWS, OrdinaryModel, Valuation, all_valuations, iter_models,
                            lift_interpretation, random_model, standard_eval)
+from test_syntax import ref_alpha_eq
 
 sig = default_signature()
 sigP = Signature((), (("P", 1),))
@@ -60,8 +61,8 @@ def _rename_binders(phi, avoid):
 
 
 def _same_classes(xs, ys):
-    return all(any(alpha_eq(x, y) for y in ys) for x in xs) and \
-        all(any(alpha_eq(x, y) for x in xs) for y in ys)
+    return all(any(ref_alpha_eq(x, y) for y in ys) for x in xs) and \
+        all(any(ref_alpha_eq(x, y) for x in xs) for y in ys)
 
 
 def test_key_sets_match_alpha_eq_oracle():
@@ -79,15 +80,15 @@ def test_key_sets_match_alpha_eq_oracle():
             assert list(side.keys) == sorted(side.keys) == [alpha_key(f) for f in side]
             assert side.key_set == frozenset(side.keys)
             # the first formula of each alpha class is the one kept
-            assert all(f is next(g for g in fs if alpha_eq(g, f)) for f in side)
-            assert not any(alpha_eq(f, g) for f, g in itertools.combinations(side, 2))
+            assert all(f is next(g for g in fs if ref_alpha_eq(g, f)) for f in side)
+            assert not any(ref_alpha_eq(f, g) for f, g in itertools.combinations(side, 2))
             for phi in rng.sample(forms, 8) + [_rename_binders(f, frozenset(pool))
                                                for f in side]:
-                has = any(alpha_eq(f, phi) for f in side)
+                has = any(ref_alpha_eq(f, phi) for f in side)
                 hits += has
                 assert side.has(phi) == has
-                assert side.without(phi) == tuple(f for f in side if not alpha_eq(f, phi))
-        shared = any(alpha_eq(f, g) for f in s.left for g in s.right)
+                assert side.without(phi) == tuple(f for f in side if not ref_alpha_eq(f, phi))
+        shared = any(ref_alpha_eq(f, g) for f in s.left for g in s.right)
         assert s.right.key_set.isdisjoint(s.left.keys) != shared
         if rng.random() < 0.5:
             t = sequent([_rename_binders(f, frozenset(pool)) for f in s.left[::-1]],
@@ -577,6 +578,83 @@ def test_bit_parallel_size_1_matches_the_pruned_search():
             assert got == _outcome(pruned_reference, s, signature, max_k), (s, signature, max_k)
             found[max_k] += got is not None and got[0] != "SearchRefused"
     assert 100 < found[1] < found[2] < len(cases)
+
+
+def _function_heavy_sequent(rng, gen):
+    """Up to three formulas a side over gen, with nested terms and binders over a0 to a4."""
+    pool = atoms(0, 1, 2, 3, 4)
+    funcs = list(gen.functions)
+
+    def term(depth):
+        if depth and funcs and rng.random() < 0.6:
+            name, ar = rng.choice(funcs)
+            return App(name, tuple(term(depth - 1) for _ in range(ar)))
+        return Var(rng.choice(pool))
+
+    def formula(depth):
+        r = rng.random()
+        if depth and r < 0.45:
+            return rng.choice((lambda: Neg(formula(depth - 1)),
+                               lambda: And(formula(depth - 1), formula(depth - 1)),
+                               lambda: Or(formula(depth - 1), formula(depth - 1)),
+                               lambda: All(rng.choice(pool), formula(depth - 1))))()
+        preds = gen.predicates
+        if r < 0.8 and preds:
+            name, ar = rng.choice(preds)
+            return Pred(name, tuple(term(2) for _ in range(ar)))
+        return BOT if r > 0.97 else Eq(term(2), term(2))
+
+    return sequent(*([formula(rng.randint(0, 3)) for _ in range(rng.randint(0, 3))]
+                     for _ in "lr"))
+
+
+def test_bit_parallel_size_2_matches_the_pruned_search():
+    # the size-2 step against the iter_models search it replaces, over
+    # nested unary and binary functions, constants, equations and nested
+    # binders; the signatures keep or reorder the symbols, or leave some
+    # out, so the model-index order and the padding are both checked
+    rng = random.Random(27)
+    shuffled = Signature((("g", 2), ("c", 0), ("f", 1)), (("R", 0), ("Q", 2), ("P", 1)))
+    cases = [(_function_heavy_sequent(rng, _sub_signature(sig, rng)),
+              rng.choice((sig, shuffled, SIG_NO_C, None))) for _ in range(160)]
+    p19, big22 = _data_signature("p19.sig"), _data_signature("big22.sig")
+    near = ", ".join(f"P{i}" for i in range(18))
+    cases += [(parse_sequent(t, p19), p19) for t in (
+        # 18 predicates and one free atom: 262,144 + 524,288 pairs, within
+        # the limit; the last has two free atoms and is refused
+        f"{near} |- forall b. a = b", f"{near}, ~forall b. a = b |- P17 /\\ ~P0",
+        f"{near} |- forall b. a = b, P3", f"{near} |- a = b")]
+    big = "Big(" + "a, " * 21 + "b)"
+    cases += [(parse_sequent(t, big22), big22) for t in ("|- a = b", f"{big} |- {big}")]
+    cases += [(ps(t), sig) for t in ("P(c), Q(f(a0), g(a0, a0)), R |- R",
+                                     "P(c), Q(f(a0), g(a1, a2)), R, a3 = a4 |- R",
+                                     "g(a0, f(a0)) = c |- f(g(c, a1)) = a1, forall a2. P(f(a2))")]
+    outcomes = {"size 1": 0, "size 2": 0, "none": 0, "refused": 0}
+    for s, signature in cases:
+        got = _outcome(find_countermodel, s, signature, 2)
+        assert got == _outcome(pruned_reference, s, signature, 2), (s, signature)
+        kind = ("none" if got is None else "refused" if isinstance(got[1], str)
+                else f"size {got[0].split()[1]}")
+        outcomes[kind] += 1
+    assert outcomes["size 2"] > 30 and outcomes["none"] > 10 and outcomes["refused"] >= 3, outcomes
+
+
+def test_size_2_is_decided_without_standard_eval_or_iter_models(monkeypatch):
+    # P(c), Q(f(a0), g(a0, a1)), R |- R: 14 rows and 2 free atoms, 65,536
+    # size-2 pairs and no countermodel; the bits decide it with no model built
+    calls = []
+    monkeypatch.setattr(sequent_module, "standard_eval",
+                        lambda f, m, vs: calls.append(f) or standard_eval(f, m, vs))
+    monkeypatch.setattr(sequent_module, "iter_models",
+                        lambda *args: calls.append(args) or iter_models(*args))
+    s = ps("P(c), Q(f(a0), g(a0, a1)), R |- R")
+    assert find_countermodel(s, sig, 2) is None
+    found = find_countermodel(ps("P(c), Q(f(a0), g(a0, a1)) |- a0 = a1"), sig, 2)
+    assert found is not None and found[0].k == 2
+    assert calls == []
+    # size 3 still goes through the pruned search
+    assert find_countermodel(sequent([_DISTINCT], [Eq(Var(a), Var(c3))]), None, 3) is not None
+    assert calls
 
 
 def _used(s):

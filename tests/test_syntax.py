@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nomfol.nominal import Atom, Perm, act, atoms, swap
+from nomfol.nominal import Atom, Perm, act, atoms, fresh, swap
 from nomfol.sequent import parse_sequent
 from nomfol.syntax import (All, And, App, BOT, Eq, Iff, Imp, LimitExceeded,
                            MAX_FORMULA_NODES, Neg, Or, Pred, Signature,
@@ -80,13 +80,39 @@ def test_free_atoms():
     assert all_atoms(phi) == {a, b}
 
 
+def ref_alpha_eq(phi, psi):
+    """Alpha-equivalence decided recursively, binders at a common fresh atom.
+
+    The reference for ``alpha_key``, which ``alpha_eq`` compares.
+    """
+    if type(phi) is not type(psi):
+        return False
+    if isinstance(phi, (Eq, Pred)) or phi == BOT:
+        return phi == psi
+    if isinstance(phi, And):
+        return ref_alpha_eq(phi.lhs, psi.lhs) and ref_alpha_eq(phi.rhs, psi.rhs)
+    if isinstance(phi, Neg):
+        return ref_alpha_eq(phi.body, psi.body)
+    if free_atoms(phi) != free_atoms(psi):
+        return False
+    if phi.binder == psi.binder:
+        return ref_alpha_eq(phi.body, psi.body)
+    c = fresh(free_atoms(phi.body) | free_atoms(psi.body) | {phi.binder, psi.binder})
+    return ref_alpha_eq(act(swap(c, phi.binder), phi.body), act(swap(c, psi.binder), psi.body))
+
+
 def test_alpha_eq():
-    assert alpha_eq(All(a, P(x)), All(b, P(y)))
-    # forall a. Q(a,b) vs forall b. Q(b,b): swap both to fresh c gives
-    # Q(c,b) vs Q(c,c)
-    assert not alpha_eq(All(a, Pred("Q", (x, y))), All(b, Pred("Q", (y, y))))
+    # each case is decided by alpha_eq, by the keys and by the reference
     phi = random_formula(sig, random.Random(5), atoms(0, 1, 2), 4)
-    assert alpha_eq(phi, phi)
+    cases = [(All(a, P(x)), All(b, P(y)), True),
+             # forall a. Q(a,b) vs forall b. Q(b,b): swap both to fresh c
+             # gives Q(c,b) vs Q(c,c)
+             (All(a, Pred("Q", (x, y))), All(b, Pred("Q", (y, y))), False),
+             (phi, phi, True)]
+    for lhs, rhs, same in cases:
+        assert alpha_eq(lhs, rhs) == same
+        assert (alpha_key(lhs) == alpha_key(rhs)) == same
+        assert ref_alpha_eq(lhs, rhs) == same
 
 
 def test_alpha_key_matches_alpha_eq():
@@ -96,11 +122,11 @@ def test_alpha_key_matches_alpha_eq():
     for phi in fs:
         pi = Perm({pool[0]: pool[1], pool[1]: pool[2], pool[2]: pool[0]})
         renamed = act(pi, phi)
-        if alpha_eq(phi, renamed):
+        if ref_alpha_eq(phi, renamed):
             assert alpha_key(phi) == alpha_key(renamed)
     for phi in fs[:40]:
         for psi in fs[:40]:
-            assert (alpha_key(phi) == alpha_key(psi)) == alpha_eq(phi, psi)
+            assert (alpha_key(phi) == alpha_key(psi)) == ref_alpha_eq(phi, psi)
 
 
 def test_subst_capture_avoiding():
