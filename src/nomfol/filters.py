@@ -87,6 +87,12 @@ def filter_check(p: PredSet, universe: Sequence[Formula], b: ProverBudget,
 
     The new-quantifier condition is sampled at three fresh atoms; one
     would do by the some/any property, the extras are a consistency check.
+
+    Each implication asks its memoised conclusion before its premise: a
+    consequence already in p is never proved, and a universal already in
+    p needs none of its fresh instances.  The report is the same in
+    either order; the work-count tests in ``tests/test_filters.py`` pin
+    this one.
     """
     rep = CheckReport(p.provenance, b)
     if p.member(BOT):
@@ -94,7 +100,7 @@ def filter_check(p: PredSet, universe: Sequence[Formula], b: ProverBudget,
     members = [phi for phi in universe if p.member(phi)]
     for phi in members:
         for xi in universe:
-            if _entails(phi, xi, b, sig) and not p.member(xi):
+            if not p.member(xi) and _entails(phi, xi, b, sig):
                 rep.violations.append(
                     f"condition-2: {pretty(phi)} |- {pretty(xi)} but consequence missing")
     for phi, psi in itertools.combinations(members, 2):
@@ -108,12 +114,13 @@ def filter_check(p: PredSet, universe: Sequence[Formula], b: ProverBudget,
             if key in seen:
                 continue
             seen.add(key)
+            if p.member(All(a, phi)):
+                continue
             bs = fresh_distinct(free_atoms(phi) | p.support, 3)
             if all(p.member(act(swap(bb, a), phi)) for bb in bs):
-                if not p.member(All(a, phi)):
-                    rep.violations.append(
-                        f"condition-4: fresh instances of {pretty(phi)} present "
-                        f"but forall {a} missing")
+                rep.violations.append(
+                    f"condition-4: fresh instances of {pretty(phi)} present "
+                    f"but forall {a} missing")
     return rep
 
 
@@ -228,12 +235,14 @@ def point_sketch(seed_formula: Formula, steps: int, b: ProverBudget,
                  on_line: Callable[[str], object] | None = None) -> PointSketch:
     """Run the first steps of the filter-ideal chain, prover-bounded.
 
-    A clash between the tentative filter and the ideal side diverts the
-    pair to the ideal, which grows by finitely many fresh alpha-copies;
-    the bounded prover may misclassify, so the sketch is approximate by
-    design and each step is labelled in the transcript.  ``on_line``, if
-    given, is called with each transcript line as soon as its step is
-    decided.
+    A clash is a tentative filter generator in the ideal side.  The ideal
+    starts as ``downset(BOT)``, and growing it keeps every member, so it
+    contains every generator that provably entails bottom.  A clash
+    diverts the pair to the ideal, which grows by finitely many fresh
+    alpha-copies; the bounded prover may misclassify, so the sketch is
+    approximate by design and each step is labelled in the transcript.
+    ``on_line``, if given, is called with each transcript line as soon as
+    its step is decided.
     """
     if prove(sequent([seed_formula], [BOT]), b, sig) is not None:
         raise ValueError("seed formula is inconsistent under the budget")
@@ -246,8 +255,7 @@ def point_sketch(seed_formula: Formula, steps: int, b: ProverBudget,
         candidate = All(a, phi)
         queried.append(candidate)
         tentative = grow_filter(flt, candidate)
-        clash = any(_entails(g, BOT, b, sig) or idl.member(g)
-                    for g in tentative.generators)
+        clash = any(idl.member(g) for g in tentative.generators)
         if not clash:
             flt = tentative
             side = "filter"

@@ -1,15 +1,18 @@
+import itertools
 import random
 
 import pytest
 
-from nomfol.nominal import act, atoms, swap
-from nomfol.filters import (PredSet, downset, enumerate_pairs,
-                            filter_check, forall_membership_check, grow_filter,
-                            grow_ideal, point_sketch, points_amgis, prime_check,
-                            upset)
+from nomfol import filters
+from nomfol.nominal import act, atoms, fresh_distinct, swap
+from nomfol.filters import (CheckReport, PredSet, _entails, downset,
+                            enumerate_pairs, filter_check,
+                            forall_membership_check, grow_filter, grow_ideal,
+                            point_sketch, points_amgis, prime_check, upset)
 from nomfol.sequent import ProverBudget
-from nomfol.syntax import (All, BOT, Pred, Var, alpha_eq, default_signature,
-                           parse_formula, random_formula, subst_formula)
+from nomfol.syntax import (All, And, BOT, Pred, Var, alpha_eq, alpha_key,
+                           default_signature, free_atoms, parse_formula,
+                           pretty, random_formula, random_term, subst_formula)
 
 sig = default_signature()
 a, b, c3 = atoms(0, 1, 2)
@@ -73,6 +76,152 @@ def test_filter_check_flags_bot_and_gaps():
     ]
 
 
+def ref_filter_check(p, universe, b, sig):
+    """The premise-first filter check: every premise proved, every instance sampled."""
+    rep = CheckReport(p.provenance, b)
+    if p.member(BOT):
+        rep.violations.append("condition-1: bottom is a member")
+    members = [phi for phi in universe if p.member(phi)]
+    for phi in members:
+        for xi in universe:
+            if _entails(phi, xi, b, sig) and not p.member(xi):
+                rep.violations.append(
+                    f"condition-2: {pretty(phi)} |- {pretty(xi)} but consequence missing")
+    for phi, psi in itertools.combinations(members, 2):
+        if not p.member(And(phi, psi)):
+            rep.violations.append(
+                f"condition-3: conjunction of {pretty(phi)} and {pretty(psi)} missing")
+    seen = set()
+    for phi in universe:
+        for a in sorted(free_atoms(phi), key=lambda x: x.id):
+            key = (alpha_key(phi), a)
+            if key in seen:
+                continue
+            seen.add(key)
+            bs = fresh_distinct(free_atoms(phi) | p.support, 3)
+            if all(p.member(act(swap(bb, a), phi)) for bb in bs):
+                if not p.member(All(a, phi)):
+                    rep.violations.append(
+                        f"condition-4: fresh instances of {pretty(phi)} present "
+                        f"but forall {a} missing")
+    return rep
+
+
+CRITERION_10_SEEDS = ("P(a)", "P(a) /\\ Q(a, b)", "forall x. P(x)", "Q(c, c)")
+CRITERION_10_UNIVERSE = ("P(a)", "Q(a, b)", "P(a) /\\ Q(a, b)", "P(b)", "top",
+                         "P(a) \\/ Q(a, b)")
+MIXED_UNIVERSE = CRITERION_10_UNIVERSE + ("forall x. P(x)", "forall x. Q(x, b)",
+                                          "~P(a)", "R", "Q(a, b) /\\ R")
+
+
+def coin_set(seed):
+    """A non-filter: a seeded random bit per alpha class."""
+    return PredSet(lambda phi: random.Random(f"{seed}|{alpha_key(phi)}").random() < 0.5,
+                   f"coin-{seed}", (), B, sig)
+
+
+def differential_cases():
+    """(name, fresh-set factory, universe); each side of a comparison gets its
+    own set, so a memo filled in a different query order cannot hide."""
+    rng = random.Random(110)
+    pool = atoms(0, 1, 2)
+    seeds = [pf(t) for t in CRITERION_10_SEEDS]
+    mixed = [pf(t) for t in MIXED_UNIVERSE]
+    cases = []
+    for seed in seeds:
+        cases.append((f"upset {pretty(seed)}", lambda s=seed: upset(s, B, sig), mixed))
+        cases.append((f"downset {pretty(seed)}", lambda s=seed: downset(s, B, sig), mixed))
+        cases.append((f"grown {pretty(seed)}",
+                      lambda s=seed: grow_filter(upset(s, B, sig), pf("forall x. Q(x, b)")),
+                      mixed))
+    for i in range(8):
+        seed = seeds[i % len(seeds)]
+        u, q = random_term(sig, rng, pool, 1), rng.choice(pool)
+        p = upset(seed, B, sig)
+        restricted = [phi for phi in mixed[:len(CRITERION_10_UNIVERSE)]
+                      if p.member(subst_formula(phi, q, u))]
+        for name, universe in (("restricted", restricted), ("mixed", mixed)):
+            cases.append((f"amgis-image {name} {i}",
+                          lambda s=seed, u=u, q=q: points_amgis(upset(s, B, sig), u, q),
+                          universe))
+    cases.append(("broken", lambda: PredSet(lambda phi: isinstance(phi, Pred),
+                                            "broken", (), B, sig), mixed))
+    for seed in range(6):
+        cases.append((f"coin {seed}", lambda s=seed: coin_set(s), mixed))
+    return cases
+
+
+def test_filter_check_matches_the_premise_first_reference():
+    fired = set()
+    for name, make, universe in differential_cases():
+        got = filter_check(make(), universe, B, sig)
+        want = ref_filter_check(make(), universe, B, sig)
+        assert got.lines() == want.lines(), name
+        fired.update(v.split(":", 1)[0] for v in got.violations)
+    # the cases are not all filters: every condition is seen to fire
+    assert fired == {"condition-1", "condition-2", "condition-3", "condition-4"}
+
+
+def count_prover_calls(monkeypatch):
+    calls = []
+    real = filters.prove
+
+    def counting(s, *args, **kwargs):
+        calls.append(s)
+        return real(s, *args, **kwargs)
+    monkeypatch.setattr(filters, "prove", counting)
+    return calls
+
+
+def test_filter_check_proves_no_consequence_already_in_the_filter(monkeypatch):
+    # criterion 10's images on universes of members; once the memo has
+    # every answer, a premise-first check would still prove each pair
+    rng = random.Random(110)
+    pool = atoms(0, 1, 2)
+    seeds = [pf(t) for t in CRITERION_10_SEEDS]
+    universe = [pf(t) for t in CRITERION_10_UNIVERSE]
+    calls = count_prover_calls(monkeypatch)
+    for i in range(8):
+        p = upset(seeds[i % len(seeds)], B, sig)
+        u, q = random_term(sig, rng, pool, 1), rng.choice(pool)
+        img = points_amgis(p, u, q)
+        restricted = [phi for phi in universe if img.member(phi)]
+        filter_check(img, restricted, B, sig)   # fill the memo for both orders
+        want = ref_filter_check(img, restricted, B, sig).lines()
+        calls.clear()
+        assert filter_check(img, restricted, B, sig).lines() == want
+        assert calls == []
+        assert ref_filter_check(img, restricted, B, sig).lines() == want
+        assert len(calls) == len(restricted) ** 2
+
+
+def test_filter_check_asks_one_membership_per_present_universal():
+    asked = []
+
+    def oracle(phi):
+        asked.append(pretty(phi))
+        return phi != BOT
+    everything_but_bot = PredSet(oracle, "all-but-bottom", (), B, sig)
+    rep = filter_check(everything_but_bot, [pf("P(a)"), pf("Q(a, b)")], B, sig)
+    assert rep.ok, rep.lines()
+    assert asked == ["bottom", "P(a0)", "Q(a0, a1)", "P(a0) /\\ Q(a0, a1)",
+                     "forall a0. P(a0)", "forall a0. Q(a0, a1)",
+                     "forall a1. Q(a0, a1)"]
+    asked.clear()
+    ref_filter_check(PredSet(oracle, "all-but-bottom", (), B, sig),
+                     [pf("P(a)"), pf("Q(a, b)")], B, sig)
+    assert len(asked) == 7 + 3 * 3   # three fresh instances per (phi, a)
+
+
+@pytest.mark.parametrize("steps, depth, proofs", [(4, 6, 5), (8, 5, 15)])
+def test_point_sketch_proves_each_clash_test_once(monkeypatch, steps, depth, proofs):
+    # the clash test is ideal membership alone: the ideal's oracle already
+    # proves g |- bottom, and a second search beside it makes 9 and 22 calls
+    calls = count_prover_calls(monkeypatch)
+    point_sketch(pf("P(c)"), steps, ProverBudget(max_depth=depth), sig)
+    assert len(calls) == proofs
+
+
 def test_grow_filter():
     up = upset(pf("P(a)"), B, sig)
     grown = grow_filter(up, pf("Q(a, b)"))
@@ -131,7 +280,6 @@ def test_points_amgis_membership():
 def test_points_amgis_is_exact_sigma_iff():
     rng = random.Random(50)
     pool = atoms(0, 1, 2)
-    from nomfol.syntax import random_term
     p = upset(pf("P(a) /\\ Q(a, b)"), B, sig)
     for _ in range(200):
         phi = random_formula(sig, rng, pool, 2)
@@ -169,7 +317,6 @@ def test_bus_filter_preservation():
     # universe restricted to formulas whose substituted form is settled
     rng = random.Random(51)
     pool = atoms(0, 1, 2)
-    from nomfol.syntax import random_term
     seeds = [pf("P(a)"), pf("P(a) /\\ Q(a, b)"), pf("forall x. P(x)")]
     for i in range(12):
         p = upset(seeds[i % len(seeds)], B, sig)
