@@ -11,9 +11,8 @@ its None covers both a refutation and a search that ran out of depth.
 Countermodels are exhaustive up to the size bound, so a found model is a
 certificate; a size too large to search or to pad is refused.  The
 countermodel search decides size 1 on the truth bits of the predicate
-assignments and size 2 on bits with one per model; from size 3 it fixes
-one symbol's table at a time and skips every completion of a prefix
-under which each valuation already has a false left or a true right part.
+assignments, and every larger size on bits with one per (model,
+valuation) pair, each formula evaluated once.
 """
 from __future__ import annotations
 
@@ -23,7 +22,7 @@ import random
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .nominal import Atom, act, atoms, fresh, swap
 from .syntax import (All, And, App, BOT, Bot, Eq, Formula, LimitExceeded,
@@ -32,7 +31,7 @@ from .syntax import (All, And, App, BOT, Bot, Eq, Formula, LimitExceeded,
                      free_atoms_term, parse_shared, parse_sides, pretty,
                      pretty_term, random_formula, random_term, subst_formula,
                      subterms)
-from .tarski import MAX_ROWS, OrdinaryModel, Valuation, iter_models, standard_eval
+from .tarski import MAX_ROWS, OrdinaryModel, Valuation
 
 
 class Side(tuple):
@@ -646,41 +645,46 @@ class SearchRefused(Exception):
     """
 
 
-def _parts(s: Sequent) -> Iterator[tuple[int, Formula]]:
-    """The (side, formula) parts s splits into by andL, negL and negR; side 0 is left.
+def _digit_masks(radices: list[int]) -> list[list[int]]:
+    """Each digit's nonzero values across the numerals over radices, as bits.
 
-    A model and valuation make every left part true and every right part
-    false exactly when they make every left formula of s true and every
-    right formula false.
+    Index i is a mixed-radix numeral whose j-th digit has radix
+    radices[j], the first digit the most significant.  Bit i of the
+    (v - 1)-th int of the j-th list is set when digit j of i is v.  Each
+    digit's mask for 1 repeats a block of zeros and ones by
+    shift-doubling, not by dividing a big int; its mask for v is that
+    mask shifted up by v - 1 times the digit's place value.
     """
-    todo = [(0, f) for f in s.left] + [(1, f) for f in s.right]
-    while todo:
-        side, f = todo.pop()
-        if isinstance(f, Neg):
-            todo.append((1 - side, f.body))
-        elif isinstance(f, And) and side == 0:
-            todo += ((0, f.lhs), (0, f.rhs))
-        else:
-            yield side, f
-
-
-def _assignment_masks(p: int) -> list[int]:
-    """Predicate j's truth across the 2**p assignments of p predicates, as bits.
-
-    Bit i of the j-th int is set when assignment i makes predicate j true;
-    assignment i is the binary numeral of i over p digits, predicate 0 the
-    most significant.  Each mask repeats a block of zeros and ones by
-    shift-doubling, not by dividing a big int.
-    """
-    masks = []
-    for j in range(p):
-        w = 1 << (p - 1 - j)
-        m, span = ((1 << w) - 1) << w, 2 * w
-        while span < 1 << p:
+    n = math.prod(radices)
+    full, w, out = (1 << n) - 1, n, []
+    for r in radices:
+        w //= r  # the digit's place value
+        m, span = ((1 << w) - 1) << w, w * r
+        while span < n:
             m |= m << span
             span *= 2
-        masks.append(m)
-    return masks
+        if span > n:
+            m &= full
+        out.append([m] + [m << (v * w) for v in range(1, r - 1)])
+    return out
+
+
+def _lowest(s: Sequent, truth: Callable[[Formula], int], full: int) -> int | None:
+    """The lowest index where every left formula of s is true and every right one false.
+
+    truth(f) is f's truth as bits over the indices of full's bits.  Every
+    left formula's truth is ANDed in and every right formula's
+    complement, stopping once no index is left; None then.  The
+    complement of x is ``full ^ x``, which keeps every int nonnegative,
+    and so cheaper than ``~x``.
+    """
+    rest = full
+    for flip, formulas in ((0, s.left), (full, s.right)):
+        for f in formulas:
+            rest &= truth(f) ^ flip
+            if not rest:
+                return None
+    return (rest & -rest).bit_length() - 1
 
 
 def _truth_bits(f: Formula, masks: dict[str, int], full: int) -> int:
@@ -688,8 +692,7 @@ def _truth_bits(f: Formula, masks: dict[str, int], full: int) -> int:
 
     In a model of size 1 every term is 0, so every equation holds, a
     quantifier is its body, and a predicate reads its one row.  full has
-    a bit for every assignment; the complement of x is ``full ^ x``, which
-    keeps every int nonnegative, and so cheaper than ``~x``.
+    a bit for every assignment.
     """
     if isinstance(f, Pred):
         return masks[f.name]
@@ -702,122 +705,132 @@ def _truth_bits(f: Formula, masks: dict[str, int], full: int) -> int:
     return full if isinstance(f, Eq) else 0
 
 
-def _size_1_tables(s: Sequent, preds: tuple[tuple[str, int], ...]
-                   ) -> dict[str, tuple[bool]] | None:
-    """The predicate tables of s's first countermodel of size 1, or None.
+def _size_1_tables(s: Sequent, preds: tuple[tuple[str, int], ...], free: tuple[Atom, ...]
+                   ) -> tuple[dict, dict[str, tuple[bool]], Valuation] | None:
+    """The tables and valuation of s's first countermodel of size 1, or None.
 
-    preds are the predicates s uses, in iter_models order.  Every left
-    formula's truth bits are ANDed in and every right formula's
-    complement, stopping once no assignment is left.  iter_models tries
-    False before True, predicate by predicate, so it reaches the
-    assignments in numeral order: the lowest bit left is its first
-    countermodel.
+    preds are the predicates s uses, in iter_models order.  Each formula
+    is evaluated once as an int whose bits are the predicate assignments,
+    assignment i the binary numeral of i, predicate 0 the most
+    significant.  iter_models tries False before True, predicate by
+    predicate, so it reaches the assignments in numeral order: the lowest
+    one left is its first countermodel.  The valuation is all 0.
     """
     p = len(preds)
-    masks = dict(zip((name for name, _ in preds), _assignment_masks(p)))
-    rest = full = (1 << (1 << p)) - 1  # rest: the assignments no formula rules out
-    for flip, formulas in ((0, s.left), (full, s.right)):
-        for f in formulas:
-            rest &= _truth_bits(f, masks, full) ^ flip
-            if not rest:
-                return None
-    i = (rest & -rest).bit_length() - 1
-    return {name: (i >> (p - 1 - j) & 1 == 1,) for j, (name, _) in enumerate(preds)}
+    masks = {name: m for (name, _), (m,) in zip(preds, _digit_masks([2] * p))}
+    full = (1 << (1 << p)) - 1
+    i = _lowest(s, lambda f: _truth_bits(f, masks, full), full)
+    if i is None:
+        return None
+    return ({}, {name: (i >> (p - 1 - j) & 1 == 1,) for j, (name, _) in enumerate(preds)},
+            Valuation(dict.fromkeys(free, 0), 0))
 
 
-def _read_row(rows: list[int], args: list[int], full: int) -> int:
-    """The models where a symbol with these row masks is 1 at these argument masks.
+def _read_row(rows: list[list[int]], args: list[list[int]], k: int, full: int) -> list[int]:
+    """Where a symbol with these rows takes each nonzero value, at these arguments.
 
-    Row r is read where the arguments spell r in binary, the first
-    argument the most significant digit: each row's mask is ANDed with the
-    masks that select it, and the results are ORed.  When every argument
-    is 0 or full, that is one row in every model, read directly.
+    rows[r] holds, for each nonzero value v, the pairs where row r of the
+    symbol's table is v; an argument holds the same for a term, and its
+    value 0 is the complement of the union of the others.  Row r is read
+    where the arguments spell r in base k, the first argument the most
+    significant digit: the pairs that select each row are built argument
+    by argument, keeping only the rows some pair selects, and each
+    selected row's values, ANDed with its pairs, are ORed.
     """
-    if all(x == 0 or x == full for x in args):
-        r = 0
-        for x in args:
-            r = 2 * r + (x != 0)
-        return rows[r]
-    select = [full]
+    select = [(0, full)]
     for x in args:
-        off = full ^ x
-        select = [m for s in select for m in (s & off, s & x)]
-    out = 0
-    for m, s in zip(rows, select):
-        out |= m & s
+        zero = full
+        for m in x:
+            zero ^= m  # the values are disjoint, so XOR is union
+        values = [(0, zero), *enumerate(x, 1)]
+        select = [(r * k + v, both) for r, pairs in select for v, m in values
+                  if (both := pairs & m)]
+    if select[0][1] == full:  # one row in every pair
+        return rows[select[0][0]]
+    out = [0] * len(rows[0])
+    for r, pairs in select:
+        out = [o | m & pairs for o, m in zip(out, rows[r])]
     return out
 
 
-def _term_bits_2(t: Term, rows: dict[str, list[int]], env: dict[Atom, int], full: int) -> int:
-    """The size-2 models where t is 1, as bits; env holds the atoms' values."""
+def _term_bits_k(t: Term, rows: dict[str, list[list[int]]], env: dict[Atom, list[int]],
+                 k: int, full: int) -> list[int]:
+    """The pairs where t is each nonzero value, as bits; env holds the atoms' values."""
     if isinstance(t, Var):
         return env[t.atom]
-    return _read_row(rows[t.fn], [_term_bits_2(u, rows, env, full) for u in t.args], full)
+    return _read_row(rows[t.fn], [_term_bits_k(u, rows, env, k, full) for u in t.args], k, full)
 
 
-def _truth_bits_2(f: Formula, rows: dict[str, list[int]], env: dict[Atom, int], full: int) -> int:
-    """f's truth across the size-2 models of rows, as bits, at one valuation.
+def _truth_bits_k(f: Formula, rows: dict[str, list[list[int]]], env: dict[Atom, list[int]],
+                  k: int, full: int) -> int:
+    """f's truth across the (model, valuation) pairs of size k, as bits.
 
-    env maps each free and bound atom to 0 or full, its value in every
-    model.
+    env maps each free atom to its digit masks, and each bound atom to
+    one value in every pair.  An equation holds where no nonzero value
+    is taken by one side only, and a quantifier ANDs its body at each of
+    the k values.
     """
     if isinstance(f, Pred):
-        return _read_row(rows[f.name], [_term_bits_2(t, rows, env, full) for t in f.args], full)
+        return _read_row(rows[f.name], [_term_bits_k(t, rows, env, k, full) for t in f.args],
+                         k, full)[0]
     if isinstance(f, And):
-        lhs = _truth_bits_2(f.lhs, rows, env, full)
-        return lhs and lhs & _truth_bits_2(f.rhs, rows, env, full)
+        lhs = _truth_bits_k(f.lhs, rows, env, k, full)
+        return lhs and lhs & _truth_bits_k(f.rhs, rows, env, k, full)
     if isinstance(f, Neg):
-        return full ^ _truth_bits_2(f.body, rows, env, full)
+        return full ^ _truth_bits_k(f.body, rows, env, k, full)
     if isinstance(f, All):
-        out = _truth_bits_2(f.body, rows, {**env, f.binder: 0}, full)
-        return out and out & _truth_bits_2(f.body, rows, {**env, f.binder: full}, full)
+        out = full
+        for v in range(k):
+            value = [full if w == v else 0 for w in range(1, k)]
+            out &= _truth_bits_k(f.body, rows, {**env, f.binder: value}, k, full)
+            if not out:
+                break
+        return out
     if isinstance(f, Eq):
-        return full ^ _term_bits_2(f.lhs, rows, env, full) ^ _term_bits_2(f.rhs, rows, env, full)
+        differ = 0
+        for x, y in zip(_term_bits_k(f.lhs, rows, env, k, full),
+                        _term_bits_k(f.rhs, rows, env, k, full)):
+            differ |= x ^ y
+        return full ^ differ
     return 0
 
 
-def _size_2_tables(s: Sequent, used: Signature, free: tuple[Atom, ...]
+def _size_k_tables(s: Sequent, used: Signature, free: tuple[Atom, ...], k: int
                    ) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[bool, ...]],
                               Valuation] | None:
-    """The tables and valuation of s's first countermodel of size 2, or None.
+    """The tables and valuation of s's first countermodel of size k >= 2, or None.
 
-    used holds the symbols s uses, in iter_models order.  Each row of each
-    of their tables is one binary digit of a model's index, the functions'
-    rows first, then the predicates', in used order and row-major, the
-    first row the most significant.  iter_models tries tables in
-    lexicographic order, 0 (false) before 1 (true), so it reaches the
-    models in the order of their indices.  Each formula of s is evaluated
-    once per valuation as an int whose bits are the models
-    (``_truth_bits_2``).  The lowest model a valuation leaves, in the first
-    valuation that leaves it, is the first pair of the model-by-valuation
-    loop; after a valuation has left one, only lower models are looked for.
+    used holds the symbols s uses, in iter_models order.  A (model,
+    valuation) pair's index is a mixed-radix numeral with one digit per
+    row of their tables, base k for a function's and base 2 for a
+    predicate's, the functions' rows first, then the predicates', in used
+    order and row-major, and then one digit of base k per free atom, in
+    order; the first digit is the most significant.  iter_models tries
+    tables in lexicographic order, 0 (false) first, and every valuation
+    is tried in order within a model, so the pairs are reached in the
+    order of their indices.  Each formula of s is evaluated once, as an
+    int whose bits are the pairs (``_truth_bits_k``), and the lowest pair
+    left is the first countermodel.
     """
-    symbols = used.functions + used.predicates
-    n = sum(2 ** ar for _, ar in symbols)
-    masks = iter(_assignment_masks(n))
-    rows = {name: [next(masks) for _ in range(2 ** ar)] for name, ar in symbols}
-    full = (1 << (1 << n)) - 1
-    checks = [(f, 0) for f in s.left] + [(f, full) for f in s.right]
-    limit, best = full, None  # limit: the models lower than the best one yet
-    for combo in itertools.product((0, 1), repeat=len(free)):
-        env = dict(zip(free, (full * v for v in combo)))
-        rest = limit
-        for f, flip in checks:
-            rest &= _truth_bits_2(f, rows, env, full) ^ flip
-            if not rest:
-                break
-        else:
-            limit, best = (rest & -rest) - 1, combo
-            if not limit:
-                break
-    if best is None:
+    radices = ([k] * sum(k ** ar for _, ar in used.functions)
+               + [2] * sum(k ** ar for _, ar in used.predicates) + [k] * len(free))
+    masks = iter(_digit_masks(radices))
+    rows = {name: [next(masks) for _ in range(k ** ar)]
+            for name, ar in used.functions + used.predicates}
+    env = dict(zip(free, masks))
+    full = (1 << math.prod(radices)) - 1
+    i = _lowest(s, lambda f: _truth_bits_k(f, rows, env, k, full), full)
+    if i is None:
         return None
-    i = limit.bit_length()
-    digits = iter([i >> (n - 1 - d) & 1 for d in range(n)])
-    funcs = {name: tuple(next(digits) for _ in range(2 ** ar)) for name, ar in used.functions}
-    preds = {name: tuple(next(digits) == 1 for _ in range(2 ** ar))
+    digits = []
+    for r in reversed(radices):
+        i, d = divmod(i, r)
+        digits.append(d)
+    digits = iter(digits[::-1])
+    funcs = {name: tuple(next(digits) for _ in range(k ** ar)) for name, ar in used.functions}
+    preds = {name: tuple(next(digits) == 1 for _ in range(k ** ar))
              for name, ar in used.predicates}
-    return funcs, preds, Valuation(dict(zip(free, best)), 0)
+    return funcs, preds, Valuation(dict(zip(free, digits)), 0)
 
 
 def _padded(sig: Signature, k: int, funcs: dict[str, tuple[int, ...]],
@@ -854,24 +867,17 @@ def find_countermodel(s: Sequent, sig: Signature | None, max_k: int, *,
     is the one iter_models reaches first, and the valuation is all 0.  At
     p = 19, the most the limit lets through, that takes about 1 ms.
 
-    Size 2 is decided bit-parallel too (``_size_2_tables``): each formula
-    of s is evaluated once per valuation, as an int with one bit per model.
-    The bits of a model's index are the rows of the used symbols' tables,
-    functions first, then predicates, in used order and row-major, the
-    first row the most significant; that is the order in which iter_models
-    reaches the models, so the lowest bit left is its first countermodel.
-    The limit lets through at most 19 rows and free atoms together, so an
-    int holds at most 2**19 bits (64 KB).
-
-    From size 3 the search is cut symbol by symbol.  iter_models fixes the
-    used symbols one at a time, and each of the parts of s (``_parts``) is
-    tested, by standard_eval, once the last symbol it reads is fixed (a
-    part that reads none, before any is).  A valuation is closed when a
-    left part is false or a right part is true; a prefix that leaves no
-    valuation open is skipped with every completion of it.  A model that
-    is reached has an open valuation, and the first one in valuation order
-    is returned, so the answer is the first pair of the unpruned
-    model-by-valuation loop.
+    From size 2 each formula of s is evaluated once too, as an int with
+    one bit per (model, valuation) pair (``_size_k_tables``).  A pair's
+    index is a mixed-radix numeral: one digit per row of the used
+    symbols' tables, base k for a function's and base 2 for a
+    predicate's, functions first, then predicates, in used order and
+    row-major, and then one digit of base k per free atom; the first
+    digit is the most significant.  That is the order of the
+    model-by-valuation loop over iter_models, so the lowest bit left is
+    its first countermodel.  A term is k - 1 ints, the pairs where it is
+    1 to k - 1; it is 0 in the rest.  The running count is within the
+    limit, so an int holds at most COUNTERMODEL_SPACE_LIMIT bits (125 KB).
     """
     fs, ps, _ = _symbols(s.left + s.right) if symbols is None else symbols
     if sig is None or not (fs <= set(sig.functions) and ps <= set(sig.predicates)):
@@ -894,39 +900,11 @@ def find_countermodel(s: Sequent, sig: Signature | None, max_k: int, *,
             if k ** ar > MAX_ROWS:
                 raise SearchRefused(f"table of {k ** ar} rows for {name} "
                                     f"at size {k} exceeds limit {MAX_ROWS}")
-        if k == 1:
-            tables = _size_1_tables(s, used.predicates)
-            if tables is not None:
-                return _padded(sig, 1, {}, tables), Valuation(dict.fromkeys(free, 0), 0)
-            continue
-        if k == 2:
-            found = _size_2_tables(s, used, free)
-            if found is not None:
-                funcs, preds, vs = found
-                return _padded(sig, 2, funcs, preds), vs
-            continue
-        if k == 3:
-            # tests[i]: the left and right parts whose last symbol is the i-th
-            order = {x: i for i, x in enumerate(used.functions + used.predicates, 1)}
-            tests = [([], []) for _ in range(len(order) + 1)]
-            for side, f in _parts(s):
-                funcs, preds, _ = _symbols((f,))
-                tests[max(map(order.__getitem__, funcs | preds), default=0)][side].append(f)
-        # opens[i]: the valuations no part tested so far closes
-        opens = [[Valuation(dict(zip(free, combo)), 0)
-                  for combo in itertools.product(range(k), repeat=len(free))]]
-
-        def cut(i: int, part: OrdinaryModel) -> bool:
-            left, right = tests[i]
-            del opens[i + 1:]
-            opens.append([vs for vs in opens[i]
-                          if all(standard_eval(f, part, vs) for f in left)
-                          and not any(standard_eval(f, part, vs) for f in right)]
-                         if left or right else opens[i])
-            return not opens[-1]
-
-        for model in iter_models(used, k, cut):
-            return _padded(sig, k, model.funcs, model.preds), opens[-1][0]
+        found = (_size_1_tables(s, used.predicates, free) if k == 1
+                 else _size_k_tables(s, used, free, k))
+        if found is not None:
+            funcs, preds, vs = found
+            return _padded(sig, k, funcs, preds), vs
     return None
 
 

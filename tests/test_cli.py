@@ -393,6 +393,17 @@ def test_size_2_countermodels_keep_the_model_order():
         (2, "UNKNOWN\n")
 
 
+def test_size_3_countermodels_keep_the_model_order():
+    # a, b and the constant c distinct need size 3; the first model and
+    # valuation of the unpruned search have f = 0 0 1, a = 2 and b = 1
+    text = "~a = b, ~b = c, ~a = c, f(a) = b |- P(f(f(c)))"
+    with open(os.path.join(DATA, "f3.countermodel")) as fh:
+        assert go("countermodel", text, "--max-k", "3") == (0, fh.read())
+    # 3**9 * 2**3 size-3 models and 3 valuations, none a countermodel
+    assert go("countermodel", "P(g(a, a)), ~P(g(a, a)) |-", "--max-k", "3") == \
+        (2, "UNKNOWN\n")
+
+
 def test_signature_names_are_checked(tmp_path):
     # an atom name would clash with the binders of printed proofs, and a
     # keyword or non-identifier could never be written in a formula

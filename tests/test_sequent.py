@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nomfol import sequent as sequent_module
 from nomfol import syntax
+from nomfol import tarski as tarski_module
 from nomfol.nominal import act, atoms, fresh, swap
 from nomfol.foleq import sequent_valid
 from nomfol.sequent import (Proof, ProverBudget, SearchRefused, Side, Verdict,
@@ -466,14 +467,36 @@ def test_pruned_search_finds_the_flat_loops_first_countermodel(case):
         _answer(reference_countermodel(s, signature, max_k))
 
 
-def pruned_reference(s, sig, max_k):
-    """find_countermodel as it searched before size 1 went bit-parallel.
+def _parts(s):
+    """The (side, formula) parts s splits into by andL, negL and negR; side 0 is left.
 
-    Every size, size 1 included, goes through iter_models, cut part by
-    part by standard_eval; the refusals are find_countermodel's.
+    A model and valuation make every left part true and every right part
+    false exactly when they make every left formula of s true and every
+    right formula false.
+    """
+    todo = [(0, f) for f in s.left] + [(1, f) for f in s.right]
+    while todo:
+        side, f = todo.pop()
+        if isinstance(f, Neg):
+            todo.append((1 - side, f.body))
+        elif isinstance(f, And) and side == 0:
+            todo += ((0, f.lhs), (0, f.rhs))
+        else:
+            yield side, f
+
+
+def pruned_reference(s, sig, max_k):
+    """find_countermodel as it searched before any size went bit-parallel.
+
+    Every size goes through iter_models, cut symbol by symbol as in SEM
+    and Mace4: each part of s (``_parts``) is tested by standard_eval
+    once the last symbol it reads is fixed, or before any is when it
+    reads none, and a prefix of tables under which every valuation has a
+    false left part or a true right part is skipped with every completion
+    of it.  The refusals are find_countermodel's.
     """
     parts, fs, ps = [], set(), set()
-    for side, f in sequent_module._parts(s):
+    for side, f in _parts(s):
         funcs, preds, _ = _symbols((f,))
         fs |= funcs
         ps |= preds
@@ -639,22 +662,73 @@ def test_bit_parallel_size_2_matches_the_pruned_search():
     assert outcomes["size 2"] > 30 and outcomes["none"] > 10 and outcomes["refused"] >= 3, outcomes
 
 
-def test_size_2_is_decided_without_standard_eval_or_iter_models(monkeypatch):
-    # P(c), Q(f(a0), g(a0, a1)), R |- R: 14 rows and 2 free atoms, 65,536
-    # size-2 pairs and no countermodel; the bits decide it with no model built
+def test_sizes_3_and_4_match_the_pruned_search():
+    # the size-k step against the pruned iter_models search it replaces,
+    # over the differential signatures and nested functions, equations and
+    # binders; three distinct atoms on the left, on half the cases, leave
+    # only models of size 3 or more
+    rng = random.Random(29)
+    distinct = [Neg(Eq(Var(x), Var(y))) for x, y in itertools.combinations(atoms(0, 1, 2), 2)]
+    cases = []
+    for signature, _ in DIFFERENTIAL_SIGNATURES:
+        for i in range(16):
+            s = _function_heavy_sequent(rng, signature)
+            cases.append((sequent(s.left + (tuple(distinct) if i % 2 else ()), s.right),
+                          signature))
+    cases += [(_function_heavy_sequent(rng, _sub_signature(sig, rng)), sig) for _ in range(24)]
+    # a binder must range over all k values, and a term over all but 0
+    cases += [(parse_sequent(t, sig), sig) for t in (
+        "~a0 = a1, ~forall a2. (a2 = a0 \\/ a2 = a1) |-",
+        "~a0 = a1, ~a1 = a2, ~a0 = a2 |- forall a3. (a3 = a0 \\/ a3 = a1 \\/ a3 = a2)",
+        "~a0 = a1, ~a1 = a2, ~a0 = a2, f(a0) = a1, f(a1) = a2 |- f(a2) = a0",
+        "~a = b, ~b = c, ~a = c, f(a) = b |- P(f(f(c)))",
+        "~a0 = a1, ~a0 = a2, ~a0 = a3, ~a1 = a2, ~a1 = a3, ~a2 = a3 |- P(a0), P(a3)")]
+    outcomes = {"size 3": 0, "size 4": 0, "none": 0, "refused": 0}
+    for s, signature in cases:
+        for max_k in (3, 4):
+            got = _outcome(find_countermodel, s, signature, max_k)
+            assert got == _outcome(pruned_reference, s, signature, max_k), (s, signature, max_k)
+            kind = ("none" if got is None else "refused" if isinstance(got[1], str)
+                    else f"size {got[0].split()[1]}")
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert outcomes["size 3"] >= 10 and outcomes["size 4"] >= 2, outcomes
+    assert outcomes["none"] >= 10 and outcomes["refused"] >= 10, outcomes
+
+
+def _model_search_calls(monkeypatch):
+    """A list that records each standard_eval and iter_models call from now on.
+
+    Both are replaced where they are defined and in the sequent module,
+    so a call is recorded however the search looks them up.
+    """
     calls = []
-    monkeypatch.setattr(sequent_module, "standard_eval",
-                        lambda f, m, vs: calls.append(f) or standard_eval(f, m, vs))
-    monkeypatch.setattr(sequent_module, "iter_models",
-                        lambda *args: calls.append(args) or iter_models(*args))
-    s = ps("P(c), Q(f(a0), g(a0, a1)), R |- R")
-    assert find_countermodel(s, sig, 2) is None
-    found = find_countermodel(ps("P(c), Q(f(a0), g(a0, a1)) |- a0 = a1"), sig, 2)
-    assert found is not None and found[0].k == 2
+    for module in (sequent_module, tarski_module):
+        monkeypatch.setattr(module, "standard_eval", lambda f, m, vs: calls.append(f)
+                            or standard_eval(f, m, vs), raising=False)
+        monkeypatch.setattr(module, "iter_models", lambda *args: calls.append(args)
+                            or iter_models(*args), raising=False)
+    return calls
+
+
+def test_no_size_builds_a_model_or_a_valuation_before_the_answer(monkeypatch):
+    # every size is decided on bits: standard_eval and iter_models are never
+    # called, and the one Valuation built is the answer's
+    calls, built = _model_search_calls(monkeypatch), []
+    monkeypatch.setattr(sequent_module, "Valuation", lambda *args: built.append(args)
+                        or Valuation(*args))
+    for text, max_k, size in [
+            ("|- P(a)", 1, 1),
+            # 14 rows and 2 free atoms: 65,536 size-2 pairs and no countermodel
+            ("P(c), Q(f(a0), g(a0, a1)), R |- R", 2, None),
+            ("P(c), Q(f(a0), g(a0, a1)) |- a0 = a1", 2, 2),
+            ("~a = b, ~b = c, ~a = c, f(a) = b |- P(f(f(c)))", 3, 3),
+            ("a0 = a1, a1 = a2 |- a0 = a2", 4, None),
+            ("~a0 = a1, ~a0 = a2, ~a0 = a3, ~a1 = a2, ~a1 = a3, ~a2 = a3 |-", 4, 4)]:
+        del built[:]
+        found = find_countermodel(ps(text), sig, max_k)
+        assert (found and found[0].k) == size, text
+        assert built == ([] if found is None else [(found[1].overrides, 0)]), text
     assert calls == []
-    # size 3 still goes through the pruned search
-    assert find_countermodel(sequent([_DISTINCT], [Eq(Var(a), Var(c3))]), None, 3) is not None
-    assert calls
 
 
 def _used(s):
@@ -1207,11 +1281,7 @@ def test_guard_cuts_a_wide_hyp_sequent(monkeypatch):
     # the guard decides size 1 on the truth bits of the 2**19 assignments:
     # it builds no model and evaluates nothing with standard_eval
     monkeypatch.undo()
-    calls = []
-    monkeypatch.setattr(sequent_module, "standard_eval",
-                        lambda f, m, vs: calls.append(f) or standard_eval(f, m, vs))
-    monkeypatch.setattr(sequent_module, "iter_models",
-                        lambda *args: calls.append(args) or iter_models(*args))
+    calls = _model_search_calls(monkeypatch)
     assert _small_countermodel(s) is None
     assert calls == []
 
