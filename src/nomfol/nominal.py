@@ -8,14 +8,30 @@ implements ``_act_``/``_support_``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
-    """A primitive name.  Equality and ordering are by index only."""
+class Atom(tuple):
+    """A primitive name, stored as the 1-tuple of its index.
 
-    id: int
+    Equality, ordering and hashing are the tuple's, in C, so they go by
+    index only, and ``hash(Atom(i)) == hash((i,))``.  That hash must stay:
+    the order in which a set of atoms is iterated follows it, and the
+    prover's output follows that order.  An atom is a tuple, so ``act``
+    and ``support`` test for Atom before they test for tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: int) -> "Atom":
+        return tuple.__new__(cls, (id,))
+
+    id = property(itemgetter(0), doc="The atom's index.")
+
+    def __getnewargs__(self) -> tuple[int]:
+        # copy and pickle rebuild an atom from its index, not its tuple
+        return (self[0],)
 
     @property
     def name(self) -> str:

@@ -11,7 +11,9 @@ a row.
 
 Every re-indexing of a table goes through a row-index plan: the tuple of
 source rows for each output row, so moving a table onto other atoms, or
-joining two tables, copies rows with ``tuple(map(table.__getitem__, plan))``.
+joining two tables, copies rows in one call, ``itemgetter(*plan)(table)``;
+a getter of one row returns the row itself, so a one-row result is made a
+1-tuple.
 A column is read iff pinning it to 0 changes the table, so canonicalising
 compares each column's blocks in place with their first rows, stopping at
 the first block that differs.  Each operation canonicalises its result's
@@ -27,10 +29,11 @@ over no atoms, or at k = 1, reads none.
 Plans depend only on the table's shape: k, the source width and the
 column map, never on atoms or contents.  ``_PLANS`` holds the plans of at
 most PLAN_CACHE_SIZE shapes, keeps no plan longer than PLAN_CACHE_ROWS
-rows and is emptied when full; a longer plan is made row by row as it is
-read, on each call.  The merged dependency order of a join is keyed by
-atoms and sits in a fixed-size ``lru_cache``, which never keeps a join
-wider than MAX_DEPS atoms: that join is refused.
+rows and is emptied when full; a longer plan is made on each call, and
+the getter holds its row indices for that call only.  The merged
+dependency order of a join is keyed by atoms and sits in a fixed-size
+``lru_cache``, which never keeps a join wider than MAX_DEPS atoms: that
+join is refused.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, attrgetter, eq, not_
+from operator import add, and_, attrgetter, eq, itemgetter, not_
 from typing import Callable, Iterable, Iterator
 
 from .foleq import FoleqAlgebra, Interpretation, interpret
@@ -51,7 +54,8 @@ MAX_DEPS = 6  # dependency width of a table; keep constructions bounded
 MAX_ROWS = 10 ** 6  # k**deps table rows, k = 10 at width MAX_DEPS
 PLAN_CACHE_ROWS = 3 ** MAX_DEPS  # longest plan kept: k = 3 at width MAX_DEPS
 PLAN_CACHE_SIZE = 1024  # shapes kept at once; the cache is emptied when full
-JOIN_CACHE_SIZE = 4096  # merged dependency orders kept, least recently used out
+JOIN_CACHE_SIZE = 4096  # atom-keyed entries per cache (joins, sampler pools), LRU out
+DIGIT_RUNS = 256  # most runs of digits in one cached table of a sampler's rows
 _PLANS: dict[tuple, tuple] = {}  # (k, source width, column map) -> its plan
 _new = object.__new__  # a TableFun without __init__, for _made
 _ID = attrgetter("id")  # an atom's sort key
@@ -180,8 +184,10 @@ def _gather(k: int, src: tuple[Atom, ...], table: tuple, deps: tuple[Atom, ...],
     """
     if deps == src:
         return table
-    _rows(k, len(deps))
-    return tuple(map(table.__getitem__, _plan(k, len(src), cols)))
+    rows = _rows(k, len(deps))
+    got = itemgetter(*_plan(k, len(src), cols))(table)
+    # a getter of one row gives that row, not a 1-tuple
+    return got if rows > 1 else (got,)
 
 
 def _by_id(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
@@ -310,8 +316,8 @@ def tf_subst(f: TableFun, a: Atom, u: TableFun) -> TableFun:
     # read a itself, so a's column of deps is never f's
     base = _plan(k, n, fcols)
     stride = k ** (n - 1 - f.deps.index(a))
-    return _canonical(k, deps, tuple(map(f.table.__getitem__, map(
-        add, base, map(stride.__mul__, values)))))
+    got = itemgetter(*map(add, base, map(stride.__mul__, values)))(f.table)
+    return _canonical(k, deps, got if len(values) > 1 else (got,))
 
 
 def tf_meet(f: TableFun, g: TableFun) -> TableFun:
@@ -323,7 +329,7 @@ def tf_meet(f: TableFun, g: TableFun) -> TableFun:
     if not g.deps:
         return f if g.table[0] else g
     deps, x, y = _joined(f, g)
-    return _canonical(f.k, deps, tuple([p and q for p, q in zip(x, y)]))
+    return _canonical(f.k, deps, tuple(map(and_, x, y)))
 
 
 def tf_neg(f: TableFun) -> TableFun:
@@ -559,10 +565,50 @@ def random_model(sig: Signature, k: int, rng: random.Random) -> OrdinaryModel:
     return OrdinaryModel(sig, k, funcs, preds)
 
 
+@lru_cache(maxsize=JOIN_CACHE_SIZE)
+def _subsets(pool: tuple[Atom, ...]) -> tuple[tuple[tuple[Atom, ...], ...], ...]:
+    """Per width n from 0 to min(3, len(pool)), the n-subsets of pool, each in id order.
+
+    They come in the order of the n-subsets of pool's indices, so a choice
+    among them picks the atoms that the same choice among those would.
+    """
+    return tuple(tuple(map(_by_id, itertools.combinations(pool, n)))
+                 for n in range(min(3, len(pool)) + 1))
+
+
 @lru_cache(maxsize=None)
-def _index_subsets(m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """The n-subsets of range(m), each in increasing order."""
-    return tuple(itertools.combinations(range(m), n))
+def _digit_runs(base: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """(w, base ** w, runs): runs[x] is x's w base-``base`` digits, most significant first.
+
+    w is the most digits whose runs number at most DIGIT_RUNS.  Only bases
+    with w >= 2 are asked for, from 2 to the square root of DIGIT_RUNS, so
+    few tables are ever kept.
+    """
+    w = 1
+    while base ** (w + 1) <= DIGIT_RUNS:
+        w += 1
+    return w, base ** w, tuple(itertools.product(range(base), repeat=w))
+
+
+def _digits(x: int, base: int, rows: int) -> tuple[int, ...]:
+    """The rows base-``base`` digits of x < base ** rows, most significant first.
+
+    The digits are read a run of w at a time, from the table of runs; the
+    first run is the shorter when w does not divide rows.  A base with no
+    table is read one digit at a time.
+    """
+    if base < 2 or base * base > DIGIT_RUNS:
+        digits = [0] * rows
+        for i in range(rows - 1, -1, -1):
+            x, digits[i] = divmod(x, base)
+        return tuple(digits)
+    w, big, runs = _digit_runs(base)
+    whole, part = divmod(rows, w)
+    chunks = [0] * whole
+    for i in range(whole - 1, -1, -1):
+        x, chunks[i] = divmod(x, big)
+    return runs[x][w - part:] + tuple(itertools.chain.from_iterable(
+        map(runs.__getitem__, chunks)))
 
 
 def random_tablefun(k: int, rng: random.Random, pool: tuple[Atom, ...],
@@ -573,18 +619,15 @@ def random_tablefun(k: int, rng: random.Random, pool: tuple[Atom, ...],
     0..min(3, len(pool)), the n-subset of pool is uniform, and each of the
     k ** n rows is uniform on {False, True}, or on range(outputs), and
     independent of the others.  Each part is one draw: n is one randrange;
-    the subset is one choice among the n-subsets of pool's indices, which
-    are kept per pool size and n, so pools should be small; and the rows
-    are the binary digits of one getrandbits(k ** n), or the base-outputs
-    digits of one randrange(outputs ** k ** n), most significant first.
+    the subset is one choice among the n-subsets of pool, which are kept
+    per pool, so pools should be small; and the rows are the binary digits
+    of one getrandbits(k ** n), or the base-outputs digits of one
+    randrange(outputs ** k ** n), most significant first.
     """
-    n = rng.randrange(min(3, len(pool)) + 1)
-    deps = _by_id(map(pool.__getitem__, rng.choice(_index_subsets(len(pool), n))))
-    rows = _rows(k, n)
+    subsets = _subsets(pool)
+    deps = rng.choice(subsets[rng.randrange(len(subsets))])
+    rows = _rows(k, len(deps))
     if outputs is None:
         bits = format(rng.getrandbits(rows), f"0{rows}b")
         return _canonical(k, deps, tuple(map(_BIT.__getitem__, bits)))
-    x, table = rng.randrange(outputs ** rows), [0] * rows
-    for i in range(rows - 1, -1, -1):
-        x, table[i] = divmod(x, outputs)
-    return _canonical(k, deps, tuple(table))
+    return _canonical(k, deps, _digits(rng.randrange(outputs ** rows), outputs, rows))

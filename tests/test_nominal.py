@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -39,6 +41,36 @@ def test_support_examples():
     assert support(All(a, Pred("P", (Var(a), Var(b))))) == {b}
     with pytest.raises(TypeError):
         support(object())
+
+
+def test_atoms_hash_compare_and_order_by_index():
+    ids = [3, 0, 7, 1]
+    for i in ids:
+        # the iteration order of atom sets, and so the prover's output,
+        # follows this hash
+        assert hash(Atom(i)) == hash((i,))
+        assert Atom(i) == Atom(i) and Atom(i).id == i
+    assert sorted(map(Atom, ids)) == [Atom(i) for i in sorted(ids)]
+    assert Atom(0) < Atom(1) <= Atom(1) < Atom(7) and Atom(3) != Atom(1)
+    assert len({Atom(1), Atom(1), Atom(2)}) == 2
+
+
+def test_tuples_of_atoms_are_tuples_of_atoms_not_of_indices():
+    # an atom is a tuple, so act and support must see it before tuple
+    assert support((a, b)) == {a, b}
+    assert support(((a,), (b, c))) == {a, b, c}
+    assert act(swap(a, b), (a, c, b)) == (b, c, a)
+    assert all(type(x) is Atom for x in act(swap(a, b), (a, c, b)))
+    assert act(swap(a, c), a) is c
+
+
+def test_copies_and_pickles_of_atoms_are_the_same_atom():
+    x = Atom(5)
+    copies = [copy.copy(x), copy.deepcopy(x), copy.deepcopy((x, [x]))[0]]
+    copies += [pickle.loads(pickle.dumps(x, protocol=p))
+               for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for y in copies:
+        assert type(y) is Atom and y == x and y.id == 5 and repr(y) == "a5"
 
 
 def test_fresh_lowest_unused():

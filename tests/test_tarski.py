@@ -539,6 +539,24 @@ def test_random_tables_are_uniform(monkeypatch):
                 assert all(abs(c * len(whole) / len(drawn) - 1) <= 0.25 for c in whole.values())
 
 
+def test_random_tables_match_the_reference_sampler_on_pools_in_any_order():
+    # rows are decoded a run of digits at a time: base 2 in runs of 8, 3 of
+    # 5, 4 of 4 and 5 of 3, so 3, 9 and 27 rows at base 3, and 4, 8, 16 and
+    # 64 rows at base 5, start with a short run; bases 1 and 17 go a digit
+    # at a time
+    shuffled = list(POOL)
+    random.Random(5).shuffle(shuffled)
+    for pool in (POOL, POOL[::-1], tuple(shuffled)):
+        for k in range(1, 5):
+            for outputs in (None, k, 5, 17):
+                for seed in range(12):
+                    mine, ref = random.Random(seed), random.Random(seed)
+                    assert random_tablefun(k, mine, pool, outputs) == \
+                        ref_random_tablefun(k, ref, pool, outputs), (pool, k, outputs, seed)
+                    # the same draws, so every later draw is the same too
+                    assert mine.getstate() == ref.getstate()
+
+
 def test_meet_and_tablefun_refuse_what_is_not_a_table():
     with pytest.raises(ValueError, match="mismatched domains"):
         tf_meet(tablefun(2, (a,), (0, 1)), tablefun(3, (a,), (0, 1, 1)))
@@ -578,6 +596,28 @@ def test_tables_longer_than_kept_plans_match_closure_kernel():
         assert tf_eq(u, v) == ref_eq(u, v)
         assert tf_subst(f, q, u) == ref_subst(f, q, u)
         assert tf_freshmeet(q, f) == ref_freshmeet(q, f)
+
+
+def test_gathers_of_one_row_and_of_plans_too_long_to_keep():
+    # a getter of one row returns that row, not a 1-tuple: a table that
+    # reads no column at k >= 2, a table re-ordered at k = 1, and a
+    # substitution that reads nothing all have a one-row table
+    for f, row in ((tablefun(2, (b, a), (True,) * 4), True),
+                   (tablefun(3, (a,), (2, 2, 2)), 2),
+                   (tablefun(1, (b, a), (True,)), True),
+                   (tf_subst(tf_atm(3, a), a, tf_const(3, 2)), 2)):
+        assert f.deps == () and f.table == (row,) and f == tf_const(f.k, row)
+    assert tarski._gather(2, (a,), (5, 7), (), ()) == (5,)
+    # plans longer than PLAN_CACHE_ROWS go through the getter as well, and
+    # are not kept: each row of the gather is the source row it reads
+    k, src = 4, atoms(3, 2, 1, 0)
+    table = tuple(range(k ** len(src)))
+    for deps, cols in ((atoms(0, 1, 2, 3, 9), (3, 2, 1, 0, -1)),
+                       (atoms(9, 0, 1, 2, 3), (-1, 3, 2, 1, 0))):
+        assert k ** len(deps) > PLAN_CACHE_ROWS
+        want = tuple(_row(k, src, m) for m in _ref_rows(k, deps))
+        assert tarski._gather(k, src, table, deps, cols) == want
+        assert (k, len(src), cols) not in tarski._PLANS
 
 
 def test_plan_cache_stays_bounded():
