@@ -109,7 +109,7 @@ def filter_check(p: PredSet, universe: Sequence[Formula], b: ProverBudget,
                 f"condition-3: conjunction of {pretty(phi)} and {pretty(psi)} missing")
     seen = set()
     for phi in universe:
-        for a in sorted(free_atoms(phi), key=lambda x: x.id):
+        for a in sorted(free_atoms(phi)):
             key = (alpha_key(phi), a)
             if key in seen:
                 continue

@@ -436,9 +436,9 @@ def _closing(sq: Sequent) -> Proof | None:
 def _search(s: Sequent, budget: ProverBudget, sig: Signature | None) -> Proof | None:
     """The bounded backward search of decide, without its countermodel check.
 
-    Only the root's sides are keyed from scratch: each premise's sides are
-    built from its conclusion's with ``Side.plus`` and ``Side.without``,
-    which key just the formulas they add or drop.
+    No side is keyed from scratch: the root's come keyed with s, and each
+    premise's are built from its conclusion's with ``Side.plus`` and
+    ``Side.without``, which key just the formulas they add or drop.
 
     allL instances, eqR equations and eqL rewrites are built and keyed once
     per principal and witness and reused at every node that offers the
@@ -559,7 +559,7 @@ def _search(s: Sequent, budget: ProverBudget, sig: Signature | None) -> Proof | 
         memo_fail[key] = depth
         return None
 
-    proof = search(sequent(s.left, s.right), budget.max_depth)
+    proof = search(s, budget.max_depth)
     # search refers to itself, so the call's tables would wait for the cycle
     # collector; dropping the name frees them now
     del search
@@ -887,7 +887,7 @@ def find_countermodel(s: Sequent, sig: Signature | None, max_k: int, *,
         # function and a predicate, so its pairs that s uses make a Signature
         used = Signature(tuple(x for x in sig.functions if x in fs),
                          tuple(x for x in sig.predicates if x in ps))
-    free = tuple(sorted(s.free_atoms(), key=lambda a: a.id))
+    free = tuple(sorted(s.free_atoms()))
     total = 0
     for k in range(1, max_k + 1):
         n = _size_space(used.functions, used.predicates, len(free), k)

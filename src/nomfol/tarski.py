@@ -41,7 +41,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, and_, attrgetter, eq, itemgetter, not_
+from operator import add, and_, eq, itemgetter, not_
 from typing import Callable, Iterable, Iterator
 
 from .foleq import FoleqAlgebra, Interpretation, interpret
@@ -55,10 +55,8 @@ MAX_ROWS = 10 ** 6  # k**deps table rows, k = 10 at width MAX_DEPS
 PLAN_CACHE_ROWS = 3 ** MAX_DEPS  # longest plan kept: k = 3 at width MAX_DEPS
 PLAN_CACHE_SIZE = 1024  # shapes kept at once; the cache is emptied when full
 JOIN_CACHE_SIZE = 4096  # atom-keyed entries per cache (joins, sampler pools), LRU out
-DIGIT_RUNS = 256  # most runs of digits in one cached table of a sampler's rows
 _PLANS: dict[tuple, tuple] = {}  # (k, source width, column map) -> its plan
 _new = object.__new__  # a TableFun without __init__, for _made
-_ID = attrgetter("id")  # an atom's sort key
 _BIT = {"0": False, "1": True}  # a binary digit's truth value
 
 
@@ -109,7 +107,7 @@ class TableFun:
     def __post_init__(self):
         if len(self.table) != _rows(self.k, len(_narrow(self.deps))):
             raise ValueError("table size does not match dependency count")
-        if any(p.id >= q.id for p, q in zip(self.deps, self.deps[1:])):
+        if any(p >= q for p, q in zip(self.deps, self.deps[1:])):
             raise ValueError(f"atoms {self.deps} are not distinct and in id order")
         if _canonical(self.k, self.deps, self.table).deps != self.deps:
             raise ValueError(f"table over {self.deps} does not read every atom")
@@ -191,14 +189,13 @@ def _gather(k: int, src: tuple[Atom, ...], table: tuple, deps: tuple[Atom, ...],
 
 
 def _by_id(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
-    return tuple(sorted(atoms, key=_ID))
+    return tuple(sorted(atoms))
 
 
 def _ordered(k: int, atoms: tuple[Atom, ...],
              table: tuple) -> tuple[tuple[Atom, ...], tuple]:
     """A table over distinct atoms in any order, on those atoms by id: (deps, rows)."""
-    ids = [a.id for a in atoms]
-    cols = tuple(sorted(range(len(ids)), key=ids.__getitem__))
+    cols = tuple(sorted(range(len(atoms)), key=atoms.__getitem__))
     deps = tuple(map(atoms.__getitem__, cols))
     return deps, _gather(k, atoms, table, deps, cols)
 
@@ -370,12 +367,15 @@ class OrdinaryModel:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("domain must be non-empty")
-        for name, ar in self.sig.functions:
-            if len(self.funcs.get(name, ())) != self.k ** ar:
-                raise ValueError(f"function table for {name} has wrong size")
-        for name, ar in self.sig.predicates:
-            if len(self.preds.get(name, ())) != self.k ** ar:
-                raise ValueError(f"predicate table for {name} has wrong size")
+        for kind, tables, symbols in (("function", self.funcs, self.sig.functions),
+                                      ("predicate", self.preds, self.sig.predicates)):
+            for name, ar in symbols:
+                if name not in tables:
+                    raise ValueError(f"no table for {name}")
+                got, need = len(tables[name]), self.k ** ar
+                if got != need:
+                    raise ValueError(f"{kind} table for {name} has {got} values, "
+                                     f"needs {self.k} ** {ar} = {need}")
 
     def _index(self, args: tuple[int, ...]) -> int:
         idx = 0
@@ -576,39 +576,12 @@ def _subsets(pool: tuple[Atom, ...]) -> tuple[tuple[tuple[Atom, ...], ...], ...]
                  for n in range(min(3, len(pool)) + 1))
 
 
-@lru_cache(maxsize=None)
-def _digit_runs(base: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-    """(w, base ** w, runs): runs[x] is x's w base-``base`` digits, most significant first.
-
-    w is the most digits whose runs number at most DIGIT_RUNS.  Only bases
-    with w >= 2 are asked for, from 2 to the square root of DIGIT_RUNS, so
-    few tables are ever kept.
-    """
-    w = 1
-    while base ** (w + 1) <= DIGIT_RUNS:
-        w += 1
-    return w, base ** w, tuple(itertools.product(range(base), repeat=w))
-
-
 def _digits(x: int, base: int, rows: int) -> tuple[int, ...]:
-    """The rows base-``base`` digits of x < base ** rows, most significant first.
-
-    The digits are read a run of w at a time, from the table of runs; the
-    first run is the shorter when w does not divide rows.  A base with no
-    table is read one digit at a time.
-    """
-    if base < 2 or base * base > DIGIT_RUNS:
-        digits = [0] * rows
-        for i in range(rows - 1, -1, -1):
-            x, digits[i] = divmod(x, base)
-        return tuple(digits)
-    w, big, runs = _digit_runs(base)
-    whole, part = divmod(rows, w)
-    chunks = [0] * whole
-    for i in range(whole - 1, -1, -1):
-        x, chunks[i] = divmod(x, big)
-    return runs[x][w - part:] + tuple(itertools.chain.from_iterable(
-        map(runs.__getitem__, chunks)))
+    """The rows base-``base`` digits of x < base ** rows, most significant first."""
+    digits = [0] * rows
+    for i in range(rows - 1, -1, -1):
+        x, digits[i] = divmod(x, base)
+    return tuple(digits)
 
 
 def random_tablefun(k: int, rng: random.Random, pool: tuple[Atom, ...],

@@ -344,6 +344,19 @@ def test_model_values_are_checked(tmp_path):
         assert (code, out) == (64, f"error: {err}\n")
 
 
+def test_a_missing_or_short_table_is_named(tmp_path):
+    # a missing table is named as missing, a short one by its count
+    sig = tmp_path / "pq.sig"
+    sig.write_text("pred P 2\npred Q 1\n")
+    model = tmp_path / "bad.model"
+    for body, err in [("pred Q : 0 1", "no table for P"),
+                      ("pred P : 0 1 1\npred Q : 0 1",
+                       "predicate table for P has 3 values, needs 2 ** 2 = 4")]:
+        model.write_text("domain 2\n" + body + "\n")
+        code, out = go("eval", "P(a, a) /\\ Q(a)", "--sig", str(sig), "--model", str(model))
+        assert (code, out) == (64, f"error: {err}\n")
+
+
 def test_a_second_domain_line_is_refused():
     # c = 2 was checked against domain 3, then the table was built at domain 2
     assert go("eval", "P(c)", "--sig", os.path.join(DATA, "cp1.sig"),

@@ -53,6 +53,9 @@ def test_atoms_hash_compare_and_order_by_index():
     assert sorted(map(Atom, ids)) == [Atom(i) for i in sorted(ids)]
     assert Atom(0) < Atom(1) <= Atom(1) < Atom(7) and Atom(3) != Atom(1)
     assert len({Atom(1), Atom(1), Atom(2)}) == 2
+    # by number, not by name: a9 < a10 < a100, though "a10" < "a9"
+    assert sorted(map(Atom, (100, 10, 9))) == [Atom(9), Atom(10), Atom(100)]
+    assert Atom(9) < Atom(10) < Atom(100) and not Atom(10) < Atom(9)
 
 
 def test_tuples_of_atoms_are_tuples_of_atoms_not_of_indices():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from nomfol import tarski
 from nomfol.cli import run
 from nomfol.foleq import interpret
-from nomfol.nominal import Perm, act, atoms, fresh, support, swap
+from nomfol.nominal import Atom, Perm, act, atoms, fresh, support, swap
 from nomfol.samplers import tarski_sampler
 from nomfol.sigma import sigma_axiom_suite
 from nomfol.syntax import (All, BOT, Eq, Neg, Or, Pred, Signature,
@@ -100,9 +100,11 @@ def test_the_constructor_refuses_a_table_that_is_not_canonical():
         TableFun(1, (a,), (0,))
     diag = tf_eq(tf_atm(2, a), tf_atm(2, b))
     assert TableFun(2, (a, b), diag.table) == diag
-    for order in ((b, a), (a, a)):
+    for order in ((b, a), (a, a), (Atom(10), Atom(9))):
         with pytest.raises(ValueError, match="not distinct and in id order"):
             TableFun(2, order, diag.table)
+    # the order is by id, not by name: a9 comes before a10
+    assert TableFun(2, (Atom(9), Atom(10)), diag.table).deps == (Atom(9), Atom(10))
     with pytest.raises(ValueError, match="table size does not match"):
         TableFun(2, (a,), diag.table)
 
@@ -540,10 +542,8 @@ def test_random_tables_are_uniform(monkeypatch):
 
 
 def test_random_tables_match_the_reference_sampler_on_pools_in_any_order():
-    # rows are decoded a run of digits at a time: base 2 in runs of 8, 3 of
-    # 5, 4 of 4 and 5 of 3, so 3, 9 and 27 rows at base 3, and 4, 8, 16 and
-    # 64 rows at base 5, start with a short run; bases 1 and 17 go a digit
-    # at a time
+    # the same tables as the reference sampler, and the same rng state
+    # after each draw, at bases 1 to 5 and 17 and on 1 to 64 rows
     shuffled = list(POOL)
     random.Random(5).shuffle(shuffled)
     for pool in (POOL, POOL[::-1], tuple(shuffled)):
