@@ -3,7 +3,8 @@
 Output is line-oriented; every command is deterministic given its inputs
 and seed.  Exit codes: 0 success, 1 check failed, 2 unknown, not found or
 (for prove) refuted, 64 usage error or input past a nesting or size limit,
-141 output closed early (as by ``| head``), which ends a command quietly.
+70 internal error (a countermodel that fails its re-check), 141 output
+closed early (as by ``| head``), which ends a command quietly.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from . import filters, samplers
 from .foleq import FOLEQ_LAWS, foleq_axiom_suite, interpret
 from .nominal import support
 from .report import run_laws
-from .sequent import (ProverBudget, SearchRefused, check_proof, decide,
+from .sequent import (CountermodelError, ProverBudget, SearchRefused,
+                      check_countermodel, check_proof, decide,
                       find_countermodel, format_proof, parse_proof,
                       parse_sequent)
 from .sigma import (amgis_axiom_suite, pow_amgis, precedent_suite,
@@ -27,6 +29,7 @@ from .tarski import (lift_interpretation, parse_model, tarski_algebra,
                      tarski_termlike)
 
 USAGE_ERROR = 64
+INTERNAL_ERROR = 70  # sysexits' EX_SOFTWARE
 CLOSED_OUTPUT = 141  # what a shell reports for a process killed by SIGPIPE
 
 EQ_LAWS = ("sub-eq", "eq-refl", "eq-subst")
@@ -78,10 +81,15 @@ def cmd_eval(args, out) -> int:
     return 0
 
 
-def _print_countermodel(found, out) -> None:
-    """The model file, then its valuation as a ``# valuation`` comment line."""
+def _print_countermodel(s, found, out, head: str = "") -> None:
+    """head, the model file, then its valuation as a ``# valuation`` comment line.
+
+    found is re-checked against s first, so a countermodel that fails
+    raises CountermodelError before anything is printed.
+    """
+    check_countermodel(s, found)
     model, vs = found
-    print(model.format(), end="", file=out)
+    print(head + model.format(), end="", file=out)
     ov = [f"{a.name}={v}" for a, v in sorted(vs.overrides.items())]
     print(" ".join(["# valuation", *ov, f"default={vs.default}"]), file=out)
 
@@ -95,8 +103,7 @@ def cmd_prove(args, out) -> int:
         print(format_proof(verdict.proof), file=out)
         return 0
     if verdict.countermodel is not None:
-        print("REFUTED", file=out)
-        _print_countermodel(verdict.countermodel, out)
+        _print_countermodel(s, verdict.countermodel, out, head="REFUTED\n")
     else:
         print("UNKNOWN", file=out)
     return 2
@@ -131,7 +138,7 @@ def cmd_countermodel(args, out) -> int:
     if found is None:
         print("UNKNOWN", file=out)
         return 2
-    _print_countermodel(found, out)
+    _print_countermodel(s, found, out)
     return 0
 
 
@@ -217,6 +224,9 @@ def run(argv, out=None) -> int:
     except (SyntaxError_, OSError, ValueError) as e:
         print(f"error: {e}", file=out)
         return USAGE_ERROR
+    except CountermodelError as e:
+        print(f"internal error: {e}", file=out)
+        return INTERNAL_ERROR
 
 
 def main() -> None:

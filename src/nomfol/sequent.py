@@ -3,13 +3,15 @@
 Sequents are finite alpha-aware sets, so contraction is implicit.
 ``decide`` gives a sequent one verdict: a proof, a countermodel, or
 neither.  It proves a root that hyp or botL closes, and otherwise looks
-for a countermodel of size 1, or of size 2 for a small sequent with an
-equation, and returns it without searching, since no depth could prove a
-sequent that has one; only then does the bounded search run, which is
-sound by construction.  ``prove`` returns just the verdict's proof, so
-its None covers both a refutation and a search that ran out of depth.
+for a countermodel of size 1, or of size 2 for a sequent with an
+equation, as far as the countermodel search's limit allows, and returns
+it without searching, since no depth could prove a sequent that has one;
+only then does the bounded search run, which is sound by construction.
+``prove`` returns just the verdict's proof, so its None covers both a
+refutation and a search that ran out of depth.
 Countermodels are exhaustive up to the size bound, so a found model is a
-certificate; a size too large to search or to pad is refused.  The
+certificate, which ``check_countermodel`` re-evaluates where it leaves
+the library; a size too large to search or to pad is refused.  The
 countermodel search decides size 1 on the truth bits of the predicate
 assignments, and every larger size on bits with one per (model,
 valuation) pair, each formula evaluated once.
@@ -31,7 +33,7 @@ from .syntax import (All, And, App, BOT, Bot, Eq, Formula, LimitExceeded,
                      free_atoms_term, parse_shared, parse_sides, pretty,
                      pretty_term, random_formula, random_term, subst_formula,
                      subterms)
-from .tarski import MAX_ROWS, OrdinaryModel, Valuation
+from .tarski import MAX_ROWS, OrdinaryModel, Valuation, standard_eval
 
 
 class Side(tuple):
@@ -368,7 +370,8 @@ def decide(s: Sequent, budget: ProverBudget = ProverBudget(),
 
     A root that hyp or botL closes is proved at once, as the search would
     prove it.  Otherwise a small countermodel is looked for first, of size
-    1, and of size 2 when ``_small_countermodel`` finds that affordable.  A
+    1, and of size 2 when s has an equation, as far as find_countermodel's
+    limit lets ``_small_countermodel`` reach.  A
     sequent that has one is not valid, so no search could prove it: the
     model is returned without searching.  The check is made at the root
     only: a model that falsifies a premise falsifies its conclusion, so if
@@ -402,24 +405,19 @@ def _small_countermodel(s: Sequent, sig: Signature | None = None
 
     Both sizes are decided bit-parallel by find_countermodel, with no
     model built before the answer.  Size 2 is searched only when s has an
-    equation, since every equation holds in a model of size 1, and when
-    its size-2 space holds at most GUARD_SIZE_2_LIMIT (model, valuation)
-    pairs.  Searching size 2 for every sequent made the filters benchmark
-    about 15% slower; a larger limit refutes some sequents that are now
-    left unknown, and so changes pinned answers.  The model is
-    find_countermodel's over sig.  None, without a search, when the
-    symbols s uses make no Signature (a name at two arities, or as both a
-    function and a predicate) or when find_countermodel refuses the size;
-    decide then just searches.
+    equation, since every equation holds in a model of size 1; searching
+    it for every sequent made the filters benchmark slower.  How far the
+    search reaches is find_countermodel's own limit: COUNTERMODEL_SPACE_LIMIT
+    pairs over sizes 1 and 2 together, and MAX_ROWS rows a table.  The
+    model is find_countermodel's over sig.  None, without a search, when
+    the symbols s uses make no Signature (a name at two arities, or as
+    both a function and a predicate) or when find_countermodel refuses a
+    size; decide then just searches.
     """
     funcs, preds, has_equation = _symbols(s.left + s.right)
-    max_k = 1
-    if has_equation:
-        n = _size_space(funcs, preds, len(s.free_atoms()), 2)
-        if isinstance(n, int) and n <= GUARD_SIZE_2_LIMIT:
-            max_k = 2
     try:
-        return find_countermodel(s, sig, max_k, symbols=(funcs, preds, has_equation))
+        return find_countermodel(s, sig, 2 if has_equation else 1,
+                                 symbols=(funcs, preds, has_equation))
     except (SearchRefused, ValueError):
         return None
 
@@ -567,7 +565,6 @@ def _search(s: Sequent, budget: ProverBudget, sig: Signature | None) -> Proof | 
 
 
 COUNTERMODEL_SPACE_LIMIT = 10 ** 6
-GUARD_SIZE_2_LIMIT = 4096  # size-2 (model, valuation) pairs prove's guard may search
 
 
 def _atomic(formulas: Iterable[Formula]) -> Iterator[Formula]:
@@ -908,6 +905,31 @@ def find_countermodel(s: Sequent, sig: Signature | None, max_k: int, *,
     return None
 
 
+class CountermodelError(Exception):
+    """A countermodel that standard_eval finds does not falsify its sequent.
+
+    The countermodel search is then at fault, not its input.
+    """
+
+
+def check_countermodel(s: Sequent, found: tuple[OrdinaryModel, Valuation]) -> None:
+    """Raise CountermodelError unless found makes s's left true and its right false.
+
+    Each formula of s is evaluated once with standard_eval, on the model
+    and valuation found.  find_countermodel and decide's guard decide on
+    bits and never evaluate a model; this check is made where a
+    countermodel leaves the library: the CLI's printed models and
+    herbrand_equiv's distinct answer.
+    """
+    model, vs = found
+    for want, formulas in ((True, s.left), (False, s.right)):
+        for f in formulas:
+            if standard_eval(f, model, vs) != want:
+                raise CountermodelError(
+                    f"countermodel of size {model.k} makes {pretty(f)} "
+                    f"{'false' if want else 'true'} in {format_sequent(s)}")
+
+
 # ----------------------------------------------- forward generation
 
 def _random_context(sig: Signature, rng, pool) -> list[Formula]:
@@ -1044,14 +1066,16 @@ def herbrand_equiv(phi: Formula, psi: Formula, sig: Signature,
     is distinct with its model.  Only a direction left unknown is searched
     for a countermodel up to max_k over sig; a refused search leaves that
     direction unknown, and unknown is the answer when no direction is
-    refuted.
+    refuted.  A distinct answer's model is re-checked by
+    check_countermodel, which raises CountermodelError if it fails.
     """
     directions = (sequent([phi], [psi]), sequent([psi], [phi]))
     verdicts = [decide(s, budget, sig) for s in directions]
     if all(v.proof is not None for v in verdicts):
         return HerbrandResult("equivalent")
-    for v in verdicts:
+    for s, v in zip(directions, verdicts):
         if v.countermodel is not None:
+            check_countermodel(s, v.countermodel)
             return HerbrandResult("distinct", v.countermodel)
     for s, v in zip(directions, verdicts):
         if v.proof is None:
@@ -1060,6 +1084,7 @@ def herbrand_equiv(phi: Formula, psi: Formula, sig: Signature,
             except SearchRefused:
                 continue
             if found is not None:
+                check_countermodel(s, found)
                 return HerbrandResult("distinct", found)
     return HerbrandResult("unknown")
 

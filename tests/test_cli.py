@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import nomfol
 from nomfol import filters
+from nomfol import sequent as sequent_module
 from nomfol.cli import build_parser, run
 from nomfol.nominal import FinCofinAtomSet
 from nomfol.sequent import _count
@@ -309,6 +310,28 @@ def test_prove_gives_up_at_once_on_a_refuted_sequent():
     assert code == 2 and out.startswith("REFUTED\n")
     assert out[len("REFUTED\n"):] == go(
         "countermodel", "a1 = a0, g(a0, a2) = a2, forall a1. a1 = a2 |- Q(a0, a0)")[1]
+
+
+def test_prove_refutes_an_equational_sequent_at_size_2():
+    # 2**15 size-2 pairs: the guard refutes it where the depth-5 search fails
+    text = "P(a3) /\\ Q(a3, a6) |- g(a1, a3) = f(a1)"
+    with open(os.path.join(DATA, "gf2.refuted")) as fh:
+        golden = fh.read()
+    assert go("prove", text, "--depth", "5") == (2, golden)
+    assert golden == "REFUTED\n" + go("countermodel", text, "--max-k", "2")[1]
+
+
+def test_a_countermodel_that_fails_its_recheck_is_an_internal_error(monkeypatch):
+    # the highest index in place of the lowest: P true, so |- P(a) holds
+    assert go("countermodel", "|- P(a)", "--sig", SIG)[0] == 0
+    monkeypatch.setattr(sequent_module, "_lowest",
+                        lambda s, truth, full: full.bit_length() - 1)
+    for argv in (["countermodel", "|- P(a)", "--sig", SIG],
+                 ["prove", "|- P(a)", "--sig", SIG]):
+        code, out = go(*argv)
+        assert code == 70, argv
+        assert out == ("internal error: countermodel of size 1 makes P(a0) true "
+                       "in |- P(a0)\n"), argv
 
 
 def test_table_rows_are_bounded(tmp_path):

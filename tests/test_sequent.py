@@ -12,8 +12,9 @@ from nomfol import syntax
 from nomfol import tarski as tarski_module
 from nomfol.nominal import act, atoms, fresh, swap
 from nomfol.foleq import sequent_valid
-from nomfol.sequent import (Proof, ProverBudget, SearchRefused, Side, Verdict,
-                            _RULES, _small_countermodel, _search, _sexpr_tokens,
+from nomfol.sequent import (COUNTERMODEL_SPACE_LIMIT, CountermodelError, Proof,
+                            ProverBudget, SearchRefused, Side, Verdict, _RULES,
+                            _small_countermodel, _search, _sexpr_tokens,
                             _size_space, _symbols, check_proof, decide,
                             default_universe, find_countermodel, format_proof,
                             format_sequent, formula_terms, generate_derivable,
@@ -850,6 +851,15 @@ def test_herbrand_proved_both_ways_needs_no_countermodel_search(monkeypatch):
     assert r.countermodel[0] == model and r.countermodel[1].overrides == vs.overrides
 
 
+def test_herbrand_rechecks_a_distinct_answer(monkeypatch):
+    # the highest index in place of the lowest: P(a) and Q(a, a) both true,
+    # which is no countermodel of P(a) |- Q(a, a)
+    monkeypatch.setattr(sequent_module, "_lowest",
+                        lambda s, truth, full: full.bit_length() - 1)
+    with pytest.raises(CountermodelError):
+        herbrand_equiv(pf("P(a)"), pf("Q(a, a)"), sig)
+
+
 def test_herbrand_unknown_when_the_search_is_refused():
     # P(a..a) and forall b. P(b..b) agree at size 1; size 2 is refused
     wide = Signature((), (("P", 24),))
@@ -1138,7 +1148,7 @@ def test_verdicts_are_certificates_on_the_golden_corpus():
                 assert not any(standard_eval(f, model, vs) for f in s.right), s
             else:
                 counts["unknown"] += 1
-    assert counts == {"proved": 376, "refuted": 250, "unknown": 14}
+    assert counts == {"proved": 376, "refuted": 256, "unknown": 8}
 
 
 def test_a_verdict_is_never_both():
@@ -1185,17 +1195,23 @@ def test_guard_searches_size_2_only_for_small_equational_sequents(monkeypatch):
     searched = []
     monkeypatch.setattr(sequent_module, "_search",
                         lambda s, budget, sig: searched.append(s))
-    Qs = [Pred(f"Q{i}", (Var(a), Var(b))) for i in range(3)]
+    Qs = [Pred(f"Q{i}", (Var(a), Var(b))) for i in range(5)]
     # a = b holds in every model of size 1 but not of size 2: with two
     # binary predicates the size-2 space is 2**4 * 2**4 * 2**2 = 1,024
-    # pairs, refuted without a search
+    # pairs, and with three 16,384, both refuted without a search
     assert prove(sequent(Qs[:2], [Eq(Var(a), Var(b))])) is None
+    three = sequent(Qs[:3], [Eq(Var(a), Var(b))])
+    funcs, preds, _ = _symbols(three.left + three.right)
+    assert _size_space(funcs, preds, 2, 2) == 16384
+    assert prove(three) is None
     assert searched == []
-    # with three it is 16,384, over the guard's limit of 4,096: searched
+    # with five it is 2**20 * 2**2 = 4,194,304, over find_countermodel's
+    # limit: the guard is refused, so it is searched
     over = sequent(Qs, [Eq(Var(a), Var(b))])
     funcs, preds, _ = _symbols(over.left + over.right)
-    assert _size_space(funcs, preds, 2, 2) == 16384 > sequent_module.GUARD_SIZE_2_LIMIT
-    assert find_countermodel(over, _used(over), 2) is not None
+    assert _size_space(funcs, preds, 2, 2) == 4194304 > COUNTERMODEL_SPACE_LIMIT
+    with pytest.raises(SearchRefused):
+        find_countermodel(over, _used(over), 2)
     assert not _small_countermodel(over)
     prove(over)
     assert searched == [over]
@@ -1218,8 +1234,7 @@ def ref_guard_size(s):
     """The size the guard searches, by its first rule; None for no search.
 
     The symbols s uses must make a checked Signature.  Then size 2 is
-    searched when s has an equation and a size-2 space within
-    GUARD_SIZE_2_LIMIT, and size 1 otherwise.
+    searched when s has an equation, and size 1 otherwise.
     """
     fs = s.left + s.right
     atomic = [f for phi in fs for f in _ref_atoms(phi)]
@@ -1227,14 +1242,10 @@ def ref_guard_size(s):
              if isinstance(t, App)}
     preds = {(f.name, len(f.args)) for f in atomic if isinstance(f, Pred)}
     try:
-        used = Signature(tuple(sorted(funcs)), tuple(sorted(preds)))
+        Signature(tuple(sorted(funcs)), tuple(sorted(preds)))
     except ValueError:
         return None
-    if any(isinstance(f, Eq) for f in atomic):
-        n = _size_space(used.functions, used.predicates, len(s.free_atoms()), 2)
-        if isinstance(n, int) and n <= sequent_module.GUARD_SIZE_2_LIMIT:
-            return 2
-    return 1
+    return 2 if any(isinstance(f, Eq) for f in atomic) else 1
 
 
 def test_guard_sizes_follow_the_checked_signature_rule(monkeypatch):
