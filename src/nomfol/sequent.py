@@ -40,11 +40,10 @@ class Side(tuple):
     """One side of a sequent, a finite set of formulas up to alpha.
 
     It is a tuple of one formula per alpha class, the first one seen, in
-    key order.  ``keys`` holds their alpha keys in that order and
-    ``key_set`` the same keys as a set, so membership up to alpha and the
-    memo key are lookups, not walks.  ``Side(formulas)`` keys every
-    formula; ``plus`` and ``without`` build a side from this one's keys,
-    keying only the formulas they add or drop.
+    key order.  ``keys`` holds their alpha keys in that order, so
+    membership up to alpha and the memo key read keys, not formulas.
+    ``Side(formulas)`` keys every formula; ``plus`` and ``without`` build a
+    side from this one's keys, keying only the formulas they add or drop.
     """
 
     def __new__(cls, formulas: Iterable[Formula]) -> "Side":
@@ -56,7 +55,7 @@ class Side(tuple):
 
     def has(self, phi: Formula) -> bool:
         """Whether phi is on this side, up to alpha."""
-        return alpha_key(phi) in self.key_set
+        return alpha_key(phi) in self.keys
 
     def plus(self, *formulas: Formula) -> "Side":
         """This side with formulas added, up to alpha, as Side(self + formulas)."""
@@ -80,7 +79,7 @@ class Side(tuple):
 def _side(formulas, keys: tuple[str, ...]) -> Side:
     """The Side of formulas already deduplicated and sorted by their keys."""
     side = tuple.__new__(Side, formulas)
-    side.keys, side.key_set = keys, frozenset(keys)
+    side.keys = keys
     return side
 
 
@@ -300,7 +299,7 @@ def _check_node(p: Proof) -> None:
         _fail(p, f"witnesses should be of kinds '{kinds}'")
 
     if p.rule == "hyp":
-        if s.right.key_set.isdisjoint(s.left.keys):
+        if not any(map(s.right.keys.__contains__, s.left.keys)):
             _fail(p, "no shared formula between the two sides")
     elif p.rule == "botL":
         if not s.left.has(BOT):
@@ -424,9 +423,9 @@ def _small_countermodel(s: Sequent, sig: Signature | None = None
 
 def _closing(sq: Sequent) -> Proof | None:
     """The hyp or botL leaf that closes sq, if one does."""
-    if not sq.right.key_set.isdisjoint(sq.left.keys):
+    if any(map(sq.right.keys.__contains__, sq.left.keys)):
         return Proof("hyp", sq)
-    if _BOT_KEY in sq.left.key_set:
+    if _BOT_KEY in sq.left.keys:
         return Proof("botL", sq)
     return None
 
@@ -507,7 +506,7 @@ def _search(s: Sequent, budget: ProverBudget, sig: Signature | None) -> Proof | 
         for f in left:
             if isinstance(f, All):
                 for r, (inst, k) in zip(universe, allL_instances(f)):
-                    if k not in left.key_set:
+                    if k not in left.keys:
                         yield "allL", (f, r), [Sequent(left.plus(inst), right)]
         if not any(isinstance(f, Eq) for f in left + right):
             return
@@ -516,7 +515,7 @@ def _search(s: Sequent, budget: ProverBudget, sig: Signature | None) -> Proof | 
                 refl = Eq(r, r)
                 refls.append((r, refl, alpha_key(refl)))
         for r, refl, k in refls:
-            if k not in left.key_set:
+            if k not in left.keys:
                 yield "eqR", (r,), [Sequent(left.plus(refl), right)]
         sq_atoms = sq.free_atoms()
         for e in left:
@@ -528,7 +527,7 @@ def _search(s: Sequent, budget: ProverBudget, sig: Signature | None) -> Proof | 
                     continue
                 hole = eqL_hole(blocked, target)
                 for template, inst_new, k in eqL_rewrites(e, target, hole):
-                    if k not in left.key_set:
+                    if k not in left.keys:
                         yield "eqL", (e, template, hole), [Sequent(
                             left.without(target).plus(inst_new), right)]
 
@@ -792,28 +791,30 @@ def _truth_bits_k(f: Formula, rows: dict[str, list[list[int]]], env: dict[Atom, 
     return 0
 
 
-def _size_k_tables(s: Sequent, used: Signature, free: tuple[Atom, ...], k: int
+def _size_k_tables(s: Sequent, functions: tuple[tuple[str, int], ...],
+                   predicates: tuple[tuple[str, int], ...], free: tuple[Atom, ...], k: int
                    ) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[bool, ...]],
                               Valuation] | None:
     """The tables and valuation of s's first countermodel of size k >= 2, or None.
 
-    used holds the symbols s uses, in iter_models order.  A (model,
-    valuation) pair's index is a mixed-radix numeral with one digit per
-    row of their tables, base k for a function's and base 2 for a
-    predicate's, the functions' rows first, then the predicates', in used
-    order and row-major, and then one digit of base k per free atom, in
-    order; the first digit is the most significant.  iter_models tries
-    tables in lexicographic order, 0 (false) first, and every valuation
-    is tried in order within a model, so the pairs are reached in the
-    order of their indices.  Each formula of s is evaluated once, as an
-    int whose bits are the pairs (``_truth_bits_k``), and the lowest pair
-    left is the first countermodel.
+    functions and predicates hold the (name, arity) pairs s uses, in
+    iter_models order.  A (model, valuation) pair's index is a mixed-radix
+    numeral with one digit per row of their tables, base k for a
+    function's and base 2 for a predicate's, the functions' rows first,
+    then the predicates', in that order and row-major, and then one digit
+    of base k per free atom, in order; the first digit is the most
+    significant.  iter_models tries tables in lexicographic order, 0
+    (false) first, and every valuation is tried in order within a model,
+    so the pairs are reached in the order of their indices.  Each formula
+    of s is evaluated once, as an int whose bits are the pairs
+    (``_truth_bits_k``), and the lowest pair left is the first
+    countermodel.
     """
-    radices = ([k] * sum(k ** ar for _, ar in used.functions)
-               + [2] * sum(k ** ar for _, ar in used.predicates) + [k] * len(free))
+    radices = ([k] * sum(k ** ar for _, ar in functions)
+               + [2] * sum(k ** ar for _, ar in predicates) + [k] * len(free))
     masks = iter(_digit_masks(radices))
     rows = {name: [next(masks) for _ in range(k ** ar)]
-            for name, ar in used.functions + used.predicates}
+            for name, ar in functions + predicates}
     env = dict(zip(free, masks))
     full = (1 << math.prod(radices)) - 1
     i = _lowest(s, lambda f: _truth_bits_k(f, rows, env, k, full), full)
@@ -824,9 +825,9 @@ def _size_k_tables(s: Sequent, used: Signature, free: tuple[Atom, ...], k: int
         i, d = divmod(i, r)
         digits.append(d)
     digits = iter(digits[::-1])
-    funcs = {name: tuple(next(digits) for _ in range(k ** ar)) for name, ar in used.functions}
+    funcs = {name: tuple(next(digits) for _ in range(k ** ar)) for name, ar in functions}
     preds = {name: tuple(next(digits) == 1 for _ in range(k ** ar))
-             for name, ar in used.predicates}
+             for name, ar in predicates}
     return funcs, preds, Valuation(dict(zip(free, digits)), 0)
 
 
@@ -878,16 +879,15 @@ def find_countermodel(s: Sequent, sig: Signature | None, max_k: int, *,
     """
     fs, ps, _ = _symbols(s.left + s.right) if symbols is None else symbols
     if sig is None or not (fs <= set(sig.functions) and ps <= set(sig.predicates)):
-        sig = used = Signature(tuple(sorted(fs)), tuple(sorted(ps)))
+        sig = Signature(tuple(sorted(fs)), tuple(sorted(ps)))
+        used = sig.functions, sig.predicates
     else:
-        # a valid sig holds no name at two arities, nor one that is both a
-        # function and a predicate, so its pairs that s uses make a Signature
-        used = Signature(tuple(x for x in sig.functions if x in fs),
-                         tuple(x for x in sig.predicates if x in ps))
+        used = (tuple(x for x in sig.functions if x in fs),
+                tuple(x for x in sig.predicates if x in ps))
     free = tuple(sorted(s.free_atoms()))
     total = 0
     for k in range(1, max_k + 1):
-        n = _size_space(used.functions, used.predicates, len(free), k)
+        n = _size_space(*used, len(free), k)
         # the total so far is within the limit: beside 10**29 it is lost
         total = n if isinstance(n, float) else total + n
         if isinstance(total, float) or total > COUNTERMODEL_SPACE_LIMIT:
@@ -897,8 +897,8 @@ def find_countermodel(s: Sequent, sig: Signature | None, max_k: int, *,
             if k ** ar > MAX_ROWS:
                 raise SearchRefused(f"table of {k ** ar} rows for {name} "
                                     f"at size {k} exceeds limit {MAX_ROWS}")
-        found = (_size_1_tables(s, used.predicates, free) if k == 1
-                 else _size_k_tables(s, used, free, k))
+        found = (_size_1_tables(s, used[1], free) if k == 1
+                 else _size_k_tables(s, *used, free, k))
         if found is not None:
             funcs, preds, vs = found
             return _padded(sig, k, funcs, preds), vs

@@ -27,13 +27,12 @@ reads its operand's columns, and so does a permutation of it; and a table
 over no atoms, or at k = 1, reads none.
 
 Plans depend only on the table's shape: k, the source width and the
-column map, never on atoms or contents.  ``_PLANS`` holds the plans of at
-most PLAN_CACHE_SIZE shapes, keeps no plan longer than PLAN_CACHE_ROWS
-rows and is emptied when full; a longer plan is made on each call, and
-the getter holds its row indices for that call only.  The merged
-dependency order of a join is keyed by atoms and sits in a fixed-size
-``lru_cache``, which never keeps a join wider than MAX_DEPS atoms: that
-join is refused.
+column map, never on atoms or contents.  A plan of at most PLAN_CACHE_ROWS
+rows is kept in an ``lru_cache`` of CACHE_SIZE shapes; a longer one is
+made on each call, and the getter holds its row indices for that call
+only.  The merged dependency order of a join is keyed by atoms and sits
+in an ``lru_cache`` of the same size, which never keeps a join wider than
+MAX_DEPS atoms: that join is refused.
 """
 from __future__ import annotations
 
@@ -53,9 +52,7 @@ from .syntax import (All, And, Bot, Eq, Formula, Neg, Pred, Signature,
 MAX_DEPS = 6  # dependency width of a table; keep constructions bounded
 MAX_ROWS = 10 ** 6  # k**deps table rows, k = 10 at width MAX_DEPS
 PLAN_CACHE_ROWS = 3 ** MAX_DEPS  # longest plan kept: k = 3 at width MAX_DEPS
-PLAN_CACHE_SIZE = 1024  # shapes kept at once; the cache is emptied when full
-JOIN_CACHE_SIZE = 4096  # atom-keyed entries per cache (joins, sampler pools), LRU out
-_PLANS: dict[tuple, tuple] = {}  # (k, source width, column map) -> its plan
+CACHE_SIZE = 4096  # entries per cache (plans, joins, sampler pools), LRU out
 _new = object.__new__  # a TableFun without __init__, for _made
 _BIT = {"0": False, "1": True}  # a binary digit's truth value
 
@@ -131,29 +128,23 @@ class TableFun:
         return f"TF{ds}({vals})"
 
 
-def _plan(k: int, n: int, cols: tuple[int, ...]) -> Iterable[int]:
+def _plan(k: int, n: int, cols: tuple[int, ...]) -> tuple[int, ...]:
     """The row-index plan re-indexing an n-column table over k values.
 
     Output column j reads source column cols[j], or reads 0 where cols[j]
     is -1; the plan holds the source row of each output row, row-major.
-    A plan longer than PLAN_CACHE_ROWS rows is not kept but read once, so
-    it is an iterator whose last column's rows are made as they are read.
+    ``_kept_plan`` is this function behind the plan cache; callers use it
+    for plans of at most PLAN_CACHE_ROWS rows only.
     """
-    plan = _PLANS.get((k, n, cols))
-    if plan is None:
-        strides = [k ** (n - 1 - c) if c >= 0 else 0 for c in cols]
-        long = k ** len(cols) > PLAN_CACHE_ROWS
-        rows = [0]
-        for s in strides[:-1] if long else strides:
-            rows = [r + v * s for r in rows for v in range(k)]
-        if long:
-            s = strides[-1]
-            return itertools.chain.from_iterable(
-                range(r, r + s * k, s) if s else itertools.repeat(r, k) for r in rows)
-        if len(_PLANS) >= PLAN_CACHE_SIZE:
-            _PLANS.clear()
-        plan = _PLANS[k, n, cols] = tuple(rows)
-    return plan
+    rows = [0]
+    for c in cols:
+        # the row offsets of the column's k values
+        steps = range(0, k ** (n - c), k ** (n - 1 - c)) if c >= 0 else (0,) * k
+        rows = [r + d for r in rows for d in steps]
+    return tuple(rows)
+
+
+_kept_plan = lru_cache(maxsize=CACHE_SIZE)(_plan)
 
 
 def _narrow(deps: tuple[Atom, ...]) -> tuple[Atom, ...]:
@@ -183,7 +174,8 @@ def _gather(k: int, src: tuple[Atom, ...], table: tuple, deps: tuple[Atom, ...],
     if deps == src:
         return table
     rows = _rows(k, len(deps))
-    got = itemgetter(*_plan(k, len(src), cols))(table)
+    plan = (_kept_plan if rows <= PLAN_CACHE_ROWS else _plan)(k, len(src), cols)
+    got = itemgetter(*plan)(table)
     # a getter of one row gives that row, not a 1-tuple
     return got if rows > 1 else (got,)
 
@@ -268,7 +260,7 @@ def _columns(src: tuple[Atom, ...], deps: tuple[Atom, ...]) -> tuple[int, ...]:
     return tuple(src.index(d) if d in src else -1 for d in deps)
 
 
-@lru_cache(maxsize=JOIN_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _join(fdeps: tuple[Atom, ...], gdeps: tuple[Atom, ...]):
     """The atoms either table reads, in order, and each table's column map.
 
@@ -288,7 +280,7 @@ def _joined(f: TableFun, g: TableFun):
             _gather(g.k, g.deps, g.table, deps, gcols))
 
 
-@lru_cache(maxsize=JOIN_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _subst_join(fdeps: tuple[Atom, ...], a: Atom, udeps: tuple[Atom, ...]):
     """The atoms of f[a := u], and f's (a read as 0) and u's column maps.
 
@@ -311,7 +303,7 @@ def tf_subst(f: TableFun, a: Atom, u: TableFun) -> TableFun:
     values = _gather(k, u.deps, u.table, deps, ucols)
     # the row of f with a read as 0, plus a's stride times u's value; u may
     # read a itself, so a's column of deps is never f's
-    base = _plan(k, n, fcols)
+    base = (_kept_plan if len(values) <= PLAN_CACHE_ROWS else _plan)(k, n, fcols)
     stride = k ** (n - 1 - f.deps.index(a))
     got = itemgetter(*map(add, base, map(stride.__mul__, values)))(f.table)
     return _canonical(k, deps, got if len(values) > 1 else (got,))
@@ -565,7 +557,7 @@ def random_model(sig: Signature, k: int, rng: random.Random) -> OrdinaryModel:
     return OrdinaryModel(sig, k, funcs, preds)
 
 
-@lru_cache(maxsize=JOIN_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _subsets(pool: tuple[Atom, ...]) -> tuple[tuple[tuple[Atom, ...], ...], ...]:
     """Per width n from 0 to min(3, len(pool)), the n-subsets of pool, each in id order.
 

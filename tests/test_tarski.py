@@ -16,7 +16,7 @@ from nomfol.samplers import tarski_sampler
 from nomfol.sigma import sigma_axiom_suite
 from nomfol.syntax import (All, BOT, Eq, Neg, Or, Pred, Signature,
                            SyntaxError_, Var, default_signature, random_formula)
-from nomfol.tarski import (MAX_DEPS, MAX_ROWS, PLAN_CACHE_ROWS, PLAN_CACHE_SIZE,
+from nomfol.tarski import (CACHE_SIZE, MAX_DEPS, MAX_ROWS, PLAN_CACHE_ROWS,
                            OrdinaryModel, TableFun, Valuation, agreement_check,
                            all_valuations, iter_models,
                            lift_interpretation, parse_model, random_model,
@@ -569,7 +569,7 @@ def test_meet_and_tablefun_refuse_what_is_not_a_table():
 
 def test_tables_longer_than_kept_plans_match_closure_kernel():
     # k = 4 over 5 atoms is 1024 rows, more than PLAN_CACHE_ROWS: such
-    # plans are made as they are read and never kept
+    # plans are made on each call and never kept
     rng = random.Random(53)
     k, wide = 4, atoms(*range(5))
 
@@ -616,30 +616,51 @@ def test_gathers_of_one_row_and_of_plans_too_long_to_keep():
                        (atoms(9, 0, 1, 2, 3), (-1, 3, 2, 1, 0))):
         assert k ** len(deps) > PLAN_CACHE_ROWS
         want = tuple(_row(k, src, m) for m in _ref_rows(k, deps))
+        before = tarski._kept_plan.cache_info()
         assert tarski._gather(k, src, table, deps, cols) == want
-        assert (k, len(src), cols) not in tarski._PLANS
+        # the cache is not even looked up
+        assert tarski._kept_plan.cache_info() == before
+    # nor by a substitution whose result is that long and reads every atom
+    f, u = tablefun(k, atoms(0, 1, 2, 3, 4), range(k ** 5)), tf_atm(k, Atom(9))
+    before = tarski._kept_plan.cache_info()
+    got = tf_subst(f, f.deps[0], u)
+    assert tarski._kept_plan.cache_info() == before
+    assert len(got.table) == k ** 5 and got == ref_subst(f, f.deps[0], u)
 
 
-def test_plan_cache_stays_bounded():
+def test_plan_cache_stays_bounded(monkeypatch):
+    keep, kept = tarski._kept_plan, []
+
+    def recording(k, n, cols):
+        plan = keep(k, n, cols)
+        kept.append((k, n, cols, plan))
+        return plan
+
+    keep.cache_clear()
+    monkeypatch.setattr(tarski, "_kept_plan", recording)
     # a k = 10, width-4 table is re-indexed through a 10**4-row plan, which
-    # may not be kept
+    # is not kept
     parity = [sum(c) % 2 == 0 for c in itertools.product(range(10), repeat=4)]
     assert len(tablefun(10, atoms(3, 1, 0, 2), parity).table) == 10 ** 4
+    assert not kept and keep.cache_info().currsize == 0
     tablefun(3, (b, a), range(9))
-    # every key is one shape, (k, source width, column map), holding its plan
-    for (k, n, cols), plan in tarski._PLANS.items():
-        assert len(plan) == k ** len(cols) and all(-1 <= c < n for c in cols)
-    plans = list(tarski._PLANS.values())
-    assert 9 in map(len, plans) and max(map(len, plans)) <= PLAN_CACHE_ROWS
-    # one shape per order of six atoms at k = 2 and k = 3, 1,438 in all:
-    # the cache is emptied, not grown, when full
-    tarski._PLANS.clear()
+    assert [len(plan) for *_, plan in kept] == [9]
+    # one shape per order of six atoms at k = 2 and k = 3, 1,438 in all,
+    # each kept once, in a cache as large as the joins'
+    keep.cache_clear()
+    kept.clear()
     sizes = []
     for k in (2, 3):
         for order in itertools.permutations(atoms(*range(6))):
             tablefun(k, order, range(k ** 6))
-            sizes.append(len(tarski._PLANS))
-    assert max(sizes) == PLAN_CACHE_SIZE and sizes[-1] < PLAN_CACHE_SIZE
+            sizes.append(keep.cache_info().currsize)
+    shapes = {(k, n, cols) for k, n, cols, _ in kept}
+    assert keep.cache_info().maxsize == tarski._join.cache_info().maxsize == CACHE_SIZE
+    assert max(sizes) == sizes[-1] == len(shapes) == 1438 <= CACHE_SIZE
+    # every kept plan is its shape's, (k, source width, column map), of at
+    # most PLAN_CACHE_ROWS rows
+    for k, n, cols, plan in kept:
+        assert len(plan) == k ** len(cols) <= PLAN_CACHE_ROWS and all(-1 <= c < n for c in cols)
 
 
 def test_width_is_refused_before_rows_are_enumerated():
