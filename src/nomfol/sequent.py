@@ -24,6 +24,7 @@ import random
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .nominal import Atom, act, atoms, fresh, swap
@@ -443,7 +444,9 @@ def _search(s: Sequent, budget: ProverBudget, sig: Signature | None) -> Proof | 
     tables are locals of the call and live and die with it.  They are
     keyed by the formulas' identities, not their alpha keys, so that a
     principal's own binder names print, and they hold the formulas, so
-    that no id is reused while the call runs.
+    that no id is reused while the call runs.  One node may stand in
+    several places, as subst_formula shares what it leaves alone; its id
+    then names one value, so one entry is right for each of them.
     """
     sig = sig or Signature((), ())
     universe = default_universe(s, sig)
@@ -594,10 +597,26 @@ def _symbols(formulas: Iterable[Formula]
     funcs and preds are (name, arity) pairs; has_equation is whether
     formulas have an equation.
     """
-    atomic = list(_atomic(formulas))
-    funcs = {(t.fn, len(t.args)) for t in formula_terms(atomic) if isinstance(t, App)}
-    preds = {(f.name, len(f.args)) for f in atomic if isinstance(f, Pred)}
-    return funcs, preds, any(isinstance(f, Eq) for f in atomic)
+    funcs: set[tuple[str, int]] = set()
+    preds: set[tuple[str, int]] = set()
+    has_equation = False
+    todo: list = list(formulas)  # formulas and terms
+    while todo:
+        x = todo.pop()
+        if isinstance(x, App):
+            funcs.add((x.fn, len(x.args)))
+            todo += x.args
+        elif isinstance(x, And):
+            todo += (x.lhs, x.rhs)
+        elif isinstance(x, (Neg, All)):
+            todo.append(x.body)
+        elif isinstance(x, Pred):
+            preds.add((x.name, len(x.args)))
+            todo += x.args
+        elif isinstance(x, Eq):
+            has_equation = True
+            todo += (x.lhs, x.rhs)
+    return funcs, preds, has_equation
 
 
 def _size_space(functions: Iterable[tuple[str, int]], predicates: Iterable[tuple[str, int]],
@@ -701,6 +720,18 @@ def _truth_bits(f: Formula, masks: dict[str, int], full: int) -> int:
     return full if isinstance(f, Eq) else 0
 
 
+@lru_cache(maxsize=COUNTERMODEL_SPACE_LIMIT.bit_length())
+def _size_1_masks(p: int) -> tuple[int, ...]:
+    """The masks of p binary digits over 2**p numerals, from ``_digit_masks``.
+
+    Each sequent over p predicates needs the same masks, so they are kept
+    per p.  Size 1 holds 2**p pairs, so find_countermodel refuses p past
+    19 (COUNTERMODEL_SPACE_LIMIT), and the cache holds at most the 20
+    entries p = 0..19, about 2.4 MB when all are filled.
+    """
+    return tuple(m for (m,) in _digit_masks([2] * p))
+
+
 def _size_1_tables(s: Sequent, preds: tuple[tuple[str, int], ...], free: tuple[Atom, ...]
                    ) -> tuple[dict, dict[str, tuple[bool]], Valuation] | None:
     """The tables and valuation of s's first countermodel of size 1, or None.
@@ -713,7 +744,7 @@ def _size_1_tables(s: Sequent, preds: tuple[tuple[str, int], ...], free: tuple[A
     one left is its first countermodel.  The valuation is all 0.
     """
     p = len(preds)
-    masks = {name: m for (name, _), (m,) in zip(preds, _digit_masks([2] * p))}
+    masks = dict(zip((name for name, _ in preds), _size_1_masks(p)))
     full = (1 << (1 << p)) - 1
     i = _lowest(s, lambda f: _truth_bits(f, masks, full), full)
     if i is None:

@@ -286,9 +286,15 @@ def subst_formula(phi: Formula, a: Atom, r: Term) -> Formula:
     """Capture-avoiding substitution of the term r for the atom a.
 
     Clashing binders are renamed, by a swap, to the lowest atom fresh for
-    (body, r, a), so outputs are canonical.
+    (body, r, a), so outputs are canonical.  A node where a is not free
+    is returned as it is, the paper's law that a # x gives x[a := u] = x,
+    so an output shares every subformula the substitution leaves alone
+    with phi, its key and free atoms already cached.  Sharing is safe:
+    nodes are frozen, and a table keyed by a node's identity (as in the
+    prover's search) then finds one entry for one object, whose answers
+    depend only on its value.
     """
-    if isinstance(phi, Bot):
+    if a not in free_atoms(phi):
         return phi
     if isinstance(phi, Eq):
         return Eq(subst_term(phi.lhs, a, r), subst_term(phi.rhs, a, r))
@@ -300,10 +306,6 @@ def subst_formula(phi: Formula, a: Atom, r: Term) -> Formula:
         return Neg(subst_formula(phi.body, a, r))
     if isinstance(phi, All):
         b, body = phi.binder, phi.body
-        if b == a:
-            return phi
-        if a not in free_atoms(body):
-            return phi
         if b in free_atoms_term(r):
             b2 = fresh(free_atoms(body) | free_atoms_term(r) | {a})
             body = act(swap(b, b2), body)
@@ -322,11 +324,22 @@ def alpha_key(phi: Formula) -> str:
 
     Bound atoms are written as the depth of their binder and free atoms by
     index, so the key also fixes the order of formulas in a sequent.  Each
-    node walks its tree once, on the first request.
+    node computes its key once, on the first request.  A conjunction's or
+    a negation's key is put together from its children's keys, which are
+    cached in turn: neither binds an atom, so the walk from the root
+    (``_alpha_key_walk``) writes each child just as the child's own key.
+    An atom or a quantifier walks its tree.  So keying a tree that shares
+    subformulas with a keyed one, as ``subst_formula`` outputs do, reads
+    the shared keys from the cache, except under a new quantifier.
     """
     key = phi._key
     if key is None:
-        key = _alpha_key_walk(phi)
+        if isinstance(phi, And):
+            key = "&(" + alpha_key(phi.lhs) + ")(" + alpha_key(phi.rhs) + ")"
+        elif isinstance(phi, Neg):
+            key = "!(" + alpha_key(phi.body) + ")"
+        else:
+            key = _alpha_key_walk(phi)
         object.__setattr__(phi, "_key", key)
     return key
 

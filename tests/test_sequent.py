@@ -1150,6 +1150,35 @@ def test_verdicts_are_certificates_on_the_golden_corpus():
     assert counts == {"proved": 376, "refuted": 256, "unknown": 8}
 
 
+def ref_symbols(formulas):
+    """(funcs, preds, has_equation) from _atomic and formula_terms, the
+    chained walks _symbols once made."""
+    atomic = list(sequent_module._atomic(formulas))
+    funcs = {(t.fn, len(t.args)) for t in formula_terms(atomic) if isinstance(t, App)}
+    preds = {(f.name, len(f.args)) for f in atomic if isinstance(f, Pred)}
+    return funcs, preds, any(isinstance(f, Eq) for f in atomic)
+
+
+def test_symbols_match_the_chained_walks():
+    rng = random.Random(31)
+    pool = atoms(0, 1, 2)
+    cases = [s.left + s.right for s, _ in _golden_corpus()]
+    for _ in range(400):
+        fs = [random_formula(sig, rng, pool, rng.randint(0, 4))
+              for _ in range(rng.randint(0, 3))]
+        # an equation buried under a negation or a quantifier, or both
+        e = Eq(random_term(sig, rng, pool, 2), random_term(sig, rng, pool, 2))
+        buried = rng.choice([Neg(e), All(rng.choice(pool), e),
+                             Neg(All(rng.choice(pool), And(BOT, Neg(e))))])
+        cases += [tuple(fs), tuple(fs) + (buried,)]
+    equations = 0
+    for fs in cases:
+        got = _symbols(fs)
+        assert got == ref_symbols(fs), fs
+        equations += got[2]
+    assert 400 <= equations < len(cases)
+
+
 def test_a_verdict_is_never_both():
     s = ps("P(a) |- P(a)")
     proof = prove(s)

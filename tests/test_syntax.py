@@ -356,15 +356,39 @@ def _cache_corpus(seed):
     return out
 
 
+def _shared_corpus(seed):
+    """Formulas whose nodes are shared: parsed <-> chains, which use each
+    operand twice, and subst_formula outputs of already keyed sources."""
+    rng = random.Random(seed)
+    pool = atoms(0, 1, 2, 3)
+    texts = ["P(a) <-> Q(a, b)", "forall a. (P(a) <-> ~Q(a, b)) <-> R",
+             "~(forall b. P(b) <-> a = f(b)) <-> (R <-> forall a. Q(a, a))",
+             _iffs(4)]
+    out = [parse_formula(t, sig) for t in texts]
+    for i in range(200):
+        phi = random_formula(sig, rng, pool, rng.randint(1, 5))
+        if i % 2:
+            for f in _subformulas(phi):
+                alpha_key(f)
+        out.append(subst_formula(phi, rng.choice(pool), random_term(sig, rng, pool, 2)))
+        out.append(Iff(phi, out[-1]))
+    return out
+
+
 def test_cached_key_matches_reference_walk():
-    for phi in _cache_corpus(13):
+    # a conjunction's or a negation's key is put together from its
+    # children's, which may be shared nodes keyed earlier
+    shared = 0
+    for phi in _cache_corpus(13) + _shared_corpus(16):
         subs = list(_subformulas(phi))
+        shared += len(subs) - len({id(f) for f in subs})
         # ask the children first on half of the trees, the root first on the rest
         order = subs[::-1] if len(subs) % 2 else subs
         for f in order:
             assert alpha_key(f) == _alpha_key_walk(f)
         for f in subs:
             assert f._key == _alpha_key_walk(f)
+    assert shared > 500
 
 
 def test_cached_free_atoms_match_support():
@@ -386,6 +410,68 @@ def test_caches_take_no_part_in_equality():
     # an alpha-variant shares the key but stays a different tree
     renamed = parse_formula("forall a5. Q(a5, a1) /\\ P(c)", sig)
     assert alpha_key(renamed) == alpha_key(phi) and renamed != phi
+
+
+def ref_subst_formula(phi, a, r):
+    """Substitution rebuilding every node, as subst_formula once did.
+
+    The reference for subst_formula, which returns a node where a is not
+    free as it is.
+    """
+    if phi == BOT:
+        return phi
+    if isinstance(phi, Eq):
+        return Eq(subst_term(phi.lhs, a, r), subst_term(phi.rhs, a, r))
+    if isinstance(phi, Pred):
+        return Pred(phi.name, tuple(subst_term(t, a, r) for t in phi.args))
+    if isinstance(phi, And):
+        return And(ref_subst_formula(phi.lhs, a, r), ref_subst_formula(phi.rhs, a, r))
+    if isinstance(phi, Neg):
+        return Neg(ref_subst_formula(phi.body, a, r))
+    bnd, body = phi.binder, phi.body
+    if bnd == a or a not in free_atoms(body):
+        return phi
+    if bnd in free_atoms_term(r):
+        b2 = fresh(free_atoms(body) | free_atoms_term(r) | {a})
+        body = act(swap(bnd, b2), body)
+        bnd = b2
+    return All(bnd, ref_subst_formula(body, a, r))
+
+
+def _assert_shares_untouched(phi, out, a):
+    """Every subformula of phi where a is not free comes back as itself."""
+    if a not in free_atoms(phi):
+        assert out is phi
+    elif isinstance(phi, And):
+        _assert_shares_untouched(phi.lhs, out.lhs, a)
+        _assert_shares_untouched(phi.rhs, out.rhs, a)
+    elif isinstance(phi, Neg):
+        _assert_shares_untouched(phi.body, out.body, a)
+    elif isinstance(phi, All) and out.binder == phi.binder:
+        _assert_shares_untouched(phi.body, out.body, a)
+
+
+def test_subst_formula_matches_the_rebuilding_reference():
+    rng = random.Random(15)
+    pool = atoms(0, 1, 2, 3)
+    cases = [(phi, rng.choice(pool), random_term(sig, rng, pool, 2))
+             for phi in _cache_corpus(15)]
+    cases += [(random_formula(sig, rng, pool, rng.randint(0, 5)), rng.choice(pool),
+               random_term(sig, rng, pool, rng.randint(0, 2))) for _ in range(600)]
+    shared = untouched = 0
+    for phi, q, r in cases:
+        got, want = subst_formula(phi, q, r), ref_subst_formula(phi, q, r)
+        assert got == want, (phi, q, r)
+        assert alpha_key(got) == alpha_key(want) == _alpha_key_walk(got)
+        assert free_atoms(got) == free_atoms(want) == _free_reference(got)
+        _assert_shares_untouched(phi, got, q)
+        if q not in free_atoms(phi):
+            assert got is phi
+            untouched += 1
+        elif any(f is g for f in _subformulas(got) for g in _subformulas(phi)):
+            shared += 1
+    # both kinds of sharing are exercised: whole trees and untouched children
+    assert untouched > 200 and shared > 100
 
 
 def _iffs(levels):
