@@ -7,6 +7,7 @@ lazy and memoised; the filters themselves are never materialised.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -127,16 +128,14 @@ def filter_check(p: PredSet, universe: Sequence[Formula], b: ProverBudget,
 def grow_filter(p: PredSet, psi: Formula) -> PredSet:
     """Close p under an extra conjunct; p and psi are members by construction."""
     b, sig = p.budget, p.sig
-    gens = p.generators
+    gens = tuple(And(g, psi) for g in p.generators)
     psi_key = alpha_key(psi)
 
     def oracle(xi: Formula) -> bool:
-        if alpha_key(xi) == psi_key or p.member(xi):
-            return True
-        return any(_entails(And(g, psi), xi, b, sig) for g in gens)
+        return (alpha_key(xi) == psi_key or p.member(xi)
+                or any(_entails(g, xi, b, sig) for g in gens))
 
-    return PredSet(oracle, "grown", tuple(And(g, psi) for g in gens), b, sig,
-                   p.support | free_atoms(psi))
+    return PredSet(oracle, "grown", gens, b, sig, p.support | free_atoms(psi))
 
 
 def grow_ideal(z: PredSet, ys: Sequence[Formula]) -> PredSet:
@@ -144,19 +143,13 @@ def grow_ideal(z: PredSet, ys: Sequence[Formula]) -> PredSet:
     b, sig = z.budget, z.sig
     ys = tuple(ys)
     y_keys = {alpha_key(y) for y in ys}
+    targets = [functools.reduce(Or, combo, gen) for gen in z.generators
+               for width in range(1, MAX_DISJUNCTION_WIDTH + 1)
+               for combo in itertools.combinations(ys, width)]
 
     def oracle(xi: Formula) -> bool:
-        if z.member(xi) or alpha_key(xi) in y_keys:
-            return True
-        for gen in z.generators:
-            for width in range(1, MAX_DISJUNCTION_WIDTH + 1):
-                for combo in itertools.combinations(ys, width):
-                    target = gen
-                    for y in combo:
-                        target = Or(target, y)
-                    if _entails(xi, target, b, sig):
-                        return True
-        return False
+        return (z.member(xi) or alpha_key(xi) in y_keys
+                or any(_entails(xi, t, b, sig) for t in targets))
 
     return PredSet(oracle, "grown-ideal", z.generators, b, sig,
                    z.support.union(*map(free_atoms, ys)))

@@ -12,9 +12,10 @@ refutation and a search that ran out of depth.
 Countermodels are exhaustive up to the size bound, so a found model is a
 certificate, which ``check_countermodel`` re-evaluates where it leaves
 the library; a size too large to search or to pad is refused.  The
-countermodel search decides size 1 on the truth bits of the predicate
-assignments, and every larger size on bits with one per (model,
-valuation) pair, each formula evaluated once.
+countermodel search returns the first countermodel in the order that
+``find_countermodel`` states.  It decides size 1 on the truth bits of the
+predicate assignments, and every larger size on bits with one per
+(model, valuation) pair, each formula evaluated once.
 """
 from __future__ import annotations
 
@@ -736,12 +737,12 @@ def _size_1_tables(s: Sequent, preds: tuple[tuple[str, int], ...], free: tuple[A
                    ) -> tuple[dict, dict[str, tuple[bool]], Valuation] | None:
     """The tables and valuation of s's first countermodel of size 1, or None.
 
-    preds are the predicates s uses, in iter_models order.  Each formula
+    preds are the predicates s uses, in signature order.  Each formula
     is evaluated once as an int whose bits are the predicate assignments,
     assignment i the binary numeral of i, predicate 0 the most
-    significant.  iter_models tries False before True, predicate by
-    predicate, so it reaches the assignments in numeral order: the lowest
-    one left is its first countermodel.  The valuation is all 0.
+    significant and 1 true.  At size 1 that is find_countermodel's order,
+    as each table has one row and the one valuation is all 0, so the
+    lowest assignment left is the first countermodel.
     """
     p = len(preds)
     masks = dict(zip((name for name, _ in preds), _size_1_masks(p)))
@@ -829,17 +830,16 @@ def _size_k_tables(s: Sequent, functions: tuple[tuple[str, int], ...],
     """The tables and valuation of s's first countermodel of size k >= 2, or None.
 
     functions and predicates hold the (name, arity) pairs s uses, in
-    iter_models order.  A (model, valuation) pair's index is a mixed-radix
+    signature order.  A (model, valuation) pair's index is a mixed-radix
     numeral with one digit per row of their tables, base k for a
-    function's and base 2 for a predicate's, the functions' rows first,
-    then the predicates', in that order and row-major, and then one digit
-    of base k per free atom, in order; the first digit is the most
-    significant.  iter_models tries tables in lexicographic order, 0
-    (false) first, and every valuation is tried in order within a model,
-    so the pairs are reached in the order of their indices.  Each formula
-    of s is evaluated once, as an int whose bits are the pairs
+    function's and base 2 for a predicate's (1 true), the functions' rows
+    first, then the predicates', in that order and row-major, and then one
+    digit of base k per free atom, in order; the first digit is the most
+    significant, so indices follow find_countermodel's order.  Each
+    formula of s is evaluated once, as an int whose bits are the pairs
     (``_truth_bits_k``), and the lowest pair left is the first
-    countermodel.
+    countermodel.  A term is k - 1 ints, the pairs where it is 1 to k - 1;
+    it is 0 in the rest.
     """
     radices = ([k] * sum(k ** ar for _, ar in functions)
                + [2] * sum(k ** ar for _, ar in predicates) + [k] * len(free))
@@ -882,31 +882,26 @@ def find_countermodel(s: Sequent, sig: Signature | None, max_k: int, *,
     already.  Sizes are searched in order, and each is checked just
     before it is searched: the first size that takes the running count
     past the limit, or whose model would hold a table of more than
-    MAX_ROWS rows, raises SearchRefused.  Only the symbols that occur in s
-    are enumerated; every other symbol keeps its first table in
-    iter_models order (all 0, all false).  Such a symbol cannot change the
-    verdict, so the result is the first countermodel of an enumeration of
-    the whole signature.
+    MAX_ROWS rows, raises SearchRefused.
 
-    Size 1 is decided bit-parallel, with no model built.  There every
-    function is constant, every equation holds and a quantifier is its
-    body, so s is a propositional formula over the p predicates it uses.
-    Each formula of s is evaluated once, as an int whose 2**p bits are the
-    predicate assignments (``_size_1_tables``); the lowest assignment left
-    is the one iter_models reaches first, and the valuation is all 0.  At
-    p = 19, the most the limit lets through, that takes about 1 ms.
+    The answer is the first countermodel in this order of each size's
+    (model, valuation) pairs: the models in iter_models order, and within
+    each model the valuations of s's free atoms in lexicographic order,
+    the first atom the most significant, and every other atom 0.  Only the
+    symbols that occur in s are enumerated; every other symbol keeps its
+    first table (all 0, all false).  Such a symbol cannot change the
+    verdict, so the result is the first countermodel of an enumeration
+    of the whole signature.
 
-    From size 2 each formula of s is evaluated once too, as an int with
-    one bit per (model, valuation) pair (``_size_k_tables``).  A pair's
-    index is a mixed-radix numeral: one digit per row of the used
-    symbols' tables, base k for a function's and base 2 for a
-    predicate's, functions first, then predicates, in used order and
-    row-major, and then one digit of base k per free atom; the first
-    digit is the most significant.  That is the order of the
-    model-by-valuation loop over iter_models, so the lowest bit left is
-    its first countermodel.  A term is k - 1 ints, the pairs where it is
-    1 to k - 1; it is 0 in the rest.  The running count is within the
-    limit, so an int holds at most COUNTERMODEL_SPACE_LIMIT bits (125 KB).
+    Each size is decided bit-parallel, with no model built: each formula
+    of s is evaluated once, as an int with one bit per pair, and the
+    lowest bit left is the answer.  Size 1 (``_size_1_tables``) needs
+    only the predicate assignments, since there every function is
+    constant, every equation holds and a quantifier is its body; at
+    p = 19 predicates, the most the limit lets through, it takes about
+    1 ms.  Every larger size shares one evaluator (``_size_k_tables``).
+    The running count is within the limit, so an int holds at most
+    COUNTERMODEL_SPACE_LIMIT bits (125 KB).
     """
     fs, ps, _ = _symbols(s.left + s.right) if symbols is None else symbols
     if sig is None or not (fs <= set(sig.functions) and ps <= set(sig.predicates)):

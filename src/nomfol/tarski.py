@@ -41,7 +41,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, and_, eq, itemgetter, not_
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .foleq import FoleqAlgebra, Interpretation, interpret
 from .nominal import Atom, Perm
@@ -180,10 +180,6 @@ def _gather(k: int, src: tuple[Atom, ...], table: tuple, deps: tuple[Atom, ...],
     return got if rows > 1 else (got,)
 
 
-def _by_id(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
-    return tuple(sorted(atoms))
-
-
 def _ordered(k: int, atoms: tuple[Atom, ...],
              table: tuple) -> tuple[tuple[Atom, ...], tuple]:
     """A table over distinct atoms in any order, on those atoms by id: (deps, rows)."""
@@ -266,7 +262,7 @@ def _join(fdeps: tuple[Atom, ...], gdeps: tuple[Atom, ...]):
 
     A join wider than MAX_DEPS atoms is refused, so it is never kept.
     """
-    deps = _narrow(_by_id(set(fdeps) | set(gdeps)))
+    deps = _narrow(tuple(sorted(set(fdeps) | set(gdeps))))
     return deps, _columns(fdeps, deps), _columns(gdeps, deps)
 
 
@@ -286,7 +282,7 @@ def _subst_join(fdeps: tuple[Atom, ...], a: Atom, udeps: tuple[Atom, ...]):
 
     A result wider than MAX_DEPS atoms is refused, so it is never kept.
     """
-    deps = _narrow(_by_id((set(fdeps) - {a}) | set(udeps)))
+    deps = _narrow(tuple(sorted((set(fdeps) - {a}) | set(udeps))))
     fcols = tuple(-1 if d == a else c for d, c in zip(deps, _columns(fdeps, deps)))
     return deps, fcols, _columns(udeps, deps)
 
@@ -491,7 +487,7 @@ def lift_interpretation(model: OrdinaryModel) -> Interpretation:
 
 def all_valuations(atoms: Iterable[Atom], k: int) -> Iterator[Valuation]:
     """Every assignment of the given atoms, for every default element."""
-    atoms = _by_id(set(atoms))
+    atoms = tuple(sorted(set(atoms)))
     for default in range(k):
         for combo in itertools.product(range(k), repeat=len(atoms)):
             yield Valuation(dict(zip(atoms, combo)), default)
@@ -504,49 +500,21 @@ def agreement_check(phi: Formula, model: OrdinaryModel) -> bool:
                for vs in all_valuations(free_atoms(phi), model.k))
 
 
-_NO_SYMBOLS = Signature((), ())
+def iter_models(sig: Signature, k: int) -> Iterator[OrdinaryModel]:
+    """All models of size k over sig, in lexicographic order of their tables.
 
-
-def iter_models(sig: Signature, k: int,
-                cut: Callable[[int, OrdinaryModel], bool] | None = None
-                ) -> Iterator[OrdinaryModel]:
-    """All models of size k, tables in lexicographic order.
-
-    Symbols are fixed one at a time, the functions and then the
-    predicates, each in signature order, trying each symbol's tables in
-    lexicographic order; the models come in the order of their tables.
-    Given cut, ``cut(i, part)`` is called once before any symbol is fixed
-    (i = 0) and again each time the i-th symbol is fixed, with ``part`` a
-    model of size k whose tables are those of the i symbols fixed so far.
-    When it returns true, every completion of those tables is skipped.
+    The tables are the functions' and then the predicates', each in
+    signature order, and each symbol's tables come in lexicographic
+    order, 0 (false) first.
     """
-    funcs: dict[str, tuple] = {}
-    preds: dict[str, tuple] = {}
-    symbols = ([(name, funcs, list(itertools.product(range(k), repeat=k ** ar)))
-                for name, ar in sig.functions]
-               + [(name, preds, list(itertools.product((False, True), repeat=k ** ar)))
-                  for name, ar in sig.predicates])
-    part = OrdinaryModel(_NO_SYMBOLS, k, funcs, preds)
-    if cut is not None and cut(0, part):
-        return
-    if not symbols:
-        yield OrdinaryModel(sig, k, {}, {})
-        return
-    tables = [iter(symbols[0][2])]  # the tables left to try, per fixed symbol
-    while tables:
-        i = len(tables)
-        name, store, _ = symbols[i - 1]
-        for table in tables[-1]:
-            store[name] = table
-            if cut is not None and cut(i, part):
-                continue
-            if i < len(symbols):
-                tables.append(iter(symbols[i][2]))
-                break
-            yield OrdinaryModel(sig, k, dict(funcs), dict(preds))
-        else:
-            del store[name]
-            tables.pop()
+    _rows(k, 0)  # refuses an empty domain, which has no model
+    names = [name for name, _ in sig.functions + sig.predicates]
+    n = len(sig.functions)
+    tables = ([itertools.product(range(k), repeat=k ** ar) for _, ar in sig.functions]
+              + [itertools.product((False, True), repeat=k ** ar)
+                 for _, ar in sig.predicates])
+    for combo in itertools.product(*tables):
+        yield OrdinaryModel(sig, k, dict(zip(names[:n], combo)), dict(zip(names[n:], combo[n:])))
 
 
 def random_model(sig: Signature, k: int, rng: random.Random) -> OrdinaryModel:
@@ -564,7 +532,7 @@ def _subsets(pool: tuple[Atom, ...]) -> tuple[tuple[tuple[Atom, ...], ...], ...]
     They come in the order of the n-subsets of pool's indices, so a choice
     among them picks the atoms that the same choice among those would.
     """
-    return tuple(tuple(map(_by_id, itertools.combinations(pool, n)))
+    return tuple(tuple(tuple(sorted(c)) for c in itertools.combinations(pool, n))
                  for n in range(min(3, len(pool)) + 1))
 
 

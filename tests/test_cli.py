@@ -1,11 +1,14 @@
 import argparse
 import functools
+import importlib
+import importlib.util
 import io
 import math
 import os
 import subprocess
 import sys
 import time
+import types
 
 from hypothesis import given, settings, strategies as st
 
@@ -709,3 +712,33 @@ def test_mutated_inputs_get_an_answer_or_an_error(tmp_path_factory, data):
     code, _ = go(*argv)
     assert time.perf_counter() - start < 3.0, argv
     assert code in (0, 1, 2, 64), argv
+
+
+def test_benchmark_tracer_rebinds_every_traced_name_and_restores_it():
+    # perfbench/tracer.py rebinds library names from outside, so deleting or
+    # renaming one breaks the benchmark's --trace 1 mode; it is installed
+    # here on the nomfol modules already imported, re-importing none
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    keys = [key.split(".") for key in tracer.SPANS + tracer.TIMED_LEAVES + tracer.COUNTED
+            + ("tarski.iter_models",)]
+    lib = types.SimpleNamespace(**{m: importlib.import_module("nomfol." + m) for m, _ in keys})
+    # every binding of a traced function in a nomfol module, its own included
+    traced = {id(getattr(getattr(lib, m), attr)) for m, attr in keys}
+    bindings = [(module, attr, value) for name, module in list(sys.modules.items())
+                if name.startswith("nomfol.") for attr, value in vars(module).items()
+                if id(value) in traced]
+    member = filters.PredSet.member
+    t = tracer.Tracer(lib)
+    try:
+        t.install()
+        assert all(getattr(module, attr) is not value for module, attr, value in bindings)
+        assert filters.PredSet.member is not member
+        assert len(list(lib.tarski.iter_models(parse_signature("pred P 1"), 2))) == 4
+        assert t.counts["tarski.iter_models.models"] == 4
+    finally:
+        t.uninstall()
+    assert all(getattr(module, attr) is value for module, attr, value in bindings)
+    assert filters.PredSet.member is member

@@ -463,8 +463,9 @@ _DISTINCT = And(Neg(Eq(Var(a), Var(b))), Neg(Eq(Var(b), Var(c3))))
 def test_pruned_search_finds_the_flat_loops_first_countermodel(case):
     signature, max_k, left, right = case
     s = sequent(left, right)
-    assert _answer(find_countermodel(s, signature, max_k)) == \
-        _answer(reference_countermodel(s, signature, max_k))
+    flat = _answer(reference_countermodel(s, signature, max_k))
+    assert _answer(pruned_reference(s, signature, max_k)) == flat
+    assert _answer(find_countermodel(s, signature, max_k)) == flat
 
 
 def _parts(s):
@@ -488,12 +489,12 @@ def _parts(s):
 def pruned_reference(s, sig, max_k):
     """find_countermodel as it searched before any size went bit-parallel.
 
-    Every size goes through iter_models, cut symbol by symbol as in SEM
-    and Mace4: each part of s (``_parts``) is tested by standard_eval
-    once the last symbol it reads is fixed, or before any is when it
-    reads none, and a prefix of tables under which every valuation has a
-    false left part or a true right part is skipped with every completion
-    of it.  The refusals are find_countermodel's.
+    Symbols are fixed one at a time, in iter_models order, by a recursive
+    search cut as in SEM and Mace4: each part of s (``_parts``) is tested
+    by standard_eval once the last symbol it reads is fixed, or before any
+    is when it reads none, and a prefix of tables under which every
+    valuation has a false left part or a true right part is skipped with
+    every completion of it.  The refusals are find_countermodel's.
     """
     parts, fs, ps = [], set(), set()
     for side, f in _parts(s):
@@ -522,23 +523,36 @@ def pruned_reference(s, sig, max_k):
             if k ** ar > MAX_ROWS:
                 raise SearchRefused(f"table of {k ** ar} rows for {name} "
                                     f"at size {k} exceeds limit {MAX_ROWS}")
-        opens = [[Valuation(dict(zip(free, combo)), 0)
-                  for combo in itertools.product(range(k), repeat=len(free))]]
+        # every table starts all 0 (false), and an unused symbol's stays so
+        model = OrdinaryModel(sig, k, {name: (0,) * k ** ar for name, ar in sig.functions},
+                              {name: (False,) * k ** ar for name, ar in sig.predicates})
+        symbols = ([(name, model.funcs, range(k), ar) for name, ar in used.functions]
+                   + [(name, model.preds, (False, True), ar) for name, ar in used.predicates])
 
-        def cut(i, part):
+        def search(i, opens):
+            """Given the first i tables, the first countermodel's valuation, or None.
+
+            The countermodel's tables are left in model.
+            """
             left, right = tests[i]
-            del opens[i + 1:]
-            opens.append([vs for vs in opens[i]
-                          if all(standard_eval(f, part, vs) for f in left)
-                          and not any(standard_eval(f, part, vs) for f in right)]
-                         if left or right else opens[i])
-            return not opens[-1]
+            opens = [vs for vs in opens if all(standard_eval(f, model, vs) for f in left)
+                     and not any(standard_eval(f, model, vs) for f in right)]
+            if not opens:
+                return None
+            if i == len(symbols):
+                return opens[0]
+            name, store, values, ar = symbols[i]
+            for table in itertools.product(values, repeat=k ** ar):
+                store[name] = table
+                found = search(i + 1, opens)
+                if found is not None:
+                    return found
+            return None
 
-        for model in iter_models(used, k, cut):
-            funcs = {name: (0,) * k ** ar for name, ar in sig.functions}
-            preds = {name: (False,) * k ** ar for name, ar in sig.predicates}
-            return OrdinaryModel(sig, k, {**funcs, **model.funcs},
-                                 {**preds, **model.preds}), opens[-1][0]
+        vs = search(0, [Valuation(dict(zip(free, combo)), 0)
+                        for combo in itertools.product(range(k), repeat=len(free))])
+        if vs is not None:
+            return model, vs
     return None
 
 

@@ -280,7 +280,7 @@ def test_iter_models_count():
     assert models[-1].preds["P"] == (True, True)
 
 
-def test_iter_models_order_and_cut():
+def test_iter_models_order():
     # functions, then predicates, each in signature order, tables lexicographic
     mixed = Signature((("c", 0), ("f", 1)), (("P", 1), ("R", 0)))
     bits = (False, True)
@@ -290,27 +290,9 @@ def test_iter_models_order_and_cut():
                                    itertools.product(bits, repeat=1)))
     tables = lambda m: (m.funcs["c"], m.funcs["f"], m.preds["P"], m.preds["R"])
     assert [tables(m) for m in iter_models(mixed, 2)] == every
-
-    # the cut sees the tables of the symbols fixed so far, and nothing else;
-    # cutting at f = (1, 1) skips exactly the completions of that prefix
-    seen = []
-
-    def cut(i, part):
-        seen.append((i, tuple(part.funcs.items()), tuple(part.preds.items())))
-        return i == 2 and part.funcs["f"] == (1, 1)
-    got = [tables(m) for m in iter_models(mixed, 2, cut)]
-    assert got == [t for t in every if t[1] != (1, 1)]
-    assert seen[0] == (0, (), ())
-    fixed = ["c", "f", "P", "R"]
-    for i, funcs, preds in seen:
-        assert [name for name, _ in funcs + preds] == fixed[:i]
-    assert sum(i == 4 for i, *_ in seen) == len(got)
-
-    # a cut before any symbol is fixed, and a signature with no symbols
-    assert list(iter_models(mixed, 2, lambda i, part: i == 0)) == []
+    # a signature with no symbols has one model of each size
     empty = Signature((), ())
     assert [m.k for m in iter_models(empty, 3)] == [3]
-    assert list(iter_models(empty, 3, lambda i, part: True)) == []
 
 
 def test_valuation_action_renames_keys_only():
